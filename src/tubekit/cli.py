@@ -11,7 +11,7 @@ Subcommands wire the library into reproducible file-based steps::
 
 Every command is deterministic given its inputs and seed flags; re-running
 writes byte-identical files. Exit codes: 0 success, 1 runtime failure,
-2 usage or validation error.
+2 usage or validation error, or an unreadable input or unwritable output.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
-from . import evaluation, formats
-from .anticipation import STRATEGY_LEARNED, STRATEGY_NONE, STRATEGY_NON_MOTION
+from . import evaluation, formats, linking, synthdata
+from .anticipation import STRATEGIES, STRATEGY_LEARNED, STRATEGY_NONE, STRATEGY_NON_MOTION
 from .linking import LinkingParams, extract_tubes
 from .proposals import recall_at_iou
 from .synthdata import cascade_recall_demo, generate_scene, render_detections
@@ -34,28 +34,33 @@ from .trimming import (
     trim_tubes,
 )
 
-DEFAULT_DELTAS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
-DEFAULT_RECALL_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+T = TypeVar("T")
 
 
-def _parse_float_list(text: str, flag: str) -> list[float]:
+def _joined(values: Sequence[object]) -> str:
+    """A library default as the comma-separated text its flag takes."""
+    return ",".join(str(v) for v in values)
+
+
+def _parse_list(text: str, flag: str, convert: Callable[[str], T]) -> list[T]:
     try:
-        values = [float(part) for part in text.split(",") if part.strip()]
+        values = [convert(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError:
-        raise formats.SchemaError(f"{flag}: expected comma-separated numbers, got {text!r}")
+        raise formats.SchemaError(
+            f"{flag}: expected comma-separated {convert.__name__} values, got {text!r}"
+        )
     if not values:
         raise formats.SchemaError(f"{flag}: empty list")
     return values
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise formats.SchemaError(f"{flag}: expected comma-separated integers, got {text!r}")
-    if not values:
-        raise formats.SchemaError(f"{flag}: empty list")
-    return values
+def _write_text(text: str, out: Optional[str]) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when it is not set."""
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_avg_len(text: str) -> dict[int, float]:
@@ -145,7 +150,7 @@ def cmd_trim(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     gts = formats.load_tubes(args.gt)
     preds = formats.load_tubes(args.pred)
-    deltas = _parse_float_list(args.deltas, "--deltas")
+    deltas = _parse_list(args.deltas, "--deltas", float)
     report = evaluation.evaluate(preds, gts, deltas)
     classes = sorted({c for aps in report.ap_by_delta.values() for c in aps})
     lines = []
@@ -159,12 +164,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         lines.append("delta,mAP")
         for delta in deltas:
             lines.append(f"{delta:g},{report.map_by_delta[float(delta)]:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -184,11 +184,7 @@ def _emit_recall_rows(
 
 
 def cmd_proposal_recall(args: argparse.Namespace) -> int:
-    thresholds = (
-        _parse_float_list(args.thresholds, "--thresholds")
-        if args.thresholds
-        else list(DEFAULT_RECALL_THRESHOLDS)
-    )
+    thresholds = _parse_list(args.thresholds, "--thresholds", float)
     lines: list[str] = []
     if args.cascade_demo:
         curves = cascade_recall_demo(
@@ -227,12 +223,7 @@ def cmd_proposal_recall(args: argparse.Namespace) -> int:
             raise formats.SchemaError("ground truth contains no boxes")
         lines.append("delta,recall")
         _emit_recall_rows(None, {t: hits[t] / total for t in hits}, lines)
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -242,18 +233,17 @@ def cmd_study(args: argparse.Namespace) -> int:
     if not spec_paths:
         raise formats.SchemaError(f"no .json scene specs found in {spec_dir}")
     specs = [formats.load_scene_spec(p) for p in spec_paths]
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    gaps = _parse_list(args.gaps, "--gaps", int)
     report = evaluation.run_strategy_study(
         specs,
-        strategies=strategies,
-        gaps=_parse_int_list(args.gaps, "--gaps"),
-        deltas=_parse_float_list(args.deltas, "--deltas"),
-        seeds=_parse_int_list(args.seeds, "--seeds"),
+        strategies=_parse_list(args.strategies, "--strategies", str),
+        gaps=gaps,
+        deltas=_parse_list(args.deltas, "--deltas", float),
+        seeds=_parse_list(args.seeds, "--seeds", int),
     )
-    Path(args.out).write_text(report.to_csv())
-    print(f"wrote {args.out}")
+    _write_text(report.to_csv(), args.out)
     summary_delta = 0.2
-    summary_gap = 8 if 8 in _parse_int_list(args.gaps, "--gaps") else _parse_int_list(args.gaps, "--gaps")[0]
+    summary_gap = 8 if 8 in gaps else gaps[0]
 
     def cell_map(strategy: str, gap: Optional[int]) -> Optional[float]:
         try:
@@ -294,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("link", help="link per-frame detections into tubes")
     p.add_argument("dets", help="detection JSON file")
     p.add_argument("out", help="output tube JSON file")
-    p.add_argument("--beta", type=float, default=0.7,
-                   help="overlap weight in the link score (default 0.7)")
-    p.add_argument("--max-tubes", type=int, default=10,
-                   help="maximum tubes per class (default 10)")
-    p.add_argument("--min-score", type=float, default=0.1,
-                   help="stop extraction below this mean per-link score (default 0.1)")
+    p.add_argument("--beta", type=float, default=LinkingParams().beta,
+                   help="overlap weight in the link score (default %(default)s)")
+    p.add_argument("--max-tubes", type=int, default=linking.DEFAULT_MAX_TUBES_PER_CLASS,
+                   help="maximum tubes per class (default %(default)s)")
+    p.add_argument("--min-score", type=float, default=linking.DEFAULT_MIN_MEAN_LINK_SCORE,
+                   help="stop extraction below this mean per-link score (default %(default)s)")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("trim", help="trim tubes to their best temporal sub-range")
@@ -310,15 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-gt", default=None,
                    help="tube JSON file to compute average lengths from")
     p.add_argument("--mode", choices=PENALTY_MODES, default=PENALTY_ABSOLUTE,
-                   help="length-drift penalty flavor (default absolute)")
-    p.add_argument("--beta", type=float, default=0.7,
-                   help="overlap weight for recomputing link scores (default 0.7)")
+                   help="length-drift penalty flavor (default %(default)s)")
+    p.add_argument("--beta", type=float, default=LinkingParams().beta,
+                   help="overlap weight for recomputing link scores (default %(default)s)")
     p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser("eval", help="score predicted tubes against ground truth")
     p.add_argument("gt", help="ground-truth tube JSON file")
     p.add_argument("pred", help="predicted tube JSON file")
-    p.add_argument("--deltas", default=",".join(str(d) for d in DEFAULT_DELTAS),
+    p.add_argument("--deltas", default=_joined(evaluation.DEFAULT_STUDY_DELTAS),
                    help="overlap thresholds (default %(default)s)")
     p.add_argument("--per-class", action="store_true",
                    help="append one AP column per class")
@@ -331,29 +321,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("proposals", nargs="?", default=None,
                    help="proposal boxes as a detection JSON file")
     p.add_argument("gt", nargs="?", default=None, help="ground-truth tube JSON file")
-    p.add_argument("--thresholds", default=None,
-                   help="comma-separated IoU thresholds (default 0.5..0.95)")
+    p.add_argument("--thresholds", default=_joined(synthdata.DEMO_RECALL_THRESHOLDS),
+                   help="comma-separated IoU thresholds (default %(default)s)")
     p.add_argument("--cascade-demo", action="store_true",
                    help="compare one- vs two-stage oracle refinement instead")
-    p.add_argument("--num-boxes", type=int, default=1000,
-                   help="boxes for the cascade demo (default 1000)")
-    p.add_argument("--jitter", type=float, default=18.0,
-                   help="anchor corner jitter for the demo (default 18)")
-    p.add_argument("--seed", type=int, default=0, help="demo rng seed")
+    p.add_argument("--num-boxes", type=int, default=synthdata.DEMO_NUM_BOXES,
+                   help="boxes for the cascade demo (default %(default)s)")
+    p.add_argument("--jitter", type=float, default=synthdata.DEMO_JITTER_SIGMA,
+                   help="anchor corner jitter for the demo (default %(default)s)")
+    p.add_argument("--seed", type=int, default=synthdata.DEMO_SEED,
+                   help="demo rng seed (default %(default)s)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=cmd_proposal_recall)
 
     p = sub.add_parser("study", help="anticipation strategy comparison study")
     p.add_argument("spec_dir", help="directory of scene spec JSON files")
     p.add_argument("out", help="output CSV path")
-    p.add_argument("--strategies",
-                   default=f"{STRATEGY_NONE},{STRATEGY_NON_MOTION},{STRATEGY_LEARNED}",
+    p.add_argument("--strategies", default=_joined(STRATEGIES),
                    help="comma-separated strategies (default %(default)s)")
-    p.add_argument("--gaps", default="2,8,16",
+    p.add_argument("--gaps", default=_joined(evaluation.DEFAULT_GAPS),
                    help="anticipation gaps in frames (default %(default)s)")
-    p.add_argument("--seeds", default="0,1,2",
+    p.add_argument("--seeds", default=_joined(evaluation.DEFAULT_STUDY_SEEDS),
                    help="seeds to average over (default %(default)s)")
-    p.add_argument("--deltas", default=",".join(str(d) for d in DEFAULT_DELTAS),
+    p.add_argument("--deltas", default=_joined(evaluation.DEFAULT_STUDY_DELTAS),
                    help="overlap thresholds (default %(default)s)")
     p.set_defaults(func=cmd_study)
 
@@ -365,7 +355,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (formats.SchemaError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

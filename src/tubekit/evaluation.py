@@ -21,9 +21,9 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .anticipation import (
+    STRATEGIES,
     STRATEGY_LEARNED,
     STRATEGY_NONE,
-    STRATEGY_NON_MOTION,
     AnticipationModel,
     TrainingSet,
     anticipate,
@@ -33,6 +33,7 @@ from .anticipation import (
 )
 from .geometry import iou
 from .linking import ActionTube, FrameDetections, LinkingParams, extract_tubes
+from .linking import DEFAULT_MAX_TUBES_PER_CLASS, DEFAULT_MIN_MEAN_LINK_SCORE
 from .synthdata import ConditionedDetector, ProposalOracle, Scene, SceneSpec, generate_scene
 from .trimming import TrimmingParams, avg_class_length, trim_tubes
 
@@ -211,6 +212,13 @@ def mean_ap(
 REQUIRED_STUDY_DELTAS = (0.05, 0.1, 0.2, 0.3)
 DEFAULT_STUDY_DELTAS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_GAPS = (2, 8, 16)
+DEFAULT_STUDY_SEEDS = (0, 1, 2)
+
+
+def _check_study_deltas(deltas: Sequence[float]) -> None:
+    missing = [d for d in REQUIRED_STUDY_DELTAS if d not in deltas]
+    if missing:
+        raise ValueError(f"study must include thresholds {missing}")
 
 
 @dataclass(frozen=True)
@@ -230,9 +238,7 @@ class StudyReport:
     deltas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        missing = [d for d in REQUIRED_STUDY_DELTAS if d not in self.deltas]
-        if missing:
-            raise ValueError(f"study must include thresholds {missing}")
+        _check_study_deltas(self.deltas)
 
     def cell(self, strategy: str, gap: Optional[int]) -> StudyRow:
         for row in self.rows:
@@ -260,9 +266,9 @@ class StudyConfig:
     clutter_proposals: int = 2
     regress_strength: float = 0.75
     min_coverage: float = 0.40
-    beta: float = 0.7
-    max_tubes_per_class: int = 10
-    min_mean_link_score: float = 0.1
+    beta: float = LinkingParams().beta
+    max_tubes_per_class: int = DEFAULT_MAX_TUBES_PER_CLASS
+    min_mean_link_score: float = DEFAULT_MIN_MEAN_LINK_SCORE
     train_epochs: int = 2000
     learning_rate: float = 0.2
 
@@ -313,16 +319,10 @@ def run_detection_pass(
 
 
 def _concat_training_sets(sets: Sequence[TrainingSet]) -> TrainingSet:
-    nonempty = [s for s in sets if s.features.shape[0]]
-    if not nonempty:
-        return TrainingSet(
-            features=np.zeros((0, 6)), targets=np.zeros((0, 4)),
-            positive=np.zeros(0, dtype=bool),
-        )
     return TrainingSet(
-        features=np.concatenate([s.features for s in nonempty]),
-        targets=np.concatenate([s.targets for s in nonempty]),
-        positive=np.concatenate([s.positive for s in nonempty]),
+        features=np.concatenate([s.features for s in sets]),
+        targets=np.concatenate([s.targets for s in sets]),
+        positive=np.concatenate([s.positive for s in sets]),
     )
 
 
@@ -378,10 +378,10 @@ def _pipeline_map(
 def run_strategy_study(
     scene_specs: Sequence[SceneSpec],
     *,
-    strategies: Sequence[str] = (STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED),
+    strategies: Sequence[str] = STRATEGIES,
     gaps: Sequence[int] = DEFAULT_GAPS,
     deltas: Sequence[float] = DEFAULT_STUDY_DELTAS,
-    seeds: Sequence[int] = (0, 1, 2),
+    seeds: Sequence[int] = DEFAULT_STUDY_SEEDS,
     config: StudyConfig = StudyConfig(),
 ) -> StudyReport:
     """Compare anticipation strategies over reseeded scene replicas.
@@ -397,11 +397,14 @@ def run_strategy_study(
         raise ValueError("study needs at least one scene spec")
     if not seeds:
         raise ValueError("study needs at least one seed")
+    if not strategies:
+        raise ValueError("study needs at least one strategy")
     for s in strategies:
-        if s not in (STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED):
+        if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
     if any(g < 1 for g in gaps):
         raise ValueError("gaps must be positive")
+    _check_study_deltas(deltas)
 
     cells: list[tuple[str, Optional[int]]] = []
     for strategy in strategies:

@@ -15,22 +15,39 @@ produces identical bytes. Validation errors name the offending field path.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Sequence, Union
+from typing import Any, Callable, NoReturn, Sequence, TypeVar, Union
 
 from .geometry import BoundingBox
-from .linking import ActionTube, Detection, FrameDetections
+from .linking import ActionTube, Detection, FrameDetections, tube_order
 from .synthdata import ActorSpec, NoiseModel, SceneSpec
 
 FORMAT_VERSION = 1
+
+_NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
+
+T = TypeVar("T")
 
 
 class SchemaError(ValueError):
     """A file does not conform to its declared schema."""
 
 
-def _fail(path: str, message: str) -> None:
+def _fail(path: str, message: str) -> NoReturn:
     raise SchemaError(f"{path}: {message}")
+
+
+def _construct(path: str, make: Callable[..., T], *args: Any, **kwargs: Any) -> T:
+    """``make(*args, **kwargs)``, with its ``ValueError`` reported at ``path``.
+
+    Arguments are evaluated by the caller, so a ``SchemaError`` raised while
+    reading them keeps its own, more precise path.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        _fail(path, str(exc))
 
 
 def _get(obj: dict, key: str, path: str) -> Any:
@@ -74,11 +91,7 @@ def _box(value: Any, path: str) -> BoundingBox:
     if len(arr) != 4:
         _fail(path, f"expected [x1, y1, x2, y2], got {len(arr)} values")
     coords = [_number(v, f"{path}[{i}]") for i, v in enumerate(arr)]
-    try:
-        return BoundingBox(*coords)
-    except ValueError as exc:
-        _fail(path, str(exc))
-    raise AssertionError("unreachable")
+    return _construct(path, BoundingBox, *coords)
 
 
 def _check_version(data: dict, path: str) -> None:
@@ -121,60 +134,44 @@ def scene_spec_from_dict(data: dict, path: str = "$") -> SceneSpec:
         velocity_raw = _array(actor.get("velocity", [0.0, 0.0]), f"{apath}.velocity")
         if len(velocity_raw) != 2:
             _fail(f"{apath}.velocity", "expected [vx, vy]")
-        try:
-            actors.append(
-                ActorSpec(
-                    class_id=_integer(_get(actor, "class_id", apath), f"{apath}.class_id"),
-                    entry_frame=_integer(
-                        _get(actor, "entry_frame", apath), f"{apath}.entry_frame"
-                    ),
-                    exit_frame=_integer(
-                        _get(actor, "exit_frame", apath), f"{apath}.exit_frame"
-                    ),
-                    box=_box(_get(actor, "box", apath), f"{apath}.box"),
-                    velocity=(
-                        _number(velocity_raw[0], f"{apath}.velocity[0]"),
-                        _number(velocity_raw[1], f"{apath}.velocity[1]"),
-                    ),
-                    velocity_sigma=_number(
-                        actor.get("velocity_sigma", 0.0), f"{apath}.velocity_sigma"
-                    ),
-                )
+        actors.append(
+            _construct(
+                apath,
+                ActorSpec,
+                class_id=_integer(_get(actor, "class_id", apath), f"{apath}.class_id"),
+                entry_frame=_integer(
+                    _get(actor, "entry_frame", apath), f"{apath}.entry_frame"
+                ),
+                exit_frame=_integer(
+                    _get(actor, "exit_frame", apath), f"{apath}.exit_frame"
+                ),
+                box=_box(_get(actor, "box", apath), f"{apath}.box"),
+                velocity=(
+                    _number(velocity_raw[0], f"{apath}.velocity[0]"),
+                    _number(velocity_raw[1], f"{apath}.velocity[1]"),
+                ),
+                velocity_sigma=_number(
+                    actor.get("velocity_sigma", 0.0), f"{apath}.velocity_sigma"
+                ),
             )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            _fail(apath, str(exc))
-    noise_raw = _object(data.get("noise", {}), f"{path}.noise")
-    noise_kwargs = {}
-    for field_name in (
-        "sigma_loc",
-        "miss_rate",
-        "fp_rate",
-        "tp_score_mean",
-        "tp_score_sigma",
-        "fp_score_mean",
-        "fp_score_sigma",
-    ):
-        if field_name in noise_raw:
-            noise_kwargs[field_name] = _number(
-                noise_raw[field_name], f"{path}.noise.{field_name}"
-            )
-    try:
-        return SceneSpec(
-            video_id=_string(_get(data, "video_id", path), f"{path}.video_id"),
-            width=_integer(_get(data, "width", path), f"{path}.width"),
-            height=_integer(_get(data, "height", path), f"{path}.height"),
-            num_frames=_integer(_get(data, "num_frames", path), f"{path}.num_frames"),
-            actors=tuple(actors),
-            noise=NoiseModel(**noise_kwargs),
-            seed=_integer(data.get("seed", 0), f"{path}.seed"),
         )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        _fail(path, str(exc))
-    raise AssertionError("unreachable")
+    noise_raw = _object(data.get("noise", {}), f"{path}.noise")
+    noise_kwargs = {
+        name: _number(noise_raw[name], f"{path}.noise.{name}")
+        for name in _NOISE_FIELDS
+        if name in noise_raw
+    }
+    return _construct(
+        path,
+        SceneSpec,
+        video_id=_string(_get(data, "video_id", path), f"{path}.video_id"),
+        width=_integer(_get(data, "width", path), f"{path}.width"),
+        height=_integer(_get(data, "height", path), f"{path}.height"),
+        num_frames=_integer(_get(data, "num_frames", path), f"{path}.num_frames"),
+        actors=tuple(actors),
+        noise=_construct(path, NoiseModel, **noise_kwargs),
+        seed=_integer(data.get("seed", 0), f"{path}.seed"),
+    )
 
 
 def scene_spec_to_dict(spec: SceneSpec) -> dict:
@@ -196,15 +193,7 @@ def scene_spec_to_dict(spec: SceneSpec) -> dict:
             }
             for a in spec.actors
         ],
-        "noise": {
-            "sigma_loc": spec.noise.sigma_loc,
-            "miss_rate": spec.noise.miss_rate,
-            "fp_rate": spec.noise.fp_rate,
-            "tp_score_mean": spec.noise.tp_score_mean,
-            "tp_score_sigma": spec.noise.tp_score_sigma,
-            "fp_score_mean": spec.noise.fp_score_mean,
-            "fp_score_sigma": spec.noise.fp_score_sigma,
-        },
+        "noise": {name: getattr(spec.noise, name) for name in _NOISE_FIELDS},
     }
 
 
@@ -265,21 +254,16 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
                     _number(motion_raw[0], f"{dpath}.motion[0]"),
                     _number(motion_raw[1], f"{dpath}.motion[1]"),
                 )
-            try:
-                dets.append(
-                    Detection(
-                        box=_box(_get(det, "bbox", dpath), f"{dpath}.bbox"),
-                        class_id=_integer(
-                            _get(det, "class_id", dpath), f"{dpath}.class_id"
-                        ),
-                        score=_number(_get(det, "score", dpath), f"{dpath}.score"),
-                        motion=motion,
-                    )
+            dets.append(
+                _construct(
+                    dpath,
+                    Detection,
+                    box=_box(_get(det, "bbox", dpath), f"{dpath}.bbox"),
+                    class_id=_integer(_get(det, "class_id", dpath), f"{dpath}.class_id"),
+                    score=_number(_get(det, "score", dpath), f"{dpath}.score"),
+                    motion=motion,
                 )
-            except ValueError as exc:
-                if isinstance(exc, SchemaError):
-                    raise
-                _fail(dpath, str(exc))
+            )
         frames.append(FrameDetections(frame_index=index, detections=tuple(dets)))
     return video_id, frames
 
@@ -295,10 +279,7 @@ def load_detections(path: Union[str, Path]) -> tuple[str, list[FrameDetections]]
 def tubes_to_dict(tubes_by_video: dict[str, Sequence[ActionTube]]) -> dict:
     entries = []
     for video_id in sorted(tubes_by_video):
-        for tube in sorted(
-            tubes_by_video[video_id],
-            key=lambda t: (t.class_id, t.start_frame, -t.tube_score),
-        ):
+        for tube in sorted(tubes_by_video[video_id], key=tube_order):
             entries.append(
                 {
                     "video_id": video_id,
@@ -345,18 +326,14 @@ def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
         else:
             # older writers only carried the aggregate; spread it per frame
             scores = [tube_score] * len(boxes)
-        try:
-            parsed = ActionTube(
-                class_id=_integer(_get(tube, "class_id", tpath), f"{tpath}.class_id"),
-                start_frame=start,
-                boxes=tuple(boxes),
-                scores=tuple(scores),
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            _fail(tpath, str(exc))
-            raise AssertionError("unreachable")
+        parsed = _construct(
+            tpath,
+            ActionTube,
+            class_id=_integer(_get(tube, "class_id", tpath), f"{tpath}.class_id"),
+            start_frame=start,
+            boxes=tuple(boxes),
+            scores=tuple(scores),
+        )
         out.setdefault(video_id, []).append(parsed)
     return out
 

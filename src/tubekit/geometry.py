@@ -80,6 +80,11 @@ class BoxDelta:
 ZERO_DELTA = BoxDelta(0.0, 0.0, 0.0, 0.0)
 
 
+def box_from_center(cx: float, cy: float, w: float, h: float) -> BoundingBox:
+    """The ``w`` by ``h`` box centered on ``(cx, cy)``."""
+    return BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union of two boxes.
 
@@ -103,15 +108,11 @@ def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
     return np.array([b.as_tuple() for b in boxes], dtype=np.float64)
 
 
-def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
-    """Pairwise IoU matrix of shape ``(len(boxes_a), len(boxes_b))``.
+def _iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of every row of ``a`` (N, 4) against every row of ``b`` (M, 4).
 
     Entries with zero union area are 0.
     """
-    a = boxes_to_array(boxes_a)
-    b = boxes_to_array(boxes_b)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     lt = np.maximum(a[:, None, :2], b[None, :, :2])
     rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
     wh = np.clip(rb - lt, 0.0, None)
@@ -122,6 +123,14 @@ def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out
+
+
+def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:
+    """Pairwise IoU matrix of shape ``(len(boxes_a), len(boxes_b))``.
+
+    Entries with zero union area are 0.
+    """
+    return _iou_arrays(boxes_to_array(boxes_a), boxes_to_array(boxes_b))
 
 
 def encode_delta(source: BoundingBox, target: BoundingBox) -> BoxDelta:
@@ -173,7 +182,7 @@ def decode_delta(
     cy = scy + delta.ty * sh
     w = math.exp(delta.tw) * sw
     h = math.exp(delta.th) * sh
-    return BoundingBox(cx - w / 2.0, cy - h / 2.0, cx + w / 2.0, cy + h / 2.0)
+    return box_from_center(cx, cy, w, h)
 
 
 def clip(box: BoundingBox, width: float, height: float) -> BoundingBox:
@@ -210,19 +219,11 @@ def nms(dets: Sequence[tuple[BoundingBox, float]], threshold: float) -> list[int
     n = len(dets)
     # primary key: score descending; secondary: original index ascending
     order = np.lexsort((np.arange(n), -scores))
-    areas = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
     suppressed = np.zeros(n, dtype=bool)
     kept: list[int] = []
     for idx in order:
         if suppressed[idx]:
             continue
         kept.append(int(idx))
-        lt = np.maximum(boxes[idx, :2], boxes[:, :2])
-        rb = np.minimum(boxes[idx, 2:], boxes[:, 2:])
-        wh = np.clip(rb - lt, 0.0, None)
-        inter = wh[:, 0] * wh[:, 1]
-        union = areas[idx] + areas - inter
-        ious = np.zeros(n)
-        np.divide(inter, union, out=ious, where=union > 0)
-        suppressed |= ious > threshold
+        suppressed |= _iou_arrays(boxes[idx : idx + 1], boxes)[0] > threshold
     return kept

@@ -20,6 +20,9 @@ from typing import Iterable, Optional, Sequence
 
 from .geometry import BoundingBox, iou
 
+DEFAULT_MAX_TUBES_PER_CLASS = 10
+DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
+
 
 @dataclass(frozen=True)
 class Detection:
@@ -105,6 +108,18 @@ class ActionTube:
         return self.boxes[frame_index - self.start_frame]
 
 
+def tube_order(tube: ActionTube) -> tuple[int, int, float]:
+    """Sort key of tube lists: class, then start frame, then score descending."""
+    return (tube.class_id, tube.start_frame, -tube.tube_score)
+
+
+def _link_score(
+    box_a: BoundingBox, score_a: float, box_b: BoundingBox, score_b: float, beta: float
+) -> float:
+    """The link score formula of the module docstring."""
+    return (1.0 - beta) * (score_a + score_b) + beta * iou(box_a, box_b)
+
+
 def linking_score(a: Detection, b: Detection, params: LinkingParams) -> float:
     """Edge weight between same-class detections on consecutive frames.
 
@@ -115,17 +130,16 @@ def linking_score(a: Detection, b: Detection, params: LinkingParams) -> float:
         raise ValueError(
             f"cannot link detections of different classes ({a.class_id} vs {b.class_id})"
         )
-    return (1.0 - params.beta) * (a.score + b.score) + params.beta * iou(a.box, b.box)
+    return _link_score(a.box, a.score, b.box, b.score, params.beta)
 
 
 def tube_link_scores(tube: ActionTube, params: LinkingParams) -> list[float]:
     """Link score of each consecutive frame pair along a tube (length - 1 values)."""
-    out = []
-    for i in range(len(tube.boxes) - 1):
-        edge = (1.0 - params.beta) * (tube.scores[i] + tube.scores[i + 1])
-        edge += params.beta * iou(tube.boxes[i], tube.boxes[i + 1])
-        out.append(edge)
-    return out
+    boxes, scores = tube.boxes, tube.scores
+    return [
+        _link_score(boxes[i], scores[i], boxes[i + 1], scores[i + 1], params.beta)
+        for i in range(len(boxes) - 1)
+    ]
 
 
 def viterbi_link(
@@ -201,8 +215,8 @@ def extract_tubes(
     video: Sequence[FrameDetections],
     params: LinkingParams = LinkingParams(),
     *,
-    max_tubes_per_class: int = 10,
-    min_mean_link_score: float = 0.1,
+    max_tubes_per_class: int = DEFAULT_MAX_TUBES_PER_CLASS,
+    min_mean_link_score: float = DEFAULT_MIN_MEAN_LINK_SCORE,
 ) -> list[ActionTube]:
     """Iteratively pull the best tubes out of a video's detections.
 
@@ -271,5 +285,5 @@ def extract_tubes(
             candidates.extend(
                 (sub, solve(sub)) for sub in _runs(leftover)
             )
-    tubes.sort(key=lambda tb: (tb.class_id, tb.start_frame, -tb.tube_score))
+    tubes.sort(key=tube_order)
     return tubes

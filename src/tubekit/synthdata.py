@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, clip, encode_delta, iou_matrix
+from .geometry import BoundingBox, box_from_center, clip, encode_delta, iou_matrix
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
 
@@ -187,8 +187,7 @@ def _actor_trajectory(
                 vy += rng.normal(0.0, actor.velocity_sigma)
             cx += vx
             cy += vy
-        raw = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-        clipped = clip(raw, spec.width, spec.height)
+        clipped = clip(box_from_center(cx, cy, w, h), spec.width, spec.height)
         on_screen = clipped.area > 0
         if on_screen:
             visible.append((frame, clipped))
@@ -244,19 +243,36 @@ def generate_scene(spec: SceneSpec) -> Scene:
     return Scene(spec=spec, tubes=tuple(tubes), motions=tuple(motions))
 
 
+def _add_corner_noise(box: BoundingBox, e: Sequence[float]) -> BoundingBox:
+    """``box`` with ``e`` added to ``(x1, y1, x2, y2)``, corners re-ordered."""
+    x1, x2 = sorted((box.x1 + e[0], box.x2 + e[2]))
+    y1, y2 = sorted((box.y1 + e[1], box.y2 + e[3]))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def _clip_visible(box: BoundingBox, width: float, height: float) -> Optional[BoundingBox]:
+    """``box`` clipped to the image; None if nothing of it is left."""
+    clipped = clip(box, width, height)
+    return clipped if clipped.area > 0 else None
+
+
 def _jitter_box(
     box: BoundingBox, sigma: float, rng: np.random.Generator, width: float, height: float
 ) -> Optional[BoundingBox]:
     """Corner-jittered, order-repaired, clipped copy; None if it collapses."""
-    if sigma <= 0:
-        jittered = box
-    else:
-        e = rng.normal(0.0, sigma, size=4)
-        x1, x2 = sorted((box.x1 + e[0], box.x2 + e[2]))
-        y1, y2 = sorted((box.y1 + e[1], box.y2 + e[3]))
-        jittered = BoundingBox(x1, y1, x2, y2)
-    clipped = clip(jittered, width, height)
-    return clipped if clipped.area > 0 else None
+    if sigma > 0:
+        box = _add_corner_noise(box, rng.normal(0.0, sigma, size=4))
+    return _clip_visible(box, width, height)
+
+
+def _clutter_box(spec: SceneSpec, rng: np.random.Generator) -> Optional[BoundingBox]:
+    """A uniformly placed box of log-uniform size, clipped; None if off-image."""
+    cx = rng.uniform(0, spec.width)
+    cy = rng.uniform(0, spec.height)
+    max_size = max(_MIN_FP_SIZE + 1.0, min(spec.width, spec.height) / 2.0)
+    w = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
+    h = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
+    return _clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
 
 
 def _clip01(x: float) -> float:
@@ -266,23 +282,13 @@ def _clip01(x: float) -> float:
 def _false_positives(
     scene: Scene, noise: NoiseModel, rng: np.random.Generator
 ) -> list[Detection]:
-    spec = scene.spec
     classes = scene.classes
     count = int(rng.poisson(noise.fp_rate))
     out: list[Detection] = []
     for _ in range(count):
         class_id = int(classes[rng.integers(0, len(classes))])
-        cx = rng.uniform(0, spec.width)
-        cy = rng.uniform(0, spec.height)
-        max_size = max(_MIN_FP_SIZE + 1.0, min(spec.width, spec.height) / 2.0)
-        w = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
-        h = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
-        box = clip(
-            BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-            spec.width,
-            spec.height,
-        )
-        if box.area <= 0:
+        box = _clutter_box(scene.spec, rng)
+        if box is None:
             continue
         score = _clip01(rng.normal(noise.fp_score_mean, noise.fp_score_sigma))
         out.append(Detection(box=box, class_id=class_id, score=score, motion=(0.0, 0.0)))
@@ -360,17 +366,8 @@ class ProposalOracle:
                 if jittered is not None:
                     out.append(jittered)
         for _ in range(self.clutter):
-            cx = rng.uniform(0, spec.width)
-            cy = rng.uniform(0, spec.height)
-            max_size = max(_MIN_FP_SIZE + 1.0, min(spec.width, spec.height) / 2.0)
-            w = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
-            h = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
-            box = clip(
-                BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
-                spec.width,
-                spec.height,
-            )
-            if box.area > 0:
+            box = _clutter_box(spec, rng)
+            if box is not None:
                 out.append(box)
         return out
 
@@ -441,11 +438,12 @@ class ConditionedDetector:
                 prop.x2 + rho * (gt_box.x2 - prop.x2),
                 prop.y2 + rho * (gt_box.y2 - prop.y2),
             )
-            e = corner_noise * noise.sigma_loc
-            x1, x2 = sorted((blended.x1 + e[0], blended.x2 + e[2]))
-            y1, y2 = sorted((blended.y1 + e[1], blended.y2 + e[3]))
-            box = clip(BoundingBox(x1, y1, x2, y2), spec.width, spec.height)
-            if box.area <= 0:
+            box = _clip_visible(
+                _add_corner_noise(blended, corner_noise * noise.sigma_loc),
+                spec.width,
+                spec.height,
+            )
+            if box is None:
                 continue
             score = _clip01(
                 noise.tp_score_mean * coverage + score_noise * noise.tp_score_sigma
@@ -493,11 +491,7 @@ def drifting_scene_specs(
             class_id=0,
             entry_frame=0,
             exit_frame=num_frames - 1,
-            box=BoundingBox(40 - size / 2, 60 - size / 2, 40 + size / 2, 60 + size / 2)
-            if vy > 0
-            else BoundingBox(
-                40 - size / 2, 180 - size / 2, 40 + size / 2, 180 + size / 2
-            ),
+            box=box_from_center(40, 60 if vy > 0 else 180, size, size),
             velocity=(speed, vy),
             velocity_sigma=0.2,
         )
@@ -505,13 +499,7 @@ def drifting_scene_specs(
             class_id=1,
             entry_frame=0,
             exit_frame=num_frames - 1,
-            box=BoundingBox(
-                280 - size / 2, 180 - size / 2, 280 + size / 2, 180 + size / 2
-            )
-            if vy > 0
-            else BoundingBox(
-                280 - size / 2, 60 - size / 2, 280 + size / 2, 60 + size / 2
-            ),
+            box=box_from_center(280, 180 if vy > 0 else 60, size, size),
             velocity=(-speed, -vy),
             velocity_sigma=0.2,
         )
@@ -564,13 +552,16 @@ def halving_stage(ground_truths: Sequence[BoundingBox]) -> ProposalStage:
 
 
 DEMO_RECALL_THRESHOLDS = tuple(round(0.5 + 0.05 * i, 2) for i in range(10))
+DEMO_NUM_BOXES = 1000
+DEMO_JITTER_SIGMA = 18.0
+DEMO_SEED = 0
 
 
 def cascade_recall_demo(
-    num_boxes: int = 1000,
+    num_boxes: int = DEMO_NUM_BOXES,
     *,
-    jitter_sigma: float = 18.0,
-    seed: int = 0,
+    jitter_sigma: float = DEMO_JITTER_SIGMA,
+    seed: int = DEMO_SEED,
     thresholds: Sequence[float] = DEMO_RECALL_THRESHOLDS,
 ) -> dict[str, dict[float, float]]:
     """Recall curves for one vs two error-halving refinement stages.
@@ -600,12 +591,9 @@ def cascade_recall_demo(
         cy = (i // cols + 0.5) * cell
         w = rng.uniform(40.0, 120.0)
         h = rng.uniform(40.0, 120.0)
-        gt = BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+        gt = box_from_center(cx, cy, w, h)
         gts.append(gt)
-        e = rng.normal(0.0, jitter_sigma, size=4)
-        x1, x2 = sorted((gt.x1 + e[0], gt.x2 + e[2]))
-        y1, y2 = sorted((gt.y1 + e[1], gt.y2 + e[3]))
-        anchors.append(BoundingBox(x1, y1, x2, y2))
+        anchors.append(_add_corner_noise(gt, rng.normal(0.0, jitter_sigma, size=4)))
     stage = halving_stage(gts)
     one = single_stage_refine(
         anchors, stage, image_width=width, image_height=height, top_n=num_boxes

@@ -333,3 +333,39 @@ def test_study_empty_spec_dir_exits_2(tmp_path, capsys):
 def test_unknown_subcommand_is_a_usage_error(capsys):
     with pytest.raises(SystemExit):
         main(["defragment"])
+
+
+def test_study_empty_strategy_list_exits_2(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec()))
+    out = tmp_path / "s.csv"
+    assert main(["study", str(spec_dir), str(out), "--strategies", ""]) == 2
+    assert "--strategies" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _assert_unwritable_reported(path, capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
+def test_link_to_unwritable_path_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    target = tmp_path / "missing_dir" / "tubes.json"
+    assert main(["link", str(out / "dets.json"), str(target)]) == 2
+    _assert_unwritable_reported(target, capsys)
+
+
+def test_eval_csv_to_unwritable_path_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    target = tmp_path / "missing_dir" / "eval.csv"
+    code = main(
+        ["eval", str(out / "gt.json"), str(out / "gt.json"), "--out", str(target)]
+    )
+    assert code == 2
+    _assert_unwritable_reported(target, capsys)

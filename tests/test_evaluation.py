@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tubekit import evaluation
 from tubekit.geometry import BoundingBox
 from tubekit.linking import ActionTube
 from tubekit.evaluation import (
@@ -9,8 +10,10 @@ from tubekit.evaluation import (
     evaluate,
     match_tubes,
     mean_ap,
+    run_strategy_study,
     tube_iou,
 )
+from tubekit.synthdata import drifting_scene_specs
 
 
 def straight_tube(start, length, x=0.0, y=0.0, size=20.0, class_id=0, score=0.5, step=0.0):
@@ -283,3 +286,22 @@ class TestEvaluate:
         report = evaluate(pred, gt, [0.5])
         assert set(report.ap_by_delta[0.5]) == {0}
         assert report.mean_ap(0.5) == 1.0
+
+
+class TestStudyArguments:
+    """Bad study arguments are rejected before any detection pass runs."""
+
+    @pytest.fixture
+    def no_passes(self, monkeypatch):
+        def fail(*args, **kwargs):
+            pytest.fail("the study ran a detection pass before checking its arguments")
+
+        monkeypatch.setattr(evaluation, "run_detection_pass", fail)
+
+    def test_missing_required_thresholds(self, no_passes):
+        with pytest.raises(ValueError, match="must include thresholds"):
+            run_strategy_study(drifting_scene_specs(1), deltas=(0.5,), seeds=(0,))
+
+    def test_empty_strategy_list(self, no_passes):
+        with pytest.raises(ValueError, match="at least one strategy"):
+            run_strategy_study(drifting_scene_specs(1), strategies=[], seeds=(0,))

@@ -77,13 +77,21 @@ class TestIoU:
 
     def test_matrix_matches_scalar(self):
         rng = np.random.default_rng(5)
-        boxes_a = [random_box(rng) for _ in range(7)]
-        boxes_b = [random_box(rng) for _ in range(9)]
+        special = [
+            BoundingBox(10, 10, 10, 30),  # zero width
+            BoundingBox(10, 10, 30, 10),  # zero height
+            BoundingBox(0, 0, 0, 0),  # a point
+            BoundingBox(10, 10, 30, 30),
+            BoundingBox(30, 10, 50, 30),  # touches the previous box's edge
+            BoundingBox(10, 10, 30, 30),  # identical to it
+        ]
+        boxes_a = [random_box(rng) for _ in range(7)] + special
+        boxes_b = [random_box(rng) for _ in range(9)] + special
         mat = iou_matrix(boxes_a, boxes_b)
-        assert mat.shape == (7, 9)
+        assert mat.shape == (13, 15)
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
-                np.testing.assert_allclose(mat[i, j], iou(a, b), rtol=1e-12)
+                assert mat[i, j] == iou(a, b)
 
     def test_matrix_empty(self):
         assert iou_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)

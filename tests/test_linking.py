@@ -318,5 +318,7 @@ class TestExtractTubes:
         values = tube_link_scores(tube, params)
         assert len(values) == 2
         assert values[0] == 0.77
-        expected1 = 0.3 * (0.6 + 0.4) + 0.7 * 0.5
-        assert values[1] == pytest.approx(expected1)
+        for i, value in enumerate(values):
+            a = Detection(box=tube.boxes[i], class_id=0, score=tube.scores[i])
+            b = Detection(box=tube.boxes[i + 1], class_id=0, score=tube.scores[i + 1])
+            assert value == linking_score(a, b, params)

@@ -435,3 +435,51 @@ class TestCascadeDemo:
             assert all(a >= b for a, b in zip(values, values[1:]))
         # the second stage pays off where localization must be tight
         assert two[0.8] > one[0.8]
+
+
+class TestNoiseStreamGolden:
+    """The sampled boxes and scores of every noise channel, bit for bit.
+
+    The digest was recorded before the samplers were shared between
+    channels; any change to the order of random draws or of the float
+    operations on them changes it.
+    """
+
+    DIGEST = "950a451a09dda1fa7658ce7fcea2d0ee8294bb2d2292766a4354e64b62fe1c0e"
+
+    @staticmethod
+    def _box(box):
+        return tuple(float(v).hex() for v in box.as_tuple())
+
+    @classmethod
+    def _dets(cls, dets):
+        return [
+            (
+                cls._box(d.box),
+                d.class_id,
+                float(d.score).hex(),
+                d.motion and tuple(float(v).hex() for v in d.motion),
+            )
+            for d in dets
+        ]
+
+    def test_channels_match_recorded_digest(self):
+        import hashlib
+
+        scene = generate_scene(drifting_scene_specs(1)[0])
+        oracle = ProposalOracle(scene, seed=5)
+        detector = ConditionedDetector(scene, seed=6)
+        records = []
+        for fd in render_detections(scene):
+            records.append(("render", fd.frame_index, self._dets(fd.detections)))
+        for t in range(scene.spec.num_frames):
+            proposals = oracle.propose(t)
+            records.append(("propose", t, [self._box(b) for b in proposals]))
+            records.append(("detect", t, self._dets(detector.detect(t, proposals))))
+        curves = cascade_recall_demo(num_boxes=150, seed=0)
+        for label in sorted(curves):
+            records.append(
+                (label, [(t, float(r).hex()) for t, r in sorted(curves[label].items())])
+            )
+        digest = hashlib.sha256(repr(records).encode()).hexdigest()
+        assert digest == self.DIGEST
