@@ -17,10 +17,8 @@ gap, i.e. repeat the current box).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
@@ -151,8 +149,6 @@ def build_training_set(
     *,
     image_width: float,
     image_height: float,
-    positive_threshold: float = 0.7,
-    negative_threshold: float = 0.3,
 ) -> TrainingSet:
     """Turn (detections-now, true-boxes-later) frame pairs into training rows.
 
@@ -170,12 +166,7 @@ def build_training_set(
         if not detections:
             continue
         boxes = [b for b, _ in detections]
-        assignment = assign_samples(
-            boxes,
-            list(future_boxes),
-            positive_threshold=positive_threshold,
-            negative_threshold=negative_threshold,
-        )
+        assignment = assign_samples(boxes, list(future_boxes))
         for i, (box, motion) in enumerate(detections):
             if box.width <= 0.0 or box.height <= 0.0:
                 continue
@@ -251,35 +242,6 @@ class AnticipationModel:
     ) -> BoundingBox:
         delta = self.predict_delta(box, motion, image_width, image_height)
         return clip(decode_delta(box, delta), image_width, image_height)
-
-    def to_dict(self) -> dict:
-        return {
-            "gap": self.gap,
-            "weights": self.weights.tolist(),
-            "bias": self.bias.tolist(),
-            "feature_mean": self.feature_mean.tolist(),
-            "feature_scale": self.feature_scale.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AnticipationModel":
-        try:
-            return cls(
-                weights=np.asarray(data["weights"], dtype=np.float64),
-                bias=np.asarray(data["bias"], dtype=np.float64),
-                gap=int(data["gap"]),
-                feature_mean=np.asarray(data["feature_mean"], dtype=np.float64),
-                feature_scale=np.asarray(data["feature_scale"], dtype=np.float64),
-            )
-        except KeyError as exc:
-            raise ValueError(f"model file missing field {exc.args[0]!r}") from exc
-
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "AnticipationModel":
-        return cls.from_dict(json.loads(Path(path).read_text()))
 
 
 def train_anticipation_model(

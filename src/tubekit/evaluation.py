@@ -32,8 +32,7 @@ from .anticipation import (
     train_anticipation_model,
 )
 from .geometry import iou
-from .linking import ActionTube, FrameDetections, LinkingParams, extract_tubes
-from .linking import DEFAULT_MAX_TUBES_PER_CLASS, DEFAULT_MIN_MEAN_LINK_SCORE
+from .linking import ActionTube, FrameDetections, extract_tubes
 from .synthdata import ConditionedDetector, ProposalOracle, Scene, SceneSpec, generate_scene
 from .trimming import TrimmingParams, avg_class_length, trim_tubes
 
@@ -214,8 +213,18 @@ DEFAULT_STUDY_DELTAS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_GAPS = (2, 8, 16)
 DEFAULT_STUDY_SEEDS = (0, 1, 2)
 
+# oracle, detector and training calibration shared by every study cell
+_ORACLE_JITTER = 15.0
+_PROPOSALS_PER_ACTOR = 3
+_CLUTTER_PROPOSALS = 2
+_MIN_COVERAGE = 0.40
+_LEARNING_RATE = 0.2
+
 
 def _check_study_deltas(deltas: Sequence[float]) -> None:
+    out_of_range = [d for d in deltas if not 0.0 < d <= 1.0]
+    if out_of_range:
+        raise ValueError(f"study thresholds must be in (0, 1], got {out_of_range}")
     missing = [d for d in REQUIRED_STUDY_DELTAS if d not in deltas]
     if missing:
         raise ValueError(f"study must include thresholds {missing}")
@@ -259,18 +268,9 @@ class StudyReport:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Oracle/detector/pipeline knobs shared by every study cell."""
+    """Anticipation training length shared by every study cell."""
 
-    oracle_jitter: float = 15.0
-    proposals_per_actor: int = 3
-    clutter_proposals: int = 2
-    regress_strength: float = 0.75
-    min_coverage: float = 0.40
-    beta: float = LinkingParams().beta
-    max_tubes_per_class: int = DEFAULT_MAX_TUBES_PER_CLASS
-    min_mean_link_score: float = DEFAULT_MIN_MEAN_LINK_SCORE
     train_epochs: int = 2000
-    learning_rate: float = 0.2
 
 
 def _mix_seed(*parts: int) -> int:
@@ -356,21 +356,14 @@ def _pipeline_map(
     model: Optional[AnticipationModel],
     trim_params: TrimmingParams,
     deltas: Sequence[float],
-    config: StudyConfig,
 ) -> dict[float, float]:
-    link_params = LinkingParams(beta=config.beta)
     preds: dict[str, list[ActionTube]] = {}
     gts: dict[str, list[ActionTube]] = {}
     for scene, oracle, detector in eval_items:
         frames = run_detection_pass(scene, oracle, detector, strategy, model, gap)
-        tubes = extract_tubes(
-            frames,
-            link_params,
-            max_tubes_per_class=config.max_tubes_per_class,
-            min_mean_link_score=config.min_mean_link_score,
-        )
+        tubes = extract_tubes(frames)
         video_id = scene.spec.video_id
-        preds[video_id] = trim_tubes(tubes, trim_params, link_params)
+        preds[video_id] = trim_tubes(tubes, trim_params)
         gts[video_id] = list(scene.tubes)
     return mean_ap(preds, gts, deltas)
 
@@ -404,6 +397,10 @@ def run_strategy_study(
             raise ValueError(f"unknown strategy {s!r}")
     if any(g < 1 for g in gaps):
         raise ValueError("gaps must be positive")
+    named = {"strategies": strategies, "gaps": gaps, "thresholds": deltas, "seeds": seeds}
+    for name, values in named.items():
+        if len(set(values)) != len(values):
+            raise ValueError(f"study {name} must not repeat, got {list(values)}")
     _check_study_deltas(deltas)
 
     cells: list[tuple[str, Optional[int]]] = []
@@ -435,15 +432,14 @@ def run_strategy_study(
                 scene = generate_scene(sc_spec)
                 oracle = ProposalOracle(
                     scene,
-                    jitter_sigma=config.oracle_jitter,
-                    per_actor=config.proposals_per_actor,
-                    clutter=config.clutter_proposals,
+                    jitter_sigma=_ORACLE_JITTER,
+                    per_actor=_PROPOSALS_PER_ACTOR,
+                    clutter=_CLUTTER_PROPOSALS,
                     seed=_mix_seed(sc_spec.seed, 3),
                 )
                 detector = ConditionedDetector(
                     scene,
-                    regress_strength=config.regress_strength,
-                    min_coverage=config.min_coverage,
+                    min_coverage=_MIN_COVERAGE,
                     seed=_mix_seed(sc_spec.seed, 4),
                 )
                 if which == "train":
@@ -462,7 +458,7 @@ def run_strategy_study(
                     _training_set_for_gap(train_data, gap),
                     gap,
                     epochs=config.train_epochs,
-                    learning_rate=config.learning_rate,
+                    learning_rate=_LEARNING_RATE,
                 )
         for strategy, gap in cells:
             result = _pipeline_map(
@@ -472,7 +468,6 @@ def run_strategy_study(
                 models.get(gap) if strategy == STRATEGY_LEARNED else None,
                 trim_params,
                 deltas,
-                config,
             )
             for d, v in result.items():
                 sums[(strategy, gap)][d] += v

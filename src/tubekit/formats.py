@@ -15,6 +15,7 @@ produces identical bytes. Validation errors name the offending field path.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Sequence, TypeVar, Union
@@ -59,6 +60,9 @@ def _get(obj: dict, key: str, path: str) -> Any:
 def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, f"expected a number, got {type(value).__name__}")
+    # json reads NaN, Infinity, 1e400 (as inf) and integers beyond the float range
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        _fail(path, "expected a finite number")
     return float(value)
 
 
@@ -315,17 +319,13 @@ def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
                 f"expected {end - start + 1} boxes for frames [{start}, {end}], "
                 f"got {len(boxes)}",
             )
-        tube_score = _number(_get(tube, "tube_score", tpath), f"{tpath}.tube_score")
-        if "scores" in tube:
-            scores = [
-                _number(s, f"{tpath}.scores[{k}]")
-                for k, s in enumerate(_array(tube["scores"], f"{tpath}.scores"))
-            ]
-            if len(scores) != len(boxes):
-                _fail(f"{tpath}.scores", "one score per frame required")
-        else:
-            # older writers only carried the aggregate; spread it per frame
-            scores = [tube_score] * len(boxes)
+        _number(_get(tube, "tube_score", tpath), f"{tpath}.tube_score")
+        scores = [
+            _number(s, f"{tpath}.scores[{k}]")
+            for k, s in enumerate(_array(_get(tube, "scores", tpath), f"{tpath}.scores"))
+        ]
+        if len(scores) != len(boxes):
+            _fail(f"{tpath}.scores", "one score per frame required")
         parsed = _construct(
             tpath,
             ActionTube,

@@ -159,23 +159,19 @@ def encode_delta(source: BoundingBox, target: BoundingBox) -> BoxDelta:
     )
 
 
-def decode_delta(
-    source: BoundingBox,
-    delta: BoxDelta,
-    max_scale_delta: float = MAX_SCALE_DELTA,
-) -> BoundingBox:
+def decode_delta(source: BoundingBox, delta: BoxDelta) -> BoundingBox:
     """Apply regression offsets to ``source``; exact inverse of :func:`encode_delta`.
 
     Raises:
         ValueError: if the source is degenerate or ``|tw|``/``|th|`` exceeds
-            ``max_scale_delta`` (exp overflow guard).
+            ``MAX_SCALE_DELTA`` (exp overflow guard).
     """
     sw, sh = source.width, source.height
     if sw <= 0.0 or sh <= 0.0:
         raise ValueError("source box must have strictly positive size")
-    if abs(delta.tw) > max_scale_delta or abs(delta.th) > max_scale_delta:
+    if abs(delta.tw) > MAX_SCALE_DELTA or abs(delta.th) > MAX_SCALE_DELTA:
         raise ValueError(
-            f"scale offset out of range (+-{max_scale_delta}): ({delta.tw}, {delta.th})"
+            f"scale offset out of range (+-{MAX_SCALE_DELTA}): ({delta.tw}, {delta.th})"
         )
     scx, scy = source.center
     cx = scx + delta.tx * sw

@@ -21,6 +21,7 @@ import numpy as np
 from .geometry import (
     BoundingBox,
     BoxDelta,
+    box_from_center,
     clip,
     decode_delta,
     iou_matrix,
@@ -74,9 +75,7 @@ def generate_anchors(width: int, height: int, config: AnchorConfig) -> list[Boun
                 for ratio in config.ratios:
                     h = scale * np.sqrt(ratio)
                     w = scale / np.sqrt(ratio)
-                    anchors.append(
-                        BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-                    )
+                    anchors.append(box_from_center(cx, cy, w, h))
     return anchors
 
 

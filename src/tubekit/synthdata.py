@@ -296,7 +296,7 @@ def _false_positives(
 
 
 def render_detections(
-    scene: Scene, noise: Optional[NoiseModel] = None, seed: Optional[int] = None
+    scene: Scene, seed: Optional[int] = None
 ) -> list[FrameDetections]:
     """Unconditional noisy detections for every frame of a scene.
 
@@ -306,9 +306,9 @@ def render_detections(
     zero the output equals the ground truth with score 1.0. Deterministic
     given the seed (default: the scene's own).
     """
-    noise = scene.spec.noise if noise is None else noise
-    seed = scene.spec.seed if seed is None else seed
     spec = scene.spec
+    noise = spec.noise
+    seed = spec.seed if seed is None else seed
     frames: list[FrameDetections] = []
     for frame in range(spec.num_frames):
         rng = np.random.default_rng([seed, frame, _STREAM_RENDER])
@@ -389,7 +389,6 @@ class ConditionedDetector:
     def __init__(
         self,
         scene: Scene,
-        noise: Optional[NoiseModel] = None,
         *,
         regress_strength: float = 0.75,
         min_coverage: float = 0.45,
@@ -400,7 +399,6 @@ class ConditionedDetector:
         if not 0.0 <= min_coverage <= 1.0:
             raise ValueError("min_coverage must be in [0, 1]")
         self.scene = scene
-        self.noise = scene.spec.noise if noise is None else noise
         self.regress_strength = regress_strength
         self.min_coverage = min_coverage
         self.seed = seed
@@ -409,7 +407,7 @@ class ConditionedDetector:
         self, frame_index: int, proposals: Sequence[BoundingBox]
     ) -> list[Detection]:
         spec = self.scene.spec
-        noise = self.noise
+        noise = spec.noise
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_DETECTOR])
         truth = self.scene.frame_truth(frame_index)
         dets: list[Detection] = []
@@ -456,11 +454,8 @@ class ConditionedDetector:
 def drifting_scene_specs(
     num_scenes: int = 4,
     *,
-    width: int = 320,
-    height: int = 240,
     num_frames: int = 90,
     base_seed: int = 7,
-    noise: Optional[NoiseModel] = None,
 ) -> list[SceneSpec]:
     """The standard drifting-scene benchmark fixture.
 
@@ -468,20 +463,19 @@ def drifting_scene_specs(
     opposite directions at a steady drift (speed varies a little per scene),
     with moderate detector noise. Motion is fast enough that a multi-frame
     anticipation gap displaces boxes by a large fraction of their size —
-    the regime where anticipation strategies separate.
+    the regime where anticipation strategies separate. Images are 320x240.
     """
     if num_scenes < 1:
         raise ValueError("need at least one scene")
-    if noise is None:
-        noise = NoiseModel(
-            sigma_loc=2.0,
-            miss_rate=0.03,
-            fp_rate=0.25,
-            tp_score_mean=0.9,
-            tp_score_sigma=0.04,
-            fp_score_mean=0.35,
-            fp_score_sigma=0.08,
-        )
+    noise = NoiseModel(
+        sigma_loc=2.0,
+        miss_rate=0.03,
+        fp_rate=0.25,
+        tp_score_mean=0.9,
+        tp_score_sigma=0.04,
+        fp_score_mean=0.35,
+        fp_score_sigma=0.08,
+    )
     specs = []
     size = 52.0
     for i in range(num_scenes):
@@ -506,8 +500,8 @@ def drifting_scene_specs(
         specs.append(
             SceneSpec(
                 video_id=f"drift-{i:02d}",
-                width=width,
-                height=height,
+                width=320,
+                height=240,
                 num_frames=num_frames,
                 actors=(left, right),
                 noise=noise,

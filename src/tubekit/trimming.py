@@ -17,6 +17,7 @@ start, then the earliest end.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
@@ -40,9 +41,10 @@ class TrimmingParams:
                 f"penalty_mode must be one of {PENALTY_MODES}, got {self.penalty_mode!r}"
             )
         for class_id, avg in self.avg_length.items():
-            if avg <= 0:
+            if not 0 < avg < math.inf:
                 raise ValueError(
-                    f"average length for class {class_id} must be positive, got {avg}"
+                    f"average length for class {class_id} must be finite and positive, "
+                    f"got {avg}"
                 )
 
 
@@ -79,13 +81,13 @@ def trim_interval(
         start, then the earliest end.
 
     Raises:
-        ValueError: on an empty score list or non-positive ``avg_links``.
+        ValueError: on an empty score list or a non-finite or non-positive ``avg_links``.
     """
     n = len(link_scores)
     if n == 0:
         raise ValueError("need at least one link score to trim")
-    if avg_links <= 0:
-        raise ValueError("average length must be positive")
+    if not 0 < avg_links < math.inf:
+        raise ValueError("average length must be finite and positive")
     if penalty_mode not in PENALTY_MODES:
         raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}")
     scores = [float(x) for x in link_scores]

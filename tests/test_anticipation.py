@@ -260,32 +260,6 @@ def test_augment_proposals_dedups_exact_corners():
     assert len(merged) == 301
 
 
-def test_model_round_trips_through_json(tmp_path):
-    pairs = drifting_rows((1.0, -0.5), 4)
-    ts = build_training_set(pairs, image_width=W, image_height=H)
-    model = train_anticipation_model(ts, gap=4, epochs=50, learning_rate=0.1)
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = AnticipationModel.load(path)
-    assert loaded.gap == model.gap
-    np.testing.assert_array_equal(loaded.weights, model.weights)
-    np.testing.assert_array_equal(loaded.bias, model.bias)
-    np.testing.assert_array_equal(loaded.feature_mean, model.feature_mean)
-    np.testing.assert_array_equal(loaded.feature_scale, model.feature_scale)
-
-    box = BoundingBox(30, 30, 60, 70)
-    assert loaded.predict_box(box, (1.0, -0.5), W, H) == model.predict_box(
-        box, (1.0, -0.5), W, H
-    )
-
-
-def test_model_load_reports_missing_field(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"gap": 2}')
-    with pytest.raises(ValueError, match="weights"):
-        AnticipationModel.load(path)
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         AnticipationModel(

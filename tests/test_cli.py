@@ -345,6 +345,41 @@ def test_study_empty_strategy_list_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_study_repeated_gap_exits_2(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec()))
+    out = tmp_path / "s.csv"
+    assert main(["study", str(spec_dir), str(out), "--gaps", "8,8"]) == 2
+    assert "gaps must not repeat" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trim_non_finite_avg_len_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    main(["link", str(out / "dets.json"), str(out / "tubes.json")])
+    trimmed = out / "trimmed.json"
+    code = main(
+        ["trim", str(out / "tubes.json"), str(trimmed), "--avg-len", "0:nan,1:39"]
+    )
+    assert code == 2
+    assert "finite and positive" in capsys.readouterr().err
+    assert not trimmed.exists()
+
+
+def test_eval_non_finite_tube_score_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    pred = json.loads((out / "gt.json").read_text())
+    pred["tubes"][0]["scores"][0] = float("nan")
+    write_json(out / "pred.json", pred)
+    capsys.readouterr()
+    assert main(["eval", str(out / "gt.json"), str(out / "pred.json")]) == 2
+    err = capsys.readouterr().err
+    assert ".tubes[0].scores[0]: expected a finite number" in err
+
+
 def _assert_unwritable_reported(path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")

@@ -305,3 +305,24 @@ class TestStudyArguments:
     def test_empty_strategy_list(self, no_passes):
         with pytest.raises(ValueError, match="at least one strategy"):
             run_strategy_study(drifting_scene_specs(1), strategies=[], seeds=(0,))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"strategies": ("none", "none")},
+            {"strategies": ("none", "learned"), "gaps": (8, 8)},
+            {"seeds": (0, 0)},
+            {"deltas": (0.05, 0.1, 0.2, 0.3, 0.3)},
+        ],
+        ids=["strategies", "gaps", "seeds", "deltas"],
+    )
+    def test_repeated_value(self, no_passes, kwargs):
+        kwargs = {"seeds": (0,), **kwargs}
+        with pytest.raises(ValueError, match="must not repeat"):
+            run_strategy_study(drifting_scene_specs(1), **kwargs)
+
+    def test_threshold_out_of_range(self, no_passes):
+        with pytest.raises(ValueError, match=r"must be in \(0, 1\], got \[1\.5\]"):
+            run_strategy_study(
+                drifting_scene_specs(1), deltas=(0.05, 0.1, 0.2, 0.3, 1.5), seeds=(0,)
+            )

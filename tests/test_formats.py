@@ -198,13 +198,13 @@ class TestTubesIO:
         with pytest.raises(SchemaError, match="boxes"):
             tubes_from_dict(data)
 
-    def test_missing_scores_spread_aggregate(self):
+    def test_missing_scores_rejected(self):
         data = tubes_to_dict(sample_tubes())
-        entry = data["tubes"][0]
-        del entry["scores"]
-        loaded = tubes_from_dict(data)
-        (tube,) = [t for ts in loaded.values() for t in ts if t.length == 2]
-        assert tube.scores == (tube.tube_score, tube.tube_score)
+        del data["tubes"][0]["scores"]
+        with pytest.raises(
+            SchemaError, match=r"^\$\.tubes\[0\]: missing required field 'scores'$"
+        ):
+            tubes_from_dict(data)
 
     def test_score_list_length_checked(self):
         data = tubes_to_dict(sample_tubes())
@@ -222,6 +222,68 @@ class TestTubesIO:
         data = tubes_to_dict(sample_tubes())
         vids = [t["video_id"] for t in data["tubes"]]
         assert vids == sorted(vids)
+
+
+def _set_scene_velocity(data, value):
+    data["actors"][0]["velocity"][1] = value
+
+
+def _set_detection_score(data, value):
+    data["frames"][0]["detections"][1]["score"] = value
+
+
+def _set_detection_corner(data, value):
+    data["frames"][0]["detections"][0]["bbox"][2] = value
+
+
+def _set_tube_score(data, value):
+    data["tubes"][0]["scores"][0] = value
+
+
+class TestNonFiniteNumbers:
+    """json reads NaN, Infinity and overflowing literals; every schema rejects them."""
+
+    @pytest.mark.parametrize(
+        "to_dict, setter, value, load, field",
+        [
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                _set_scene_velocity,
+                float("inf"),
+                load_scene_spec,
+                r"\.actors\[0\]\.velocity\[1\]: expected a finite number$",
+            ),
+            (
+                lambda: detections_to_dict("v", sample_frames()),
+                _set_detection_score,
+                float("nan"),
+                load_detections,
+                r"\.frames\[0\]\.detections\[1\]\.score: expected a finite number$",
+            ),
+            (
+                lambda: detections_to_dict("v", sample_frames()),
+                _set_detection_corner,
+                10**400,
+                load_detections,
+                r"\.frames\[0\]\.detections\[0\]\.bbox\[2\]: expected a finite number$",
+            ),
+            (
+                lambda: tubes_to_dict(sample_tubes()),
+                _set_tube_score,
+                float("nan"),
+                load_tubes,
+                r"\.tubes\[0\]\.scores\[0\]: expected a finite number$",
+            ),
+        ],
+        ids=["scene-spec-inf", "detections-nan", "detections-huge-int", "tubes-nan"],
+    )
+    def test_rejected_with_path(self, tmp_path, to_dict, setter, value, load, field):
+        data = to_dict()
+        setter(data, value)
+        path = tmp_path / "file.json"
+        write_json(path, data)
+        with pytest.raises(SchemaError, match=field):
+            load(path)
 
 
 class TestJsonPlumbing:

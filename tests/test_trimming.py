@@ -67,6 +67,9 @@ class TestTrimmingParams:
             TrimmingParams(avg_length={0: 0.0})
         with pytest.raises(ValueError):
             TrimmingParams(avg_length={0: -3.0})
+        for avg in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                TrimmingParams(avg_length={0: avg})
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -112,8 +115,9 @@ class TestTrimInterval:
     def test_validation(self):
         with pytest.raises(ValueError):
             trim_interval([], 5.0)
-        with pytest.raises(ValueError):
-            trim_interval([0.5], 0.0)
+        for avg in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite and positive"):
+                trim_interval([0.5], avg)
         with pytest.raises(ValueError):
             trim_interval([0.5], 5.0, "nope")
 
