@@ -42,18 +42,34 @@ STRATEGY_LEARNED = "learned"
 STRATEGIES = (STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED)
 
 
+def _smooth_l1_and_grad(x):
+    """Smooth L1 of ``x`` and its derivative, from one ``|x|`` and one mask."""
+    ax = np.abs(x)
+    small = ax < 1.0
+    return np.where(small, 0.5 * np.square(x), ax - 0.5), np.where(small, x, np.sign(x))
+
+
 def smooth_l1(x):
     """Smooth L1: ``0.5 x**2`` for ``|x| < 1``, else ``|x| - 0.5``.
 
     Accepts scalars or arrays.
     """
-    ax = np.abs(x)
-    return np.where(ax < 1.0, 0.5 * np.square(x), ax - 0.5)
+    return _smooth_l1_and_grad(x)[0]
 
 
 def smooth_l1_grad(x):
     """Derivative of :func:`smooth_l1`: ``x`` for ``|x| < 1``, else ``sign(x)``."""
-    return np.where(np.abs(x) < 1.0, x, np.sign(x))
+    return _smooth_l1_and_grad(x)[1]
+
+
+def _loss_and_grad(
+    predictions: np.ndarray, targets: np.ndarray, positive: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """:func:`anticipation_loss` and its gradient from one residual."""
+    n = predictions.shape[0]
+    value, slope = _smooth_l1_and_grad(predictions - targets)
+    loss = float((positive * value.sum(axis=1)).sum() / n)
+    return loss, positive[:, None] / n * slope
 
 
 def anticipation_loss(
@@ -76,8 +92,7 @@ def anticipation_loss(
         raise ValueError("predictions and targets must both have shape (N, 4)")
     if positive.shape != (n,):
         raise ValueError("positive mask must have shape (N,)")
-    per_box = smooth_l1(predictions - targets).sum(axis=1)
-    return float((positive * per_box).sum() / n)
+    return _loss_and_grad(predictions, targets, positive)[0]
 
 
 def anticipation_loss_grad(
@@ -93,7 +108,7 @@ def anticipation_loss_grad(
     n = predictions.shape[0]
     if n == 0:
         raise ValueError("gradient is undefined on an empty batch")
-    return positive[:, None] / n * smooth_l1_grad(predictions - targets)
+    return _loss_and_grad(predictions, targets, positive)[1]
 
 
 def feature_vector(
@@ -279,8 +294,8 @@ def train_anticipation_model(
     history: list[float] = []
     for _ in range(epochs):
         pred = phi @ weights.T + bias
-        history.append(anticipation_loss(pred, targets, positive))
-        grad_pred = anticipation_loss_grad(pred, targets, positive)  # (N, 4)
+        loss, grad_pred = _loss_and_grad(pred, targets, positive)  # grad (N, 4)
+        history.append(loss)
         weights -= learning_rate * grad_pred.T @ phi
         bias -= learning_rate * grad_pred.sum(axis=0)
     return AnticipationModel(

@@ -75,9 +75,12 @@ def _parse_avg_len(text: str) -> dict[int, float]:
             )
         cls_text, len_text = part.split(":", 1)
         try:
-            table[int(cls_text)] = float(len_text)
+            class_id, length = int(cls_text), float(len_text)
         except ValueError:
             raise formats.SchemaError(f"--avg-len: cannot parse entry {part!r}")
+        if class_id in table:
+            raise formats.SchemaError(f"--avg-len: class {class_id} appears twice")
+        table[class_id] = length
     if not table:
         raise formats.SchemaError("--avg-len: empty table")
     return table

@@ -151,9 +151,11 @@ def evaluate(
     unweighted mean over the remaining classes.
 
     Raises:
-        ValueError: if the ground truth is empty, or a prediction video id
-            has no ground-truth entry.
+        ValueError: if the ground truth is empty, a prediction video id has
+            no ground-truth entry, or a delta repeats.
     """
+    if len(set(deltas)) != len(deltas):
+        raise ValueError(f"deltas must not repeat, got {list(deltas)}")
     unknown = set(predictions_by_video) - set(ground_truth_by_video)
     if unknown:
         raise ValueError(f"predictions for unknown video(s): {sorted(unknown)}")

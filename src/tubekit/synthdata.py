@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -334,7 +334,8 @@ class ProposalOracle:
     Emulates a proposal stage's output quality without running one: each
     visible ground-truth box spawns ``per_actor`` corner-jittered copies
     (``jitter_sigma`` px), and ``clutter`` background boxes are thrown in
-    uniformly. Per-frame outputs are deterministic in (seed, frame).
+    uniformly. Per-frame outputs are deterministic in (seed, frame), so each
+    frame is drawn once and kept for later calls.
     """
 
     def __init__(
@@ -353,8 +354,16 @@ class ProposalOracle:
         self.per_actor = per_actor
         self.clutter = clutter
         self.seed = seed
+        self._drawn: dict[int, tuple[BoundingBox, ...]] = {}
 
     def propose(self, frame_index: int) -> list[BoundingBox]:
+        """The frame's proposals, as a new list on every call."""
+        drawn = self._drawn.get(frame_index)
+        if drawn is None:
+            drawn = self._drawn[frame_index] = self._draw(frame_index)
+        return list(drawn)
+
+    def _draw(self, frame_index: int) -> tuple[BoundingBox, ...]:
         spec = self.scene.spec
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_PROPOSALS])
         out: list[BoundingBox] = []
@@ -369,7 +378,15 @@ class ProposalOracle:
             box = _clutter_box(spec, rng)
             if box is not None:
                 out.append(box)
-        return out
+        return tuple(out)
+
+
+class _DetectorFrame(NamedTuple):
+    """The part of one frame's detection that no proposal set can change."""
+
+    truth: tuple[tuple[int, int, BoundingBox, Motion], ...]
+    draws: tuple[tuple[float, np.ndarray, float], ...]  # miss, corners, score
+    false_positives: tuple[Detection, ...]
 
 
 class ConditionedDetector:
@@ -384,6 +401,10 @@ class ConditionedDetector:
     mean scaled by coverage. False positives follow the noise model
     unchanged. Better proposals therefore mean fewer misses, tighter boxes,
     and higher scores — the lever the anticipation strategies compete on.
+
+    Everything of a frame that does not depend on the proposals (its truth,
+    its noise draws and its false positives) is drawn once and kept for
+    later calls on the same frame.
     """
 
     def __init__(
@@ -402,14 +423,17 @@ class ConditionedDetector:
         self.regress_strength = regress_strength
         self.min_coverage = min_coverage
         self.seed = seed
+        self._drawn: dict[int, _DetectorFrame] = {}
 
     def detect(
         self, frame_index: int, proposals: Sequence[BoundingBox]
     ) -> list[Detection]:
         spec = self.scene.spec
         noise = spec.noise
-        rng = np.random.default_rng([self.seed, frame_index, _STREAM_DETECTOR])
-        truth = self.scene.frame_truth(frame_index)
+        drawn = self._drawn.get(frame_index)
+        if drawn is None:
+            drawn = self._drawn[frame_index] = self._draw(frame_index)
+        truth, draws, false_positives = drawn
         dets: list[Detection] = []
         overlaps = (
             iou_matrix([box for _, _, box, _ in truth], list(proposals))
@@ -418,11 +442,7 @@ class ConditionedDetector:
         )
         for row, (_, class_id, gt_box, motion) in enumerate(truth):
             coverage = float(overlaps[row].max()) if overlaps.shape[1] else 0.0
-            # the rng draws below happen unconditionally so that one actor's
-            # coverage cannot shift another actor's noise stream
-            miss_draw = rng.uniform()
-            corner_noise = rng.normal(0.0, 1.0, size=4)
-            score_noise = rng.normal(0.0, 1.0)
+            miss_draw, corner_noise, score_noise = draws[row]
             if coverage < self.min_coverage:
                 continue
             if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
@@ -447,8 +467,21 @@ class ConditionedDetector:
                 noise.tp_score_mean * coverage + score_noise * noise.tp_score_sigma
             )
             dets.append(Detection(box=box, class_id=class_id, score=score, motion=motion))
-        dets.extend(_false_positives(self.scene, noise, rng))
+        dets.extend(false_positives)
         return dets
+
+    def _draw(self, frame_index: int) -> _DetectorFrame:
+        rng = np.random.default_rng([self.seed, frame_index, _STREAM_DETECTOR])
+        truth = tuple(self.scene.frame_truth(frame_index))
+        # every truth row takes its draws whatever its coverage turns out to
+        # be, so that one actor's coverage cannot shift another actor's
+        # noise stream
+        draws = tuple(
+            (rng.uniform(), rng.normal(0.0, 1.0, size=4), rng.normal(0.0, 1.0))
+            for _ in truth
+        )
+        false_positives = _false_positives(self.scene, self.scene.spec.noise, rng)
+        return _DetectorFrame(truth, draws, tuple(false_positives))
 
 
 def drifting_scene_specs(

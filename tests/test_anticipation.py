@@ -174,6 +174,44 @@ def test_training_loss_non_increasing():
     assert np.all(np.diff(losses) <= 1e-12)
 
 
+def test_training_matches_public_loss_and_grad_loop():
+    """Training is bit-identical to descending the public loss and gradient."""
+    from tubekit.anticipation import TrainingSet
+
+    rng = np.random.default_rng(3)
+    n = 120
+    features = rng.normal(0.0, 2.0, size=(n, 6))
+    features[:, 5] = 0.7  # a constant column takes the unit-scale branch
+    positive = rng.uniform(size=n) < 0.6
+    targets = np.where(positive[:, None], rng.normal(0.0, 1.5, size=(n, 4)), 0.0)
+    ts = TrainingSet(features=features, targets=targets, positive=positive)
+    # weights start at zero, so the first residuals are -targets
+    magnitudes = np.abs(targets[positive])
+    assert 0 < ts.num_positive < n
+    assert (magnitudes < 1.0).any() and (magnitudes > 1.0).any()
+
+    epochs, lr = 60, 0.3
+    mean = features.mean(axis=0)
+    scale = features.std(axis=0)
+    scale = np.where(scale < 1e-8, 1.0, scale)
+    phi = (features - mean) / scale
+    mask = positive.astype(np.float64)
+    weights = np.zeros((4, 6))
+    bias = np.zeros(4)
+    history = []
+    for _ in range(epochs):
+        pred = phi @ weights.T + bias
+        history.append(anticipation_loss(pred, targets, mask))
+        grad = anticipation_loss_grad(pred, targets, mask)
+        weights -= lr * grad.T @ phi
+        bias -= lr * grad.sum(axis=0)
+
+    model = train_anticipation_model(ts, gap=4, epochs=epochs, learning_rate=lr)
+    assert (model.weights == weights).all()
+    assert (model.bias == bias).all()
+    assert model.loss_history == tuple(history)
+
+
 def test_trained_model_learns_constant_velocity():
     gap = 8
     velocity = (2.0, 0.0)

@@ -380,6 +380,31 @@ def test_eval_non_finite_tube_score_exits_2(tmp_path, spec_file, capsys):
     assert ".tubes[0].scores[0]: expected a finite number" in err
 
 
+def test_eval_repeated_delta_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    capsys.readouterr()
+    code = main(["eval", str(out / "gt.json"), str(out / "gt.json"), "--deltas", "0.2,0.2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: deltas must not repeat, got [0.2, 0.2]\n"
+
+
+def test_trim_repeated_avg_len_class_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    main(["link", str(out / "dets.json"), str(out / "tubes.json")])
+    capsys.readouterr()
+    trimmed = out / "trimmed.json"
+    code = main(
+        ["trim", str(out / "tubes.json"), str(trimmed), "--avg-len", "0:5,0:20,1:20"]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: --avg-len: class 0 appears twice\n"
+    assert not trimmed.exists()
+
+
 def _assert_unwritable_reported(path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")

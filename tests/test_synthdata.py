@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -284,6 +286,18 @@ class TestProposalOracle:
         assert len(first) == 5  # 1 actor * 3 + 2 clutter
         assert first == oracle.propose(4)
 
+    def test_mutating_a_returned_list_leaves_later_calls_alone(self):
+        scene = generate_scene(simple_spec())
+        oracle = ProposalOracle(scene, jitter_sigma=2.0, per_actor=3, clutter=2, seed=5)
+        first = oracle.propose(4)
+        expected = list(first)
+        first.append(BoundingBox(0, 0, 1, 1))
+        assert oracle.propose(4) == expected
+        second = oracle.propose(4)
+        second.clear()
+        assert oracle.propose(4) == expected
+        assert oracle.propose(4) is not oracle.propose(4)
+
     def test_zero_jitter_copies_ground_truth(self):
         scene = generate_scene(simple_spec())
         oracle = ProposalOracle(scene, jitter_sigma=0.0, per_actor=2, clutter=0, seed=5)
@@ -378,6 +392,36 @@ class TestConditionedDetector:
         det = ConditionedDetector(scene, seed=9)
         gt_box = scene.tubes[0].boxes[3]
         assert det.detect(3, [gt_box]) == det.detect(3, [gt_box])
+
+    def test_reused_instance_matches_fresh_instances(self):
+        spec = drifting_scene_specs(1, num_frames=12)[0]
+        noise = NoiseModel(sigma_loc=2.0, miss_rate=0.2, fp_rate=2.0)
+        scene = generate_scene(replace(spec, noise=noise))
+        proposal_sets = [
+            ProposalOracle(scene, jitter_sigma=10.0, seed=1).propose,
+            ProposalOracle(scene, jitter_sigma=25.0, per_actor=2, seed=2).propose,
+            lambda t: [box for _, _, box, _ in scene.frame_truth(t)],
+            lambda t: [],
+        ]
+        rng = np.random.default_rng(0)
+        frames = [int(t) for t in rng.permutation(12)] + [5, 0, 5, 11, 0]
+
+        def hexed(dets):
+            return [
+                (
+                    tuple(v.hex() for v in d.box.as_tuple()),
+                    d.class_id,
+                    d.score.hex(),
+                    d.motion,
+                )
+                for d in dets
+            ]
+
+        reused = ConditionedDetector(scene, seed=4)
+        for call, t in enumerate(frames):
+            proposals = proposal_sets[call % len(proposal_sets)](t)
+            fresh = ConditionedDetector(scene, seed=4)
+            assert hexed(reused.detect(t, proposals)) == hexed(fresh.detect(t, proposals))
 
     def test_validation(self):
         scene = self.make_scene()
