@@ -72,16 +72,10 @@ def _loss_and_grad(
     return loss, positive[:, None] / n * slope
 
 
-def anticipation_loss(
+def _checked_loss_args(
     predictions: np.ndarray, targets: np.ndarray, positive: np.ndarray
-) -> float:
-    """Batch regression loss.
-
-    ``(1/N) * sum_i positive_i * sum_c smooth_l1(pred_ic - target_ic)``
-    where ``N`` is the total number of rows (positives and negatives alike).
-    Negative rows contribute nothing to the numerator but still count in the
-    normalizer.
-    """
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The loss arguments as float arrays of shapes (N, 4), (N, 4) and (N,), N >= 1."""
     predictions = np.asarray(predictions, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     positive = np.asarray(positive, dtype=np.float64)
@@ -92,7 +86,20 @@ def anticipation_loss(
         raise ValueError("predictions and targets must both have shape (N, 4)")
     if positive.shape != (n,):
         raise ValueError("positive mask must have shape (N,)")
-    return _loss_and_grad(predictions, targets, positive)[0]
+    return predictions, targets, positive
+
+
+def anticipation_loss(
+    predictions: np.ndarray, targets: np.ndarray, positive: np.ndarray
+) -> float:
+    """Batch regression loss.
+
+    ``(1/N) * sum_i positive_i * sum_c smooth_l1(pred_ic - target_ic)``
+    where ``N`` is the total number of rows (positives and negatives alike).
+    Negative rows contribute nothing to the numerator but still count in the
+    normalizer.
+    """
+    return _loss_and_grad(*_checked_loss_args(predictions, targets, positive))[0]
 
 
 def anticipation_loss_grad(
@@ -102,13 +109,7 @@ def anticipation_loss_grad(
 
     Row ``i`` is ``positive_i / N * smooth_l1_grad(pred_i - target_i)``.
     """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    positive = np.asarray(positive, dtype=np.float64)
-    n = predictions.shape[0]
-    if n == 0:
-        raise ValueError("gradient is undefined on an empty batch")
-    return _loss_and_grad(predictions, targets, positive)[1]
+    return _loss_and_grad(*_checked_loss_args(predictions, targets, positive))[1]
 
 
 def feature_vector(

@@ -21,10 +21,13 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
+import numpy as np
+
 from . import evaluation, formats, linking, synthdata
 from .anticipation import STRATEGIES, STRATEGY_LEARNED, STRATEGY_NONE, STRATEGY_NON_MOTION
+from .geometry import BoundingBox, iou_matrix
 from .linking import LinkingParams, extract_tubes
-from .proposals import recall_at_iou
+from .proposals import recall_curve
 from .synthdata import cascade_recall_demo, generate_scene, render_detections
 from .trimming import (
     PENALTY_ABSOLUTE,
@@ -174,16 +177,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def _emit_recall_rows(
     label: Optional[str], curve: dict[float, float], lines: list[str]
 ) -> None:
-    previous = None
+    prefix = f"{label}," if label is not None else ""
     for threshold in sorted(curve):
-        recall = curve[threshold]
-        if previous is not None and recall > previous + 1e-12:
-            raise RuntimeError(
-                f"recall curve must be non-increasing; rose to {recall} at {threshold}"
-            )
-        previous = recall
-        prefix = f"{label}," if label is not None else ""
-        lines.append(f"{prefix}{threshold:g},{recall:.6f}")
+        lines.append(f"{prefix}{threshold:g},{curve[threshold]:.6f}")
 
 
 def cmd_proposal_recall(args: argparse.Namespace) -> int:
@@ -211,21 +207,16 @@ def cmd_proposal_recall(args: argparse.Namespace) -> int:
         props_by_frame = {
             fd.frame_index: [d.box for d in fd.detections] for fd in frames
         }
-        hits = {float(t): 0 for t in thresholds}
-        total = 0
+        gt_by_frame: dict[int, list[BoundingBox]] = {}
         for tube in gt_by_video[video_id]:
             for offset, box in enumerate(tube.boxes):
-                total += 1
-                frame_props = props_by_frame.get(tube.start_frame + offset, [])
-                if not frame_props:
-                    continue
-                curve = recall_at_iou(frame_props, [box], thresholds)
-                for t, covered in curve.items():
-                    hits[t] += int(covered > 0)
-        if total == 0:
-            raise formats.SchemaError("ground truth contains no boxes")
+                gt_by_frame.setdefault(tube.start_frame + offset, []).append(box)
+        best = np.concatenate([
+            iou_matrix(props_by_frame.get(t, []), gts).max(axis=0, initial=-np.inf)
+            for t, gts in gt_by_frame.items()
+        ])
         lines.append("delta,recall")
-        _emit_recall_rows(None, {t: hits[t] / total for t in hits}, lines)
+        _emit_recall_rows(None, recall_curve(best, thresholds), lines)
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -50,9 +50,9 @@ def tube_iou(a: ActionTube, b: ActionTube) -> float:
     if shared <= 0:
         return 0.0
     union = a.length + b.length - shared
-    spatial = [
-        iou(a.box_at(f), b.box_at(f)) for f in range(inter_start, inter_end + 1)
-    ]
+    # both tails start on the first shared frame; the shorter ends on the last
+    pairs = zip(a.boxes[inter_start - a.start_frame :], b.boxes[inter_start - b.start_frame :])
+    spatial = [iou(box_a, box_b) for box_a, box_b in pairs]
     return (shared / union) * float(np.mean(spatial))
 
 
@@ -189,8 +189,6 @@ def evaluate(
                     (pred.tube_score, m is not None)
                     for pred, m in zip(preds_c, matches)
                 )
-            if num_gt == 0:
-                continue
             ap_per_class[class_id] = average_precision(flags, num_gt)
         ap_by_delta[float(delta)] = ap_per_class
         map_by_delta[float(delta)] = float(np.mean(list(ap_per_class.values())))

@@ -102,11 +102,6 @@ class ActionTube:
     def tube_score(self) -> float:
         return statistics.fmean(self.scores)
 
-    def box_at(self, frame_index: int) -> BoundingBox:
-        if not self.start_frame <= frame_index <= self.end_frame:
-            raise KeyError(f"frame {frame_index} outside tube range")
-        return self.boxes[frame_index - self.start_frame]
-
 
 def tube_order(tube: ActionTube) -> tuple[int, int, float]:
     """Sort key of tube lists: class, then start frame, then score descending."""

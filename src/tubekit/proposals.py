@@ -286,6 +286,16 @@ def sample_minibatch(
     return MiniBatch(positives=np.sort(pos), negatives=np.sort(neg))
 
 
+def recall_curve(best_iou: np.ndarray, thresholds: Sequence[float]) -> dict[float, float]:
+    """Share of ``best_iou`` entries ``>= t`` for each distinct threshold ``t`` in ``[0, 1]``.
+
+    ``best_iou`` holds each ground truth's best proposal IoU, ``-inf`` if it has none.
+    """
+    if len(set(thresholds)) != len(thresholds) or not all(0 <= t <= 1 for t in thresholds):
+        raise ValueError(f"thresholds must be distinct and in [0, 1], got {list(thresholds)}")
+    return {float(t): float(np.mean(best_iou >= t)) for t in thresholds}
+
+
 def recall_at_iou(
     proposals: Sequence[BoundingBox],
     ground_truths: Sequence[BoundingBox],
@@ -301,7 +311,5 @@ def recall_at_iou(
     """
     if not ground_truths:
         raise ValueError("recall is undefined without ground-truth boxes")
-    if not proposals:
-        return {float(t): 0.0 for t in thresholds}
-    best = iou_matrix(proposals, ground_truths).max(axis=0)
-    return {float(t): float(np.mean(best >= t)) for t in thresholds}
+    best = iou_matrix(proposals, ground_truths).max(axis=0, initial=-np.inf)
+    return recall_curve(best, thresholds)

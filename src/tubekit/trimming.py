@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .linking import ActionTube, LinkingParams, tube_link_scores
 
 PENALTY_ABSOLUTE = "absolute"
@@ -63,7 +65,7 @@ def avg_class_length(tubes: Sequence[ActionTube]) -> dict[int, float]:
     return {c: sums[c] / counts[c] for c in sums}
 
 
-def _penalty(num_links: int, avg: float, mode: str) -> float:
+def _penalty(num_links: np.ndarray, avg: float, mode: str) -> np.ndarray:
     dev = (num_links - avg) / avg
     return abs(dev) if mode == PENALTY_ABSOLUTE else dev
 
@@ -81,7 +83,8 @@ def trim_interval(
         start, then the earliest end.
 
     Raises:
-        ValueError: on an empty score list or a non-finite or non-positive ``avg_links``.
+        ValueError: on an empty or non-finite score list, or a non-finite or
+            non-positive ``avg_links``.
     """
     n = len(link_scores)
     if n == 0:
@@ -90,18 +93,20 @@ def trim_interval(
         raise ValueError("average length must be finite and positive")
     if penalty_mode not in PENALTY_MODES:
         raise ValueError(f"penalty_mode must be one of {PENALTY_MODES}")
-    scores = [float(x) for x in link_scores]
+    scores = np.asarray(link_scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError("link scores must be finite")
+    lengths = np.arange(1, n + 1)
+    penalties = _penalty(lengths, avg_links, penalty_mode)
     best_interval = (0, 1)
     best_obj = -float("inf")
     for s in range(n):
-        window_sum = 0.0
-        for e in range(s + 1, n + 1):
-            window_sum += scores[e - 1]
-            links = e - s
-            obj = window_sum / links - _penalty(links, avg_links, penalty_mode)
-            if obj > best_obj:
-                best_obj = obj
-                best_interval = (s, e)
+        # a cumsum per start adds left to right, as a running window sum would
+        objs = np.cumsum(scores[s:]) / lengths[: n - s] - penalties[: n - s]
+        k = int(np.argmax(objs))
+        if objs[k] > best_obj:
+            best_obj = objs[k]
+            best_interval = (s, s + k + 1)
     return best_interval, float(best_obj)
 
 

@@ -65,6 +65,22 @@ def test_loss_rejects_bad_shapes():
         anticipation_loss(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros(3))
 
 
+@pytest.mark.parametrize("fn", [anticipation_loss, anticipation_loss_grad])
+@pytest.mark.parametrize(
+    "pred_shape, target_shape, mask_shape",
+    [
+        ((0, 4), (0, 4), (0,)),
+        ((2, 4), (3, 4), (2,)),
+        ((2, 4), (2, 4), (3,)),
+        ((2, 3), (2, 3), (2,)),
+        ((2, 4), (2, 4), (2, 1)),
+    ],
+)
+def test_loss_and_grad_reject_the_same_shapes(fn, pred_shape, target_shape, mask_shape):
+    with pytest.raises(ValueError):
+        fn(np.zeros(pred_shape), np.ones(target_shape), np.ones(mask_shape))
+
+
 def test_grad_matches_central_differences():
     rng = np.random.default_rng(99)
     for _ in range(5):

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from tubekit.cli import main
-from tubekit.formats import scene_spec_to_dict, write_json
+from tubekit.formats import load_detections, load_tubes, scene_spec_to_dict, write_json
 from tubekit.geometry import BoundingBox
+from tubekit.proposals import recall_at_iou
 from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec
 
 
@@ -243,6 +244,73 @@ def test_proposal_recall_cascade_demo(tmp_path, capsys):
     labels = {line.split(",")[0] for line in lines[1:]}
     assert labels == {"one_stage", "two_stage"}
     assert len(lines) == 1 + 2 * 10  # default threshold grid
+
+
+def per_box_recall_csv(dets_path, gt_path, thresholds):
+    """File-mode recall as one ``recall_at_iou`` call per ground-truth box (reference)."""
+    video_id, frames = load_detections(dets_path)
+    props_by_frame = {fd.frame_index: [d.box for d in fd.detections] for fd in frames}
+    hits = {float(t): 0 for t in thresholds}
+    total = 0
+    for tube in load_tubes(gt_path)[video_id]:
+        for offset, box in enumerate(tube.boxes):
+            total += 1
+            frame_props = props_by_frame.get(tube.start_frame + offset, [])
+            if not frame_props:
+                continue
+            curve = recall_at_iou(frame_props, [box], thresholds)
+            for t, covered in curve.items():
+                hits[t] += int(covered > 0)
+    rows = [f"{t:g},{hits[t] / total:.6f}" for t in sorted(hits)]
+    return "delta,recall\n" + "\n".join(rows) + "\n"
+
+
+def test_proposal_recall_files_mode_matches_per_box_reference(tmp_path, capsys):
+    noisy = clean_spec(noise=NoiseModel(sigma_loc=2.0, miss_rate=0.2, fp_rate=1.0))
+    spec_path = tmp_path / "noisy.json"
+    write_json(spec_path, scene_spec_to_dict(noisy))
+    out = tmp_path / "out"
+    assert main(["simulate", str(spec_path), str(out)]) == 0
+    dets = json.loads((out / "dets.json").read_text())
+    # frame 5 goes missing from the proposal file and frame 8 loses its
+    # detections; both actors span every frame, so each frame has two ground truths
+    dets["frames"] = [f for f in dets["frames"] if f["frame_index"] != 5]
+    next(f for f in dets["frames"] if f["frame_index"] == 8)["detections"] = []
+    write_json(out / "dets.json", dets)
+    thresholds = [0.0, 0.3, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    csv = out / "recall.csv"
+    code = main(
+        [
+            "proposal-recall",
+            str(out / "dets.json"),
+            str(out / "gt.json"),
+            "--thresholds",
+            ",".join(map(str, thresholds)),
+            "--out",
+            str(csv),
+        ]
+    )
+    assert code == 0
+    want = per_box_recall_csv(out / "dets.json", out / "gt.json", thresholds)
+    assert csv.read_text() == want
+    assert want.splitlines()[1] == "0,0.900000"  # frames 5, 8, 9 and 32 have no proposals
+
+
+@pytest.mark.parametrize("thresholds", ["nan,0.5", "1.5", "-0.5", "0.5,0.5"])
+@pytest.mark.parametrize("mode", ["files", "demo"])
+def test_proposal_recall_bad_thresholds_exit_2(tmp_path, spec_file, capsys, thresholds, mode):
+    if mode == "files":
+        out = tmp_path / "out"
+        main(["simulate", str(spec_file), str(out)])
+        inputs = [str(out / "dets.json"), str(out / "gt.json")]
+    else:
+        inputs = ["--cascade-demo", "--num-boxes", "4"]
+    capsys.readouterr()
+    code = main(["proposal-recall", *inputs, f"--thresholds={thresholds}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "distinct and in [0, 1]" in captured.err
+    assert captured.out == ""
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path, spec_file, capsys):

@@ -89,9 +89,6 @@ class TestActionTube:
         assert tube.end_frame == 6
         assert tube.length == 2
         assert tube.tube_score == pytest.approx(0.6)
-        assert tube.box_at(6) == BoundingBox(1, 0, 2, 1)
-        with pytest.raises(KeyError):
-            tube.box_at(7)
 
     def test_validation(self):
         with pytest.raises(ValueError):

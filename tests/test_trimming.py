@@ -134,6 +134,17 @@ class TestTrimInterval:
             assert got_iv == want_iv
             assert got_obj == want_obj  # bit-identical, not just close
 
+    @pytest.mark.parametrize("mode", [PENALTY_ABSOLUTE, PENALTY_SIGNED])
+    def test_matches_brute_force_on_a_long_unquantized_tube(self, mode):
+        # rounding differs between summation orders only on inexact sums
+        scores = np.random.default_rng(5).uniform(0.0, 1.3, size=240).tolist()
+        assert trim_interval(scores, 37.5, mode) == brute_force_trim(scores, 37.5, mode)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_scores(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            trim_interval([1.0, 0.9, bad], 2.0)
+
     def test_tie_break_prefers_earliest(self):
         # two equally good windows; the earlier one must win
         (s, e), _ = trim_interval([0.9, 0.1, 0.9], 1.0)
