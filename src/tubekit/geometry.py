@@ -90,12 +90,14 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
 
     Returns 0.0 when the union has zero area (both boxes degenerate).
     """
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
-    union = a.area + b.area - inter
+    # the operations of max/min and ``area``, written out: this runs once
+    # per Viterbi edge
+    ax1, ay1, ax2, ay2 = a.x1, a.y1, a.x2, a.y2
+    bx1, by1, bx2, by2 = b.x1, b.y1, b.x2, b.y2
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
+    inter = (iw if iw > 0.0 else 0.0) * (ih if ih > 0.0 else 0.0)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
     if union <= 0.0:
         return 0.0
     return inter / union

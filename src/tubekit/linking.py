@@ -163,18 +163,30 @@ def viterbi_link(
         best = max(range(len(frames[0])), key=lambda i: (frames[0][i].score, -i))
         return [best], frames[0][best].score
 
+    if len({det.class_id for frame in frames for det in frame}) > 1:
+        # raise linking_score's error on the first mismatched pair in the
+        # order the backward pass below visits the pairs
+        for t in range(n_frames - 2, -1, -1):
+            for det in frames[t]:
+                for det_next in frames[t + 1]:
+                    linking_score(det, det_next, params)
+
+    beta = params.beta
+    boxes = [[det.box for det in frame] for frame in frames]
+    scores = [[det.score for det in frame] for frame in frames]
     # value[t][j]: best achievable sum of link scores from frame t to the end,
     # starting at candidate j; filled back to front
     value: list[list[float]] = [[0.0] * len(f) for f in frames]
     for t in range(n_frames - 2, -1, -1):
-        nxt = frames[t + 1]
-        for j, det in enumerate(frames[t]):
+        nxt = list(zip(boxes[t + 1], scores[t + 1], value[t + 1]))
+        row = value[t]
+        for j, (box, score) in enumerate(zip(boxes[t], scores[t])):
             best = -float("inf")
-            for k, det_next in enumerate(nxt):
-                cand = linking_score(det, det_next, params) + value[t + 1][k]
+            for box_next, score_next, value_next in nxt:
+                cand = _link_score(box, score, box_next, score_next, beta) + value_next
                 if cand > best:
                     best = cand
-            value[t][j] = best
+            row[j] = best
 
     # walk forward, preferring the lowest index among optimal continuations
     start = 0
@@ -184,10 +196,13 @@ def viterbi_link(
     path = [start]
     for t in range(n_frames - 1):
         j = path[-1]
+        box, score = boxes[t][j], scores[t][j]
         chosen = 0
         best = -float("inf")
-        for k, det_next in enumerate(frames[t + 1]):
-            cand = linking_score(frames[t][j], det_next, params) + value[t + 1][k]
+        for k, (box_next, score_next, value_next) in enumerate(
+            zip(boxes[t + 1], scores[t + 1], value[t + 1])
+        ):
+            cand = _link_score(box, score, box_next, score_next, beta) + value_next
             if cand > best:
                 best = cand
                 chosen = k

@@ -22,12 +22,16 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .linking import ActionTube, LinkingParams, tube_link_scores
 
 PENALTY_ABSOLUTE = "absolute"
 PENALTY_SIGNED = "signed"
 PENALTY_MODES = (PENALTY_ABSOLUTE, PENALTY_SIGNED)
+
+# starts scored per array pass in trim_interval; memory is O(block * n)
+_TRIM_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -98,15 +102,28 @@ def trim_interval(
         raise ValueError("link scores must be finite")
     lengths = np.arange(1, n + 1)
     penalties = _penalty(lengths, avg_links, penalty_mode)
+    # row s: the scores from start s on, zero-padded past the tube's end; a
+    # row-wise cumsum adds each window left to right, as a running window sum
+    # would
+    windows = sliding_window_view(np.concatenate([scores, np.zeros(n - 1)]), n)
+    # past_end[i, b + k]: the window of start b + i and k + 1 links runs past
+    # the last link; masked after the sum, as -inf padding would turn a window
+    # sum that overflowed to inf into NaN
+    past_end = np.add.outer(np.arange(min(_TRIM_BLOCK, n)), np.arange(n)) >= n
     best_interval = (0, 1)
     best_obj = -float("inf")
-    for s in range(n):
-        # a cumsum per start adds left to right, as a running window sum would
-        objs = np.cumsum(scores[s:]) / lengths[: n - s] - penalties[: n - s]
-        k = int(np.argmax(objs))
-        if objs[k] > best_obj:
-            best_obj = objs[k]
-            best_interval = (s, s + k + 1)
+    for b in range(0, n, _TRIM_BLOCK):
+        # row i: the windows of start b + i, none longer than n - b links
+        width = n - b
+        objs = np.cumsum(windows[b : b + _TRIM_BLOCK, :width], axis=1)
+        objs /= lengths[:width]
+        objs -= penalties[:width]
+        np.copyto(objs, -np.inf, where=past_end[: len(objs), b:])
+        # the flat argmax is the earliest start, then the earliest end
+        i, k = divmod(int(np.argmax(objs)), width)
+        if objs[i, k] > best_obj:
+            best_obj = objs[i, k]
+            best_interval = (b + i, b + i + k + 1)
     return best_interval, float(best_obj)
 
 

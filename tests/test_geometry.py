@@ -24,6 +24,19 @@ def random_box(rng, lo=0.0, hi=100.0, min_size=1.0, max_size=40.0):
     )
 
 
+def reference_iou(a, b):
+    """The IoU as first written, through max/min and ``area`` (oracle)."""
+    ix1 = max(a.x1, b.x1)
+    iy1 = max(a.y1, b.y1)
+    ix2 = min(a.x2, b.x2)
+    iy2 = min(a.y2, b.y2)
+    inter = max(0.0, ix2 - ix1) * max(0.0, iy2 - iy1)
+    union = a.area + b.area - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
 class TestBoundingBox:
     def test_properties(self):
         box = BoundingBox(1.0, 2.0, 5.0, 10.0)
@@ -47,6 +60,37 @@ class TestBoundingBox:
             BoundingBox(0.0, 0.0, float("nan"), 10.0)
         with pytest.raises(ValueError):
             BoundingBox(0.0, float("inf"), 10.0, 10.0)
+
+    @pytest.mark.parametrize(
+        "corners, error, message",
+        [
+            ((math.nan, 0, 1, 1), ValueError, "box coordinate x1 must be finite"),
+            ((0, math.nan, 1, 1), ValueError, "box coordinate y1 must be finite"),
+            ((0, 0, math.inf, 1), ValueError, "box coordinate x2 must be finite"),
+            ((-math.inf, 0, 1, 1), ValueError, "box coordinate x1 must be finite"),
+            ((0, 0, 1, -math.inf), ValueError, "box coordinate y2 must be finite"),
+            ((-math.inf, 0, math.inf, 1), ValueError, "box coordinate x1 must be finite"),
+            ((2, 0, 1, 1), ValueError, "invalid box corners (2, 0, 1, 1)"),
+            ((0, 2, 1, 1), ValueError, "invalid box corners (0, 2, 1, 1)"),
+            ((0.5, 0.0, -0.5, 1.0), ValueError, "invalid box corners (0.5, 0.0, -0.5, 1.0)"),
+            ((10**400, 0, 1, 1), OverflowError, "int too large to convert to float"),
+            ((0, 0, 1, 10**400), OverflowError, "int too large to convert to float"),
+            (("a", 0, 1, 1), TypeError, "must be real number, not str"),
+            ((0, 0, 1, "b"), TypeError, "must be real number, not str"),
+            ((0, 0, 1, None), TypeError, "must be real number, not NoneType"),
+        ],
+    )
+    def test_rejection_type_and_message(self, corners, error, message):
+        with pytest.raises(error) as info:
+            BoundingBox(*corners)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_extreme_finite_corners_accepted(self):
+        big = float.fromhex("0x1.fffffffffffffp+1023")
+        assert BoundingBox(-big, -big, big, big).x2 == big
+        assert BoundingBox(-0.0, 0.0, 0.0, -0.0).area == 0.0
+        assert BoundingBox(0, 0, 10**300, 1).x2 == 10**300
 
 
 class TestIoU:
@@ -92,6 +136,33 @@ class TestIoU:
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert mat[i, j] == iou(a, b)
+
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        # half continuous, half on a coarse grid so that shared edges,
+        # identical boxes and zero-area boxes come up often
+        boxes = [random_box(rng, hi=60.0, min_size=0.0) for _ in range(10_000)]
+        grid = rng.integers(0, 8, size=(10_000, 4)) * 2.5
+        boxes += [
+            BoundingBox(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+            for x1, y1, x2, y2 in grid.tolist()
+        ]
+        special = [
+            BoundingBox(-0.0, -0.0, 0.0, 0.0),
+            BoundingBox(0.0, 0.0, -0.0, -0.0),
+            BoundingBox(-0.0, 0.0, 5.0, 5.0),
+            BoundingBox(0.0, -0.0, 5.0, 5.0),
+            BoundingBox(5.0, 0.0, 10.0, 5.0),  # shares an edge with the two above
+            BoundingBox(0, 0, 5, 5),  # integer corners
+            BoundingBox(3, 2, 9, 7),
+            BoundingBox(3, 2, 3, 7),  # zero width
+            BoundingBox(0.1, 0.2, 0.30000000000000004, 0.7),
+        ]
+        pairs = list(zip(boxes[0::2], boxes[1::2]))
+        pairs += [(a, b) for a in special for b in special]
+        pairs += [(a, a) for a in boxes[:100]]
+        for a, b in pairs:
+            assert iou(a, b).hex() == float(reference_iou(a, b)).hex(), (a, b)
 
     def test_matrix_empty(self):
         assert iou_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)

@@ -131,6 +131,34 @@ class TestViterbi:
         with pytest.raises(ValueError):
             viterbi_link([[det(0, 0, 1, 1, 0.5)], []], LinkingParams())
 
+    @pytest.mark.parametrize(
+        "frames, message",
+        [
+            # the middle frame mixes classes; the backward pass meets the
+            # class-1 candidate against frame 2 first
+            (
+                [
+                    [det(0, 0, 10, 10, 0.9)],
+                    [det(0, 0, 10, 10, 0.8), det(1, 1, 11, 11, 0.7, class_id=1)],
+                    [det(1, 1, 11, 11, 0.5)],
+                ],
+                "cannot link detections of different classes (1 vs 0)",
+            ),
+            # adjacent frames of different classes
+            (
+                [
+                    [det(0, 0, 10, 10, 0.9), det(1, 1, 11, 11, 0.2)],
+                    [det(0, 0, 10, 10, 0.8, class_id=2)],
+                ],
+                "cannot link detections of different classes (0 vs 2)",
+            ),
+        ],
+    )
+    def test_class_mismatch_message(self, frames, message):
+        with pytest.raises(ValueError) as info:
+            viterbi_link(frames, LinkingParams())
+        assert str(info.value) == message
+
     def test_single_frame_picks_highest_score(self):
         frames = [[det(0, 0, 1, 1, 0.2), det(0, 0, 1, 1, 0.9), det(0, 0, 1, 1, 0.9)]]
         path, total = viterbi_link(frames, LinkingParams())

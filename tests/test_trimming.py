@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +25,10 @@ def brute_force_trim(scores, avg, mode):
     for s in range(n):
         for e in range(s + 1, n + 1):
             links = e - s
-            mean = sum(scores[s:e]) / links
+            total = 0.0
+            for score in scores[s:e]:
+                total += score
+            mean = total / links
             dev = (links - avg) / avg
             pen = abs(dev) if mode == PENALTY_ABSOLUTE else dev
             obj = mean - pen
@@ -139,6 +145,26 @@ class TestTrimInterval:
         # rounding differs between summation orders only on inexact sums
         scores = np.random.default_rng(5).uniform(0.0, 1.3, size=240).tolist()
         assert trim_interval(scores, 37.5, mode) == brute_force_trim(scores, 37.5, mode)
+
+    @pytest.mark.parametrize("mode", [PENALTY_ABSOLUTE, PENALTY_SIGNED])
+    def test_matches_brute_force_across_start_blocks(self, mode):
+        # starts are scored in blocks: tubes around and past one block; with
+        # scores at or below zero a window running past the last link would
+        # score higher than any real one
+        rng = np.random.default_rng(31)
+        for n, high in itertools.product((63, 64, 65, 130), (1, 5)):
+            scores = [float(rng.integers(-4, high)) / 4.0 for _ in range(n)]
+            for avg in (3.0, 200.0):
+                assert trim_interval(scores, avg, mode) == brute_force_trim(scores, avg, mode)
+
+    @pytest.mark.parametrize("mode", [PENALTY_ABSOLUTE, PENALTY_SIGNED])
+    def test_overflowing_window_sums(self, mode):
+        # finite scores whose window sums overflow to inf: the first inf
+        # window wins, and no window past the last link turns into NaN
+        for scores in ([1e308] * 3, [1e308, 1e308, -1e308, 5.0] * 40):
+            with np.errstate(over="ignore"):
+                got = trim_interval(scores, 2.0, mode)
+            assert got == brute_force_trim(scores, 2.0, mode) == ((0, 2), math.inf)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_scores(self, bad):
