@@ -238,27 +238,21 @@ def cmd_study(args: argparse.Namespace) -> int:
     _write_text(report.to_csv(), args.out)
     summary_delta = 0.2
     summary_gap = 8 if 8 in gaps else gaps[0]
-
-    def cell_map(strategy: str, gap: Optional[int]) -> Optional[float]:
+    cells = [
+        (f"learned(K={summary_gap})", STRATEGY_LEARNED, summary_gap),
+        (f"non-motion(K={summary_gap})", STRATEGY_NON_MOTION, summary_gap),
+        ("none", STRATEGY_NONE, None),
+    ]
+    found = []
+    for label, strategy, gap in cells:
         try:
-            return report.cell(strategy, gap).map_by_delta[summary_delta]
+            found.append((label, report.cell(strategy, gap).map_by_delta[summary_delta]))
         except KeyError:
-            return None
-
-    learned = cell_map(STRATEGY_LEARNED, summary_gap)
-    non_motion = cell_map(STRATEGY_NON_MOTION, summary_gap)
-    none = cell_map(STRATEGY_NONE, None)
-    parts = []
-    if learned is not None:
-        parts.append(f"learned(K={summary_gap})={learned:.4f}")
-    if non_motion is not None:
-        parts.append(f"non-motion(K={summary_gap})={non_motion:.4f}")
-    if none is not None:
-        parts.append(f"none={none:.4f}")
-    if len(parts) >= 2:
-        values = [v for v in (learned, non_motion, none) if v is not None]
-        ordered = all(values[i] > values[i + 1] for i in range(len(values) - 1))
+            pass
+    if len(found) >= 2:
+        ordered = all(a[1] > b[1] for a, b in zip(found, found[1:]))
         verdict = "strictly ordered" if ordered else "NOT strictly ordered"
+        parts = [f"{label}={value:.4f}" for label, value in found]
         print(f"mAP@{summary_delta:g}: " + " > ".join(parts) + f" [{verdict}]")
     return 0
 

@@ -107,23 +107,16 @@ def average_precision(
     """
     if num_ground_truth <= 0:
         raise ValueError("average precision is undefined without ground truth")
-    if not scored_flags:
-        return 0.0
-    order = sorted(range(len(scored_flags)), key=lambda i: -scored_flags[i][0])
-    flags = np.array([scored_flags[i][1] for i in order], dtype=np.float64)
-    tp = np.cumsum(flags)
-    fp = np.cumsum(1.0 - flags)
+    ranked = sorted(scored_flags, key=lambda entry: -entry[0])
+    hit = np.array([flag for _, flag in ranked], dtype=bool)
+    tp = np.cumsum(hit)
     recall = tp / num_ground_truth
-    precision = tp / (tp + fp)
+    precision = tp / np.arange(1, len(hit) + 1)
     # precision envelope: best precision at any recall >= r
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    prev_recall = 0.0
-    ap = 0.0
-    for k in range(len(flags)):
-        if flags[k]:
-            ap += (recall[k] - prev_recall) * envelope[k]
-            prev_recall = recall[k]
-    return float(ap)
+    # one step per true positive, summed left to right (np.sum adds pairwise)
+    steps = np.diff(recall[hit], prepend=0.0) * envelope[hit]
+    return float(np.cumsum(np.append(0.0, steps))[-1])
 
 
 @dataclass(frozen=True)
@@ -219,6 +212,8 @@ _PROPOSALS_PER_ACTOR = 3
 _CLUTTER_PROPOSALS = 2
 _MIN_COVERAGE = 0.40
 _LEARNING_RATE = 0.2
+# seed stream of each replica role
+_REPLICA_STREAMS = {"train": 1, "eval": 2}
 
 
 def _check_study_deltas(deltas: Sequence[float]) -> None:
@@ -368,6 +363,31 @@ def _pipeline_map(
     return mean_ap(preds, gts, deltas)
 
 
+def _replica(
+    spec: SceneSpec, seed: int, role: str
+) -> tuple[Scene, ProposalOracle, ConditionedDetector]:
+    """A study seed's reseeded ``role`` ("train"/"eval") scene, oracle and detector."""
+    replica_spec = replace(
+        spec,
+        seed=_mix_seed(spec.seed, seed, _REPLICA_STREAMS[role]),
+        video_id=f"{spec.video_id}@{role}{seed}",
+    )
+    scene = generate_scene(replica_spec)
+    oracle = ProposalOracle(
+        scene,
+        jitter_sigma=_ORACLE_JITTER,
+        per_actor=_PROPOSALS_PER_ACTOR,
+        clutter=_CLUTTER_PROPOSALS,
+        seed=_mix_seed(replica_spec.seed, 3),
+    )
+    detector = ConditionedDetector(
+        scene,
+        min_coverage=_MIN_COVERAGE,
+        seed=_mix_seed(replica_spec.seed, 4),
+    )
+    return scene, oracle, detector
+
+
 def run_strategy_study(
     scene_specs: Sequence[SceneSpec],
     *,
@@ -414,42 +434,12 @@ def run_strategy_study(
     }
 
     for seed in seeds:
-        train_data: list[tuple[Scene, list[FrameDetections]]] = []
-        train_gt: list[ActionTube] = []
-        eval_items: list[tuple[Scene, ProposalOracle, ConditionedDetector]] = []
+        train_data = []
         for spec in scene_specs:
-            train_spec = replace(
-                spec,
-                seed=_mix_seed(spec.seed, seed, 1),
-                video_id=f"{spec.video_id}@train{seed}",
-            )
-            eval_spec = replace(
-                spec,
-                seed=_mix_seed(spec.seed, seed, 2),
-                video_id=f"{spec.video_id}@eval{seed}",
-            )
-            for which, sc_spec in (("train", train_spec), ("eval", eval_spec)):
-                scene = generate_scene(sc_spec)
-                oracle = ProposalOracle(
-                    scene,
-                    jitter_sigma=_ORACLE_JITTER,
-                    per_actor=_PROPOSALS_PER_ACTOR,
-                    clutter=_CLUTTER_PROPOSALS,
-                    seed=_mix_seed(sc_spec.seed, 3),
-                )
-                detector = ConditionedDetector(
-                    scene,
-                    min_coverage=_MIN_COVERAGE,
-                    seed=_mix_seed(sc_spec.seed, 4),
-                )
-                if which == "train":
-                    frames = run_detection_pass(scene, oracle, detector)
-                    train_data.append((scene, frames))
-                    train_gt.extend(scene.tubes)
-                else:
-                    eval_items.append((scene, oracle, detector))
-
-        lengths = avg_class_length(train_gt)
+            scene, oracle, detector = _replica(spec, seed, "train")
+            train_data.append((scene, run_detection_pass(scene, oracle, detector)))
+        eval_items = [_replica(spec, seed, "eval") for spec in scene_specs]
+        lengths = avg_class_length([t for scene, _ in train_data for t in scene.tubes])
         trim_params = TrimmingParams(avg_length=lengths)
         models: dict[int, AnticipationModel] = {}
         if STRATEGY_LEARNED in strategies:

@@ -51,10 +51,16 @@ def _construct(path: str, make: Callable[..., T], *args: Any, **kwargs: Any) -> 
         _fail(path, str(exc))
 
 
-def _get(obj: dict, key: str, path: str) -> Any:
-    if key not in obj:
+_REQUIRED: Any = object()
+
+
+def _field(
+    obj: dict, key: str, path: str, read: Callable[[Any, str], T], default: Any = _REQUIRED
+) -> T:
+    """``read(obj[key], f"{path}.{key}")``; a key without a ``default`` is required."""
+    if key not in obj and default is _REQUIRED:
         _fail(path, f"missing required field '{key}'")
-    return obj[key]
+    return read(obj.get(key, default), f"{path}.{key}")
 
 
 def _number(value: Any, path: str) -> float:
@@ -99,7 +105,7 @@ def _box(value: Any, path: str) -> BoundingBox:
 
 
 def _check_version(data: dict, path: str) -> None:
-    version = _integer(_get(data, "format_version", path), f"{path}.format_version")
+    version = _field(data, "format_version", path, _integer)
     if version != FORMAT_VERSION:
         _fail(f"{path}.format_version", f"unsupported version {version}")
 
@@ -131,50 +137,43 @@ def read_json(path: Union[str, Path]) -> dict:
 def scene_spec_from_dict(data: dict, path: str = "$") -> SceneSpec:
     _check_version(data, path)
     actors = []
-    actors_raw = _array(_get(data, "actors", path), f"{path}.actors")
-    for i, actor_raw in enumerate(actors_raw):
+    for i, actor_raw in enumerate(_field(data, "actors", path, _array)):
         apath = f"{path}.actors[{i}]"
         actor = _object(actor_raw, apath)
-        velocity_raw = _array(actor.get("velocity", [0.0, 0.0]), f"{apath}.velocity")
+        velocity_raw = _field(actor, "velocity", apath, _array, default=[0.0, 0.0])
         if len(velocity_raw) != 2:
             _fail(f"{apath}.velocity", "expected [vx, vy]")
         actors.append(
             _construct(
                 apath,
                 ActorSpec,
-                class_id=_integer(_get(actor, "class_id", apath), f"{apath}.class_id"),
-                entry_frame=_integer(
-                    _get(actor, "entry_frame", apath), f"{apath}.entry_frame"
-                ),
-                exit_frame=_integer(
-                    _get(actor, "exit_frame", apath), f"{apath}.exit_frame"
-                ),
-                box=_box(_get(actor, "box", apath), f"{apath}.box"),
+                class_id=_field(actor, "class_id", apath, _integer),
+                entry_frame=_field(actor, "entry_frame", apath, _integer),
+                exit_frame=_field(actor, "exit_frame", apath, _integer),
+                box=_field(actor, "box", apath, _box),
                 velocity=(
                     _number(velocity_raw[0], f"{apath}.velocity[0]"),
                     _number(velocity_raw[1], f"{apath}.velocity[1]"),
                 ),
-                velocity_sigma=_number(
-                    actor.get("velocity_sigma", 0.0), f"{apath}.velocity_sigma"
-                ),
+                velocity_sigma=_field(actor, "velocity_sigma", apath, _number, default=0.0),
             )
         )
-    noise_raw = _object(data.get("noise", {}), f"{path}.noise")
+    noise_raw = _field(data, "noise", path, _object, default={})
     noise_kwargs = {
-        name: _number(noise_raw[name], f"{path}.noise.{name}")
+        name: _field(noise_raw, name, f"{path}.noise", _number)
         for name in _NOISE_FIELDS
         if name in noise_raw
     }
     return _construct(
         path,
         SceneSpec,
-        video_id=_string(_get(data, "video_id", path), f"{path}.video_id"),
-        width=_integer(_get(data, "width", path), f"{path}.width"),
-        height=_integer(_get(data, "height", path), f"{path}.height"),
-        num_frames=_integer(_get(data, "num_frames", path), f"{path}.num_frames"),
+        video_id=_field(data, "video_id", path, _string),
+        width=_field(data, "width", path, _integer),
+        height=_field(data, "height", path, _integer),
+        num_frames=_field(data, "num_frames", path, _integer),
         actors=tuple(actors),
         noise=_construct(path, NoiseModel, **noise_kwargs),
-        seed=_integer(data.get("seed", 0), f"{path}.seed"),
+        seed=_field(data, "seed", path, _integer, default=0),
     )
 
 
@@ -233,25 +232,23 @@ def detections_to_dict(video_id: str, frames: Sequence[FrameDetections]) -> dict
 
 def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDetections]]:
     _check_version(data, path)
-    video_id = _string(_get(data, "video_id", path), f"{path}.video_id")
+    video_id = _field(data, "video_id", path, _string)
     frames: list[FrameDetections] = []
     previous_index = -1
-    for i, frame_raw in enumerate(_array(_get(data, "frames", path), f"{path}.frames")):
+    for i, frame_raw in enumerate(_field(data, "frames", path, _array)):
         fpath = f"{path}.frames[{i}]"
         frame = _object(frame_raw, fpath)
-        index = _integer(_get(frame, "frame_index", fpath), f"{fpath}.frame_index")
+        index = _field(frame, "frame_index", fpath, _integer)
         if index <= previous_index:
             _fail(f"{fpath}.frame_index", "frame indices must be strictly increasing")
         previous_index = index
         dets = []
-        for j, det_raw in enumerate(
-            _array(_get(frame, "detections", fpath), f"{fpath}.detections")
-        ):
+        for j, det_raw in enumerate(_field(frame, "detections", fpath, _array)):
             dpath = f"{fpath}.detections[{j}]"
             det = _object(det_raw, dpath)
             motion = None
             if "motion" in det:
-                motion_raw = _array(det["motion"], f"{dpath}.motion")
+                motion_raw = _field(det, "motion", dpath, _array)
                 if len(motion_raw) != 2:
                     _fail(f"{dpath}.motion", "expected [dx, dy]")
                 motion = (
@@ -262,9 +259,9 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
                 _construct(
                     dpath,
                     Detection,
-                    box=_box(_get(det, "bbox", dpath), f"{dpath}.bbox"),
-                    class_id=_integer(_get(det, "class_id", dpath), f"{dpath}.class_id"),
-                    score=_number(_get(det, "score", dpath), f"{dpath}.score"),
+                    box=_field(det, "bbox", dpath, _box),
+                    class_id=_field(det, "class_id", dpath, _integer),
+                    score=_field(det, "score", dpath, _number),
                     motion=motion,
                 )
             )
@@ -301,15 +298,15 @@ def tubes_to_dict(tubes_by_video: dict[str, Sequence[ActionTube]]) -> dict:
 def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
     _check_version(data, path)
     out: dict[str, list[ActionTube]] = {}
-    for i, tube_raw in enumerate(_array(_get(data, "tubes", path), f"{path}.tubes")):
+    for i, tube_raw in enumerate(_field(data, "tubes", path, _array)):
         tpath = f"{path}.tubes[{i}]"
         tube = _object(tube_raw, tpath)
-        video_id = _string(_get(tube, "video_id", tpath), f"{tpath}.video_id")
-        start = _integer(_get(tube, "start", tpath), f"{tpath}.start")
-        end = _integer(_get(tube, "end", tpath), f"{tpath}.end")
+        video_id = _field(tube, "video_id", tpath, _string)
+        start = _field(tube, "start", tpath, _integer)
+        end = _field(tube, "end", tpath, _integer)
         boxes = [
             _box(b, f"{tpath}.boxes[{k}]")
-            for k, b in enumerate(_array(_get(tube, "boxes", tpath), f"{tpath}.boxes"))
+            for k, b in enumerate(_field(tube, "boxes", tpath, _array))
         ]
         if end < start:
             _fail(tpath, f"start {start} exceeds end {end}")
@@ -319,17 +316,17 @@ def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
                 f"expected {end - start + 1} boxes for frames [{start}, {end}], "
                 f"got {len(boxes)}",
             )
-        _number(_get(tube, "tube_score", tpath), f"{tpath}.tube_score")
+        _field(tube, "tube_score", tpath, _number)
         scores = [
             _number(s, f"{tpath}.scores[{k}]")
-            for k, s in enumerate(_array(_get(tube, "scores", tpath), f"{tpath}.scores"))
+            for k, s in enumerate(_field(tube, "scores", tpath, _array))
         ]
         if len(scores) != len(boxes):
             _fail(f"{tpath}.scores", "one score per frame required")
         parsed = _construct(
             tpath,
             ActionTube,
-            class_id=_integer(_get(tube, "class_id", tpath), f"{tpath}.class_id"),
+            class_id=_field(tube, "class_id", tpath, _integer),
             start_frame=start,
             boxes=tuple(boxes),
             scores=tuple(scores),

@@ -210,8 +210,6 @@ def nms(dets: Sequence[tuple[BoundingBox, float]], threshold: float) -> list[int
     """
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"nms threshold must be in [0, 1], got {threshold}")
-    if not dets:
-        return []
     boxes = boxes_to_array([b for b, _ in dets])
     scores = np.array([s for _, s in dets], dtype=np.float64)
     n = len(dets)

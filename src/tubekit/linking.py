@@ -158,18 +158,20 @@ def viterbi_link(
         if not frame:
             raise ValueError(f"frame {t} has no candidate detections")
     n_frames = len(frames)
-    if n_frames == 1:
-        # no links; fall back to confidence, lowest index on ties
-        best = max(range(len(frames[0])), key=lambda i: (frames[0][i].score, -i))
-        return [best], frames[0][best].score
-
     if len({det.class_id for frame in frames for det in frame}) > 1:
         # raise linking_score's error on the first mismatched pair in the
-        # order the backward pass below visits the pairs
+        # order the backward pass below visits the pairs; a single frame has
+        # no pairs, so its detections are checked against its first one
         for t in range(n_frames - 2, -1, -1):
             for det in frames[t]:
                 for det_next in frames[t + 1]:
                     linking_score(det, det_next, params)
+        for det in frames[0]:
+            linking_score(frames[0][0], det, params)
+    if n_frames == 1:
+        # no links; fall back to confidence, lowest index on ties
+        best = max(range(len(frames[0])), key=lambda i: (frames[0][i].score, -i))
+        return [best], frames[0][best].score
 
     beta = params.beta
     boxes = [[det.box for det in frame] for frame in frames]
@@ -189,10 +191,8 @@ def viterbi_link(
             row[j] = best
 
     # walk forward, preferring the lowest index among optimal continuations
-    start = 0
-    for j in range(1, len(frames[0])):
-        if value[0][j] > value[0][start]:
-            start = j
+    # (max returns the first maximum)
+    start = max(range(len(frames[0])), key=value[0].__getitem__)
     path = [start]
     for t in range(n_frames - 1):
         j = path[-1]

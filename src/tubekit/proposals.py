@@ -31,6 +31,9 @@ from .geometry import (
 Scorer = Callable[[BoundingBox], float]
 Regressor = Callable[[BoundingBox], BoxDelta]
 
+# IoU above which a refined box suppresses a lower-scored one
+NMS_THRESHOLD = 0.7
+
 
 @dataclass(frozen=True)
 class AnchorConfig:
@@ -116,17 +119,16 @@ def single_stage_refine(
     *,
     image_width: float,
     image_height: float,
-    nms_threshold: float = 0.7,
     top_n: int = 300,
 ) -> list[tuple[BoundingBox, float]]:
-    """One-pass baseline: refine, NMS, keep the ``top_n`` best.
+    """One-pass baseline: refine, NMS at ``NMS_THRESHOLD``, keep the ``top_n`` best.
 
     Returns (box, score) pairs sorted by score descending.
     """
     scored = refine_stage(
         anchors, stage, image_width=image_width, image_height=image_height
     )
-    kept = nms(scored, nms_threshold)[:top_n]
+    kept = nms(scored, NMS_THRESHOLD)[:top_n]
     return [scored[i] for i in kept]
 
 
@@ -137,7 +139,6 @@ def cascade_refine(
     *,
     image_width: float,
     image_height: float,
-    nms_threshold: float = 0.7,
     top_n: int = 300,
 ) -> list[tuple[BoundingBox, float]]:
     """Two-stage cascade: stage-a refine -> NMS -> top_n -> stage-b refine.
@@ -150,7 +151,6 @@ def cascade_refine(
         stage_a,
         image_width=image_width,
         image_height=image_height,
-        nms_threshold=nms_threshold,
         top_n=top_n,
     )
     second = refine_stage(

@@ -220,17 +220,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
         frames = [f for f, _ in track]
         boxes = [b for _, b in track]
         centers = [b.center for b in boxes]
-        per_frame: list[Motion] = []
-        for k in range(len(boxes)):
-            if k > 0:
-                dx = centers[k][0] - centers[k - 1][0]
-                dy = centers[k][1] - centers[k - 1][1]
-            elif len(boxes) > 1:
-                dx = centers[1][0] - centers[0][0]
-                dy = centers[1][1] - centers[0][1]
-            else:
-                dx = dy = 0.0
-            per_frame.append((dx, dy))
+        steps = [(x - px, y - py) for (px, py), (x, y) in zip(centers, centers[1:])]
         tubes.append(
             ActionTube(
                 class_id=actor.class_id,
@@ -239,7 +229,7 @@ def generate_scene(spec: SceneSpec) -> Scene:
                 scores=tuple(1.0 for _ in boxes),
             )
         )
-        motions.append(tuple(per_frame))
+        motions.append(tuple((steps[:1] + steps) or [(0.0, 0.0)]))
     return Scene(spec=spec, tubes=tuple(tubes), motions=tuple(motions))
 
 
@@ -434,14 +424,12 @@ class ConditionedDetector:
         if drawn is None:
             drawn = self._drawn[frame_index] = self._draw(frame_index)
         truth, draws, false_positives = drawn
+        if not (truth and proposals):
+            return list(false_positives)
         dets: list[Detection] = []
-        overlaps = (
-            iou_matrix([box for _, _, box, _ in truth], list(proposals))
-            if truth and proposals
-            else np.zeros((len(truth), 0))
-        )
+        overlaps = iou_matrix([box for _, _, box, _ in truth], list(proposals))
         for row, (_, class_id, gt_box, motion) in enumerate(truth):
-            coverage = float(overlaps[row].max()) if overlaps.shape[1] else 0.0
+            coverage = float(overlaps[row].max())
             miss_draw, corner_noise, score_noise = draws[row]
             if coverage < self.min_coverage:
                 continue
@@ -513,22 +501,20 @@ def drifting_scene_specs(
     size = 52.0
     for i in range(num_scenes):
         speed = 1.4 * (1.0 + 0.08 * (i % 3))
-        vy = 0.85 if i % 2 == 0 else -0.85
-        left = ActorSpec(
-            class_id=0,
-            entry_frame=0,
-            exit_frame=num_frames - 1,
-            box=box_from_center(40, 60 if vy > 0 else 180, size, size),
-            velocity=(speed, vy),
-            velocity_sigma=0.2,
-        )
-        right = ActorSpec(
-            class_id=1,
-            entry_frame=0,
-            exit_frame=num_frames - 1,
-            box=box_from_center(280, 180 if vy > 0 else 60, size, size),
-            velocity=(-speed, -vy),
-            velocity_sigma=0.2,
+        vy, y_left, y_right = (0.85, 60, 180) if i % 2 == 0 else (-0.85, 180, 60)
+        actors = tuple(
+            ActorSpec(
+                class_id=class_id,
+                entry_frame=0,
+                exit_frame=num_frames - 1,
+                box=box_from_center(x, y, size, size),
+                velocity=velocity,
+                velocity_sigma=0.2,
+            )
+            for class_id, x, y, velocity in (
+                (0, 40, y_left, (speed, vy)),
+                (1, 280, y_right, (-speed, -vy)),
+            )
         )
         specs.append(
             SceneSpec(
@@ -536,7 +522,7 @@ def drifting_scene_specs(
                 width=320,
                 height=240,
                 num_frames=num_frames,
-                actors=(left, right),
+                actors=actors,
                 noise=noise,
                 seed=base_seed + i,
             )

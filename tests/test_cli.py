@@ -392,6 +392,32 @@ def test_study_tiny_run(tmp_path, capsys):
     assert all(l.split(",")[1] == "" for l in none_rows)
 
 
+def test_study_summary_skips_missing_cells(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec(num_frames=12)))
+    out = tmp_path / "study.csv"
+    args = ["study", str(spec_dir), str(out), "--gaps", "2", "--seeds", "0"]
+    assert main(args + ["--strategies", "none"]) == 0
+    assert "mAP@" not in capsys.readouterr().out
+    assert out.read_text().startswith("strategy,K,delta,mAP\n")
+    assert main(args + ["--strategies", "none,learned"]) == 0
+    summary = capsys.readouterr().out
+    assert "learned(K=2)=" in summary and "none=" in summary
+    assert "non-motion" not in summary
+
+
+def test_study_without_summary_threshold_exits_2(tmp_path, capsys):
+    # the summary threshold 0.2 is one the study always requires
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec()))
+    out = tmp_path / "s.csv"
+    assert main(["study", str(spec_dir), str(out), "--deltas", "0.5"]) == 2
+    assert "study must include thresholds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_empty_spec_dir_exits_2(tmp_path, capsys):
     empty = tmp_path / "specs"
     empty.mkdir()

@@ -286,6 +286,90 @@ class TestNonFiniteNumbers:
             load(path)
 
 
+def _set_scene_field(keys, value):
+    def setter(data):
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+
+    return setter
+
+
+def _set_first_motion(value):
+    def setter(data):
+        data["frames"][0]["detections"][0]["motion"] = value
+
+    return setter
+
+
+class TestOptionalFields:
+    """Optional fields are checked at their own path when present."""
+
+    @pytest.mark.parametrize(
+        "to_dict, parse, setter, message",
+        [
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("actors", 0, "velocity_sigma"), "0.5"),
+                "$.actors[0].velocity_sigma: expected a number, got str",
+            ),
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("seed",), 1.0),
+                "$.seed: expected an integer, got float",
+            ),
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("noise",), []),
+                "$.noise: expected an object, got list",
+            ),
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("noise", "sigma_loc"), "1"),
+                "$.noise.sigma_loc: expected a number, got str",
+            ),
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("actors", 0, "velocity"), [1.0, 2.0, 3.0]),
+                "$.actors[0].velocity: expected [vx, vy]",
+            ),
+            (
+                lambda: scene_spec_to_dict(sample_spec()),
+                scene_spec_from_dict,
+                _set_scene_field(("actors", 0, "velocity"), "fast"),
+                "$.actors[0].velocity: expected an array, got str",
+            ),
+            (
+                lambda: detections_to_dict("v", sample_frames()),
+                detections_from_dict,
+                _set_first_motion([1.0]),
+                "$.frames[0].detections[0].motion: expected [dx, dy]",
+            ),
+        ],
+        ids=[
+            "velocity-sigma-type",
+            "seed-type",
+            "noise-type",
+            "noise-field-type",
+            "velocity-length",
+            "velocity-type",
+            "motion-length",
+        ],
+    )
+    def test_message_names_exact_path(self, to_dict, parse, setter, message):
+        data = to_dict()
+        setter(data)
+        with pytest.raises(SchemaError) as info:
+            parse(data)
+        assert str(info.value) == message
+
+
 class TestJsonPlumbing:
     def test_written_files_are_canonical(self, tmp_path):
         path = tmp_path / "out.json"

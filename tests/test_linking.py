@@ -152,6 +152,11 @@ class TestViterbi:
                 ],
                 "cannot link detections of different classes (0 vs 2)",
             ),
+            # one frame has no links; its detections meet its first one
+            (
+                [[det(0, 0, 10, 10, 0.9, class_id=3), det(1, 1, 11, 11, 0.5, class_id=1)]],
+                "cannot link detections of different classes (3 vs 1)",
+            ),
         ],
     )
     def test_class_mismatch_message(self, frames, message):

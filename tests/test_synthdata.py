@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tubekit.geometry import BoundingBox, iou
+from tubekit.geometry import BoundingBox, iou, iou_matrix
 from tubekit.synthdata import (
     ActorSpec,
     ConditionedDetector,
@@ -340,6 +340,48 @@ class TestConditionedDetector:
         scene = self.make_scene()
         det = ConditionedDetector(scene, seed=1)
         assert det.detect(3, []) == []
+
+    def test_no_proposals_leaves_only_false_positives_at_zero_coverage_gate(self):
+        # without a proposal nothing covers the truth, whatever the gate
+        scene = self.make_scene(NoiseModel(sigma_loc=0.0, miss_rate=0.0, fp_rate=3.0))
+        ungated = ConditionedDetector(scene, min_coverage=0.0, seed=2)
+        gated = ConditionedDetector(scene, seed=2)
+        frames = range(scene.spec.num_frames)
+        outputs = [ungated.detect(t, []) for t in frames]
+        assert outputs == [gated.detect(t, []) for t in frames]
+        assert any(outputs)
+
+    def test_frame_without_truth_skips_the_overlap_matrix(self, monkeypatch):
+        # an actor entering late leaves early frames with proposals but no truth
+        import tubekit.synthdata as synthdata
+
+        spec = simple_spec(
+            actors=(
+                ActorSpec(
+                    class_id=0,
+                    entry_frame=10,
+                    exit_frame=19,
+                    box=BoundingBox(40, 40, 60, 60),
+                ),
+            ),
+            noise=NoiseModel(sigma_loc=0.0, miss_rate=0.0, fp_rate=3.0),
+        )
+        scene = generate_scene(spec)
+        calls = []
+
+        def counting_iou_matrix(a, b):
+            calls.append((len(a), len(b)))
+            return iou_matrix(a, b)
+
+        monkeypatch.setattr(synthdata, "iou_matrix", counting_iou_matrix)
+        det = ConditionedDetector(scene, seed=2)
+        proposal = BoundingBox(40, 40, 60, 60)
+        early = [det.detect(t, [proposal]) for t in range(10)]
+        assert calls == []
+        assert early == [det.detect(t, []) for t in range(10)]
+        assert any(early)
+        det.detect(12, [proposal])
+        assert calls == [(1, 1)]
 
     def test_low_coverage_is_a_miss(self):
         scene = self.make_scene()
