@@ -179,8 +179,6 @@ def build_training_set(
     targets: list[np.ndarray] = []
     positive: list[bool] = []
     for detections, future_boxes in frame_pairs:
-        if not detections:
-            continue
         boxes = [b for b, _ in detections]
         assignment = assign_samples(boxes, list(future_boxes))
         for i, (box, motion) in enumerate(detections):
@@ -196,15 +194,9 @@ def build_training_set(
             else:
                 targets.append(np.zeros(4, dtype=np.float64))
                 positive.append(False)
-    if not feats:
-        return TrainingSet(
-            features=np.zeros((0, FEATURE_DIM)),
-            targets=np.zeros((0, 4)),
-            positive=np.zeros(0, dtype=bool),
-        )
     return TrainingSet(
-        features=np.stack(feats),
-        targets=np.stack(targets),
+        features=np.array(feats, dtype=np.float64).reshape(-1, FEATURE_DIM),
+        targets=np.array(targets, dtype=np.float64).reshape(-1, 4),
         positive=np.array(positive, dtype=bool),
     )
 

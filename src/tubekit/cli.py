@@ -158,18 +158,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds = formats.load_tubes(args.pred)
     deltas = _parse_list(args.deltas, "--deltas", float)
     report = evaluation.evaluate(preds, gts, deltas)
-    classes = sorted({c for aps in report.ap_by_delta.values() for c in aps})
-    lines = []
-    if args.per_class:
-        lines.append("delta,mAP," + ",".join(f"ap_{c}" for c in classes))
-        for delta in deltas:
-            aps = report.ap_by_delta[float(delta)]
-            per_class = ",".join(f"{aps.get(c, 0.0):.6f}" for c in classes)
-            lines.append(f"{delta:g},{report.map_by_delta[float(delta)]:.6f},{per_class}")
-    else:
-        lines.append("delta,mAP")
-        for delta in deltas:
-            lines.append(f"{delta:g},{report.map_by_delta[float(delta)]:.6f}")
+    # every delta scores the same classes
+    classes = sorted(report.ap_by_delta[float(deltas[0])]) if args.per_class else []
+    lines = ["delta,mAP" + "".join(f",ap_{c}" for c in classes)]
+    for delta in deltas:
+        aps = report.ap_by_delta[float(delta)]
+        per_class = "".join(f",{aps[c]:.6f}" for c in classes)
+        lines.append(f"{delta:g},{report.map_by_delta[float(delta)]:.6f}{per_class}")
     _write_text("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -16,7 +16,7 @@ and gap over several seeds, producing a CSV-ready comparison table.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,14 +25,15 @@ from .anticipation import (
     STRATEGY_LEARNED,
     STRATEGY_NONE,
     AnticipationModel,
+    Motion,
     TrainingSet,
     anticipate,
     augment_proposals,
     build_training_set,
     train_anticipation_model,
 )
-from .geometry import iou
-from .linking import ActionTube, FrameDetections, extract_tubes
+from .geometry import BoundingBox, iou
+from .linking import ActionTube, Detection, FrameDetections, extract_tubes
 from .synthdata import ConditionedDetector, ProposalOracle, Scene, SceneSpec, generate_scene
 from .trimming import TrimmingParams, avg_class_length, trim_tubes
 
@@ -161,28 +162,26 @@ def evaluate(
     )
     if not gt_classes:
         raise ValueError("no ground-truth tubes to evaluate against")
+    # per class, each video's (predictions, ground truth) of that class
+    by_class: dict[int, list] = {c: [] for c in gt_classes}
+    for video_id, gts in ground_truth_by_video.items():
+        preds = predictions_by_video.get(video_id, ())
+        for c, videos in by_class.items():
+            videos.append(tuple([t for t in ts if t.class_id == c] for ts in (preds, gts)))
 
     map_by_delta: dict[float, float] = {}
     ap_by_delta: dict[float, dict[int, float]] = {}
     for delta in deltas:
         ap_per_class: dict[int, float] = {}
-        for class_id in gt_classes:
+        for class_id, videos in by_class.items():
             flags: list[tuple[float, bool]] = []
-            num_gt = 0
-            for video_id, gts in ground_truth_by_video.items():
-                gt_c = [t for t in gts if t.class_id == class_id]
-                num_gt += len(gt_c)
-                preds_c = [
-                    t
-                    for t in predictions_by_video.get(video_id, ())
-                    if t.class_id == class_id
-                ]
+            for preds_c, gt_c in videos:
                 matches = match_tubes(preds_c, gt_c, delta)
                 flags.extend(
                     (pred.tube_score, m is not None)
                     for pred, m in zip(preds_c, matches)
                 )
-            ap_per_class[class_id] = average_precision(flags, num_gt)
+            ap_per_class[class_id] = average_precision(flags, sum(len(g) for _, g in videos))
         ap_by_delta[float(delta)] = ap_per_class
         map_by_delta[float(delta)] = float(np.mean(list(ap_per_class.values())))
     return EvalReport(map_by_delta=map_by_delta, ap_by_delta=ap_by_delta)
@@ -275,35 +274,37 @@ def _mix_seed(*parts: int) -> int:
     return out
 
 
+def _boxes_and_motions(detections: Sequence[Detection]) -> list[tuple[BoundingBox, Motion]]:
+    """Anticipation's input: each detection's box and motion, (0, 0) if it has none."""
+    return [(d.box, d.motion or (0.0, 0.0)) for d in detections]
+
+
 def run_detection_pass(
     scene: Scene,
     oracle: ProposalOracle,
     detector: ConditionedDetector,
-    strategy: str = STRATEGY_NONE,
-    model: Optional[AnticipationModel] = None,
+    anticipator: Union[str, AnticipationModel] = STRATEGY_NONE,
     gap: Optional[int] = None,
 ) -> list[FrameDetections]:
     """Run proposals → (anticipation) → detection over every frame.
 
-    With a non-trivial strategy and ``t >= gap``, the pass feeds its own
-    detections from ``t - gap`` through :func:`anticipate` and appends the
-    predicted boxes to frame ``t``'s proposals before detecting.
+    ``anticipator`` is what :func:`anticipate` takes: a trained model or a
+    strategy name. Unless it is ``"none"``, the pass feeds its own detections
+    from ``t - gap`` through :func:`anticipate` for every ``t >= gap`` and
+    appends the predicted boxes to frame ``t``'s proposals before detecting.
     """
     spec = scene.spec
-    if strategy != STRATEGY_NONE:
-        if gap is None or gap < 1:
-            raise ValueError("anticipating strategies need a positive gap")
-        if strategy == STRATEGY_LEARNED and model is None:
-            raise ValueError("the learned strategy needs a trained model")
+    # a model is recognised by its type, so its arrays are never compared
+    anticipating = isinstance(anticipator, AnticipationModel) or anticipator != STRATEGY_NONE
+    if anticipating and (gap is None or gap < 1):
+        raise ValueError("anticipating strategies need a positive gap")
     frames: list[FrameDetections] = []
     for t in range(spec.num_frames):
         proposals = oracle.propose(t)
-        if strategy != STRATEGY_NONE and t >= gap:
-            sources = frames[t - gap].detections
-            anticipator = model if strategy == STRATEGY_LEARNED else strategy
+        if anticipating and t >= gap:
             predicted = anticipate(
                 anticipator,
-                [(d.box, d.motion or (0.0, 0.0)) for d in sources],
+                _boxes_and_motions(frames[t - gap].detections),
                 image_width=spec.width,
                 image_height=spec.height,
             )
@@ -333,9 +334,7 @@ def _training_set_for_gap(
             if not dets:
                 continue
             future = [box for _, _, box, _ in scene.frame_truth(t + gap)]
-            pairs.append(
-                ([(d.box, d.motion or (0.0, 0.0)) for d in dets], future)
-            )
+            pairs.append((_boxes_and_motions(dets), future))
         per_scene.append(
             build_training_set(
                 pairs, image_width=spec.width, image_height=spec.height
@@ -346,16 +345,15 @@ def _training_set_for_gap(
 
 def _pipeline_map(
     eval_items: Sequence[tuple[Scene, ProposalOracle, ConditionedDetector]],
-    strategy: str,
+    anticipator: Union[str, AnticipationModel],
     gap: Optional[int],
-    model: Optional[AnticipationModel],
     trim_params: TrimmingParams,
     deltas: Sequence[float],
 ) -> dict[float, float]:
     preds: dict[str, list[ActionTube]] = {}
     gts: dict[str, list[ActionTube]] = {}
     for scene, oracle, detector in eval_items:
-        frames = run_detection_pass(scene, oracle, detector, strategy, model, gap)
+        frames = run_detection_pass(scene, oracle, detector, anticipator, gap)
         tubes = extract_tubes(frames)
         video_id = scene.spec.video_id
         preds[video_id] = trim_tubes(tubes, trim_params)
@@ -451,14 +449,8 @@ def run_strategy_study(
                     learning_rate=_LEARNING_RATE,
                 )
         for strategy, gap in cells:
-            result = _pipeline_map(
-                eval_items,
-                strategy,
-                gap,
-                models.get(gap) if strategy == STRATEGY_LEARNED else None,
-                trim_params,
-                deltas,
-            )
+            anticipator = models[gap] if strategy == STRATEGY_LEARNED else strategy
+            result = _pipeline_map(eval_items, anticipator, gap, trim_params, deltas)
             for d, v in result.items():
                 sums[(strategy, gap)][d] += v
 

@@ -96,6 +96,13 @@ def _object(value: Any, path: str) -> dict:
     return value
 
 
+def _pair(value: Any, path: str, expected: str) -> tuple[float, float]:
+    arr = _array(value, path)
+    if len(arr) != 2:
+        _fail(path, f"expected {expected}")
+    return _number(arr[0], f"{path}[0]"), _number(arr[1], f"{path}[1]")
+
+
 def _box(value: Any, path: str) -> BoundingBox:
     arr = _array(value, path)
     if len(arr) != 4:
@@ -140,9 +147,7 @@ def scene_spec_from_dict(data: dict, path: str = "$") -> SceneSpec:
     for i, actor_raw in enumerate(_field(data, "actors", path, _array)):
         apath = f"{path}.actors[{i}]"
         actor = _object(actor_raw, apath)
-        velocity_raw = _field(actor, "velocity", apath, _array, default=[0.0, 0.0])
-        if len(velocity_raw) != 2:
-            _fail(f"{apath}.velocity", "expected [vx, vy]")
+        velocity = _pair(actor.get("velocity", [0.0, 0.0]), f"{apath}.velocity", "[vx, vy]")
         actors.append(
             _construct(
                 apath,
@@ -151,10 +156,7 @@ def scene_spec_from_dict(data: dict, path: str = "$") -> SceneSpec:
                 entry_frame=_field(actor, "entry_frame", apath, _integer),
                 exit_frame=_field(actor, "exit_frame", apath, _integer),
                 box=_field(actor, "box", apath, _box),
-                velocity=(
-                    _number(velocity_raw[0], f"{apath}.velocity[0]"),
-                    _number(velocity_raw[1], f"{apath}.velocity[1]"),
-                ),
+                velocity=velocity,
                 velocity_sigma=_field(actor, "velocity_sigma", apath, _number, default=0.0),
             )
         )
@@ -248,13 +250,7 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
             det = _object(det_raw, dpath)
             motion = None
             if "motion" in det:
-                motion_raw = _field(det, "motion", dpath, _array)
-                if len(motion_raw) != 2:
-                    _fail(f"{dpath}.motion", "expected [dx, dy]")
-                motion = (
-                    _number(motion_raw[0], f"{dpath}.motion[0]"),
-                    _number(motion_raw[1], f"{dpath}.motion[1]"),
-                )
+                motion = _pair(det["motion"], f"{dpath}.motion", "[dx, dy]")
             dets.append(
                 _construct(
                     dpath,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -196,6 +196,12 @@ def clip(box: BoundingBox, width: float, height: float) -> BoundingBox:
         min(max(box.x2, 0.0), float(width)),
         min(max(box.y2, 0.0), float(height)),
     )
+
+
+def clip_visible(box: BoundingBox, width: float, height: float) -> Optional[BoundingBox]:
+    """``box`` clipped to the image; None if nothing of it is left."""
+    clipped = clip(box, width, height)
+    return clipped if clipped.area > 0 else None
 
 
 def nms(dets: Sequence[tuple[BoundingBox, float]], threshold: float) -> list[int]:

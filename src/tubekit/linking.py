@@ -14,6 +14,7 @@ cap is hit.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -169,8 +170,8 @@ def viterbi_link(
         for det in frames[0]:
             linking_score(frames[0][0], det, params)
     if n_frames == 1:
-        # no links; fall back to confidence, lowest index on ties
-        best = max(range(len(frames[0])), key=lambda i: (frames[0][i].score, -i))
+        # no links; fall back to confidence, lowest index on ties (the first maximum)
+        best = max(range(len(frames[0])), key=lambda i: frames[0][i].score)
         return [best], frames[0][best].score
 
     beta = params.beta
@@ -242,6 +243,8 @@ def extract_tubes(
     """
     if max_tubes_per_class < 1:
         raise ValueError("max_tubes_per_class must be at least 1")
+    if math.isnan(min_mean_link_score):
+        raise ValueError("min_mean_link_score must not be NaN")
     seen_frames = set()
     for fd in video:
         if fd.frame_index in seen_frames:
@@ -259,11 +262,11 @@ def extract_tubes(
             if dets:
                 remaining[fd.frame_index] = dets
 
-        def solve(run: list[int]) -> tuple[float, list[int], float]:
+        def solve(run: list[int]) -> tuple[float, list[int]]:
             frames = [remaining[f] for f in run]
             path, total = viterbi_link(frames, params)
             mean_link = total if len(run) == 1 else total / (len(run) - 1)
-            return mean_link, path, total
+            return mean_link, path
 
         # candidate per run: (mean link score, run frames, best path)
         candidates = [(run, solve(run)) for run in _runs(remaining.keys())]
@@ -271,7 +274,7 @@ def extract_tubes(
         while candidates and emitted < max_tubes_per_class:
             # strongest path first; ties fall to the earlier, longer run
             candidates.sort(key=lambda c: (-c[1][0], c[0][0], -len(c[0])))
-            run, (mean_link, path, _) = candidates.pop(0)
+            run, (mean_link, path) = candidates.pop(0)
             if mean_link < min_mean_link_score:
                 break  # every remaining path is at least as weak
             chosen = [remaining[f][path[t]] for t, f in enumerate(run)]

@@ -22,7 +22,7 @@ from .geometry import (
     BoundingBox,
     BoxDelta,
     box_from_center,
-    clip,
+    clip_visible,
     decode_delta,
     iou_matrix,
     nms,
@@ -103,8 +103,9 @@ def refine_stage(
     """
     out: list[tuple[BoundingBox, float]] = []
     for box in candidates:
-        refined = clip(decode_delta(box, stage.regressor(box)), image_width, image_height)
-        if refined.area <= 0.0:
+        decoded = decode_delta(box, stage.regressor(box))
+        refined = clip_visible(decoded, image_width, image_height)
+        if refined is None:
             continue
         score = float(stage.scorer(refined))
         if not 0.0 <= score <= 1.0:
@@ -276,7 +277,7 @@ def sample_minibatch(
     n_neg = min(len(neg_pool), max_size - n_pos, max(1, round(n_pos / target_ratio)))
     # the negative pool may be small; cap positives so the ratio stays legal
     n_pos = min(n_pos, int(np.floor(ratio_high * n_neg)))
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0:
         return empty
     ratio = n_pos / n_neg
     if not ratio_low <= ratio <= ratio_high:

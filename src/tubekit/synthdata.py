@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, box_from_center, clip, encode_delta, iou_matrix
+from .geometry import BoundingBox, box_from_center, clip_visible, encode_delta, iou_matrix
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
 
@@ -61,7 +61,7 @@ class ActorSpec:
             raise ValueError("class_id must be non-negative")
         if self.entry_frame < 0 or self.exit_frame < self.entry_frame:
             raise ValueError("need 0 <= entry_frame <= exit_frame")
-        if self.velocity_sigma < 0:
+        if not self.velocity_sigma >= 0:
             raise ValueError("velocity_sigma must be non-negative")
         if self.box.area <= 0:
             raise ValueError("actor box must have positive area")
@@ -86,15 +86,10 @@ class NoiseModel:
     fp_score_sigma: float = 0.1
 
     def __post_init__(self) -> None:
-        for name in ("sigma_loc", "tp_score_sigma", "fp_score_sigma"):
-            if getattr(self, name) < 0:
+        for name in ("sigma_loc", "tp_score_sigma", "fp_score_sigma", "fp_rate"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("miss_rate",):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if self.fp_rate < 0:
-            raise ValueError("fp_rate must be non-negative")
-        for name in ("tp_score_mean", "fp_score_mean"):
+        for name in ("miss_rate", "tp_score_mean", "fp_score_mean"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
 
@@ -187,9 +182,8 @@ def _actor_trajectory(
                 vy += rng.normal(0.0, actor.velocity_sigma)
             cx += vx
             cy += vy
-        clipped = clip(box_from_center(cx, cy, w, h), spec.width, spec.height)
-        on_screen = clipped.area > 0
-        if on_screen:
+        clipped = clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
+        if clipped is not None:
             visible.append((frame, clipped))
         elif visible:
             break  # keep only the first contiguous visible span
@@ -217,14 +211,13 @@ def generate_scene(spec: SceneSpec) -> Scene:
             raise ValueError(
                 f"actor {idx} (class {actor.class_id}) never appears inside the image"
             )
-        frames = [f for f, _ in track]
         boxes = [b for _, b in track]
         centers = [b.center for b in boxes]
         steps = [(x - px, y - py) for (px, py), (x, y) in zip(centers, centers[1:])]
         tubes.append(
             ActionTube(
                 class_id=actor.class_id,
-                start_frame=frames[0],
+                start_frame=track[0][0],
                 boxes=tuple(boxes),
                 scores=tuple(1.0 for _ in boxes),
             )
@@ -240,19 +233,13 @@ def _add_corner_noise(box: BoundingBox, e: Sequence[float]) -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2)
 
 
-def _clip_visible(box: BoundingBox, width: float, height: float) -> Optional[BoundingBox]:
-    """``box`` clipped to the image; None if nothing of it is left."""
-    clipped = clip(box, width, height)
-    return clipped if clipped.area > 0 else None
-
-
 def _jitter_box(
     box: BoundingBox, sigma: float, rng: np.random.Generator, width: float, height: float
 ) -> Optional[BoundingBox]:
     """Corner-jittered, order-repaired, clipped copy; None if it collapses."""
     if sigma > 0:
         box = _add_corner_noise(box, rng.normal(0.0, sigma, size=4))
-    return _clip_visible(box, width, height)
+    return clip_visible(box, width, height)
 
 
 def _clutter_box(spec: SceneSpec, rng: np.random.Generator) -> Optional[BoundingBox]:
@@ -262,16 +249,15 @@ def _clutter_box(spec: SceneSpec, rng: np.random.Generator) -> Optional[Bounding
     max_size = max(_MIN_FP_SIZE + 1.0, min(spec.width, spec.height) / 2.0)
     w = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
     h = math.exp(rng.uniform(math.log(_MIN_FP_SIZE), math.log(max_size)))
-    return _clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
+    return clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
 
 
 def _clip01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def _false_positives(
-    scene: Scene, noise: NoiseModel, rng: np.random.Generator
-) -> list[Detection]:
+def _false_positives(scene: Scene, rng: np.random.Generator) -> list[Detection]:
+    noise = scene.spec.noise
     classes = scene.classes
     count = int(rng.poisson(noise.fp_rate))
     out: list[Detection] = []
@@ -313,7 +299,7 @@ def render_detections(
             dets.append(
                 Detection(box=jittered, class_id=class_id, score=score, motion=motion)
             )
-        dets.extend(_false_positives(scene, noise, rng))
+        dets.extend(_false_positives(scene, rng))
         frames.append(FrameDetections(frame_index=frame, detections=tuple(dets)))
     return frames
 
@@ -337,7 +323,7 @@ class ProposalOracle:
         clutter: int = 4,
         seed: int = 0,
     ) -> None:
-        if jitter_sigma < 0 or per_actor < 0 or clutter < 0:
+        if not (jitter_sigma >= 0 and per_actor >= 0 and clutter >= 0):
             raise ValueError("oracle parameters must be non-negative")
         self.scene = scene
         self.jitter_sigma = jitter_sigma
@@ -444,7 +430,7 @@ class ConditionedDetector:
                 prop.x2 + rho * (gt_box.x2 - prop.x2),
                 prop.y2 + rho * (gt_box.y2 - prop.y2),
             )
-            box = _clip_visible(
+            box = clip_visible(
                 _add_corner_noise(blended, corner_noise * noise.sigma_loc),
                 spec.width,
                 spec.height,
@@ -468,7 +454,7 @@ class ConditionedDetector:
             (rng.uniform(), rng.normal(0.0, 1.0, size=4), rng.normal(0.0, 1.0))
             for _ in truth
         )
-        false_positives = _false_positives(self.scene, self.scene.spec.noise, rng)
+        false_positives = _false_positives(self.scene, rng)
         return _DetectorFrame(truth, draws, tuple(false_positives))
 
 

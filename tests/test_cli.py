@@ -3,8 +3,15 @@ import json
 import pytest
 
 from tubekit.cli import main
-from tubekit.formats import load_detections, load_tubes, scene_spec_to_dict, write_json
+from tubekit.formats import (
+    load_detections,
+    load_tubes,
+    scene_spec_to_dict,
+    tubes_to_dict,
+    write_json,
+)
 from tubekit.geometry import BoundingBox
+from tubekit.linking import ActionTube
 from tubekit.proposals import recall_at_iou
 from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec
 
@@ -118,6 +125,58 @@ def test_eval_to_stdout_with_per_class_columns(tmp_path, spec_file, capsys):
         float(cells[1])
 
 
+def _shifted_class_0(gt_path, out_path, dx):
+    """The ground-truth tubes with every class-0 box moved ``dx`` to the right."""
+    shifted = {
+        video_id: [
+            ActionTube(
+                t.class_id,
+                t.start_frame,
+                tuple(
+                    BoundingBox(b.x1 + dx, b.y1, b.x2 + dx, b.y2) if t.class_id == 0 else b
+                    for b in t.boxes
+                ),
+                t.scores,
+            )
+            for t in tubes
+        ]
+        for video_id, tubes in load_tubes(gt_path).items()
+    }
+    write_json(out_path, tubes_to_dict(shifted))
+
+
+@pytest.mark.parametrize(
+    "pred, per_class, expected",
+    [
+        ("tubes.json", False, "delta,mAP\n0.2,1.000000\n0.5,1.000000\n"),
+        (
+            "tubes.json",
+            True,
+            "delta,mAP,ap_0,ap_1\n0.2,1.000000,1.000000,1.000000\n"
+            "0.5,1.000000,1.000000,1.000000\n",
+        ),
+        # class 0 overlaps its ground truth by 1/3: a hit at 0.2, a miss at 0.5
+        ("shifted.json", False, "delta,mAP\n0.2,1.000000\n0.5,0.500000\n"),
+        (
+            "shifted.json",
+            True,
+            "delta,mAP,ap_0,ap_1\n0.2,1.000000,1.000000,1.000000\n"
+            "0.5,0.500000,0.000000,1.000000\n",
+        ),
+    ],
+    ids=["plain", "per-class", "shifted-plain", "shifted-per-class"],
+)
+def test_eval_csv_bytes(tmp_path, spec_file, capsys, pred, per_class, expected):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    main(["link", str(out / "dets.json"), str(out / "tubes.json")])
+    _shifted_class_0(out / "gt.json", out / "shifted.json", 10.0)
+    capsys.readouterr()
+    argv = ["eval", str(out / "gt.json"), str(out / pred), "--deltas", "0.2,0.5"]
+    assert main(argv + ["--per-class"] * per_class) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_missing_spec_field_exits_2_and_names_it(tmp_path, capsys):
     data = scene_spec_to_dict(clean_spec())
     del data["width"]
@@ -136,6 +195,26 @@ def test_link_rejects_bad_beta(tmp_path, spec_file, capsys):
     )
     assert code == 2
     assert "beta" in capsys.readouterr().err
+
+
+def test_link_nan_min_score_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    capsys.readouterr()
+    code = main(["link", str(out / "dets.json"), str(out / "tubes.json"), "--min-score", "nan"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: min_mean_link_score must not be NaN\n"
+    assert not (out / "tubes.json").exists()
+
+
+def test_link_infinite_min_score_keeps_its_meaning(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    dets = str(out / "dets.json")
+    assert main(["link", dets, str(out / "none.json"), "--min-score", "inf"]) == 0
+    assert main(["link", dets, str(out / "all.json"), "--min-score=-inf"]) == 0
+    assert load_tubes(out / "none.json") == {}
+    assert sum(len(t) for t in load_tubes(out / "all.json").values()) == 2
 
 
 def test_trim_needs_a_length_source(tmp_path, spec_file, capsys):

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import json
 
 import pytest
@@ -397,3 +399,80 @@ class TestJsonPlumbing:
 
     def test_schema_error_is_a_value_error(self):
         assert issubclass(SchemaError, ValueError)
+
+
+# replacement values of the mutation check
+_MUTATION_VALUES = (
+    "x", 0, -1, 2, 0.5, -1.5, True, None,
+    [], [0.0], [0.0, 1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], {"a": 1},
+    float("nan"), float("inf"), float("-inf"), 10**400,
+)
+_DELETED = object()
+# sha256 of all outcome lines of _mutation_outcomes: a changed error message,
+# path, check order, exception type or parsed value changes it
+_MUTATION_DIGEST = "9df04a2a3abcd4116eb3b9979bbdaa8a88c90cdc6d096a53f9c5a947946db66a"
+
+
+def _containers(node, path=()):
+    """(key path, container) of ``node`` and of every object and array nested in it."""
+    yield path, node
+    children = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            yield from _containers(child, path + (key,))
+
+
+def _mutations(base):
+    """(label, edits) of every mutation of ``base``.
+
+    Every field and array element is replaced by each of ``_MUTATION_VALUES``
+    and every field is deleted. Every pair of fields of one object is set to
+    None, and to an empty array, together: that pins the order in which the
+    reader checks the type and the length of each field.
+    """
+    for path, node in _containers(base):
+        is_object = isinstance(node, dict)
+        for key in node if is_object else range(len(node)):
+            for value in _MUTATION_VALUES + ((_DELETED,) if is_object else ()):
+                label = "<deleted>" if value is _DELETED else repr(value)
+                yield f"{path + (key,)} {label}", [(path + (key,), value)]
+        if is_object:
+            for i, first in enumerate(node):
+                for second in list(node)[i + 1 :]:
+                    for value in (None, []):
+                        yield f"{path} {first}+{second} {value!r}", [
+                            (path + (first,), value),
+                            (path + (second,), value),
+                        ]
+
+
+def _mutation_outcomes():
+    documents = (
+        ("scene", scene_spec_to_dict(sample_spec()), scene_spec_from_dict),
+        ("detections", detections_to_dict("v", sample_frames()), detections_from_dict),
+        ("tubes", tubes_to_dict(sample_tubes()), tubes_from_dict),
+    )
+    for name, base, parse in documents:
+        for label, edits in _mutations(base):
+            data = copy.deepcopy(base)
+            for keys, value in edits:
+                target = data
+                for key in keys[:-1]:
+                    target = target[key]
+                if value is _DELETED:
+                    del target[keys[-1]]
+                else:
+                    target[keys[-1]] = value
+            try:
+                outcome = f"ok {parse(data)!r}"
+            except Exception as exc:  # the exception type is part of the outcome
+                outcome = f"{type(exc).__name__}: {exc}"
+            yield f"{name} {label} -> {outcome}"
+
+
+def test_mutated_files_keep_every_outcome():
+    """Every mutation of the three file schemas keeps its outcome."""
+    lines = list(_mutation_outcomes())
+    assert len(lines) == 2430
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == _MUTATION_DIGEST

@@ -8,6 +8,7 @@ from tubekit.geometry import (
     BoundingBox,
     BoxDelta,
     clip,
+    clip_visible,
     decode_delta,
     encode_delta,
     iou,
@@ -241,6 +242,22 @@ class TestClip:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             clip(BoundingBox(0, 0, 1, 1), 0, 10)
+
+
+class TestClipVisible:
+    def test_inside_unchanged(self):
+        box = BoundingBox(1, 2, 4, 8)
+        assert clip_visible(box, 10, 10) == box
+
+    def test_partly_outside_clipped(self):
+        assert clip_visible(BoundingBox(-5, 3, 15, 12), 10, 10) == BoundingBox(0, 3, 10, 10)
+
+    def test_fully_outside_is_none(self):
+        assert clip_visible(BoundingBox(20, 20, 30, 30), 10, 10) is None
+
+    def test_zero_width_after_clipping_is_none(self):
+        # tall enough to keep height inside, but it only touches the right edge
+        assert clip_visible(BoundingBox(10, 2, 14, 8), 10, 10) is None
 
 
 def brute_force_nms(dets, threshold):

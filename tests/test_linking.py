@@ -304,6 +304,17 @@ class TestExtractTubes:
         # the only link: 0.3 * 0.02 + 0.7 * 0 = 0.006 < 0.1
         assert extract_tubes(video) == []
 
+    def test_nan_score_floor_rejected(self):
+        video = [frame(0, det(0, 0, 10, 10, 0.9)), frame(1, det(0, 0, 10, 10, 0.9))]
+        with pytest.raises(ValueError, match="min_mean_link_score must not be NaN"):
+            extract_tubes(video, min_mean_link_score=float("nan"))
+
+    def test_infinite_score_floors(self):
+        # +inf lets no path pass, -inf is no floor at all
+        video = [frame(0, det(0, 0, 10, 10, 0.01)), frame(1, det(50, 50, 60, 60, 0.01))]
+        assert extract_tubes(video, min_mean_link_score=float("inf")) == []
+        assert len(extract_tubes(video, min_mean_link_score=-float("inf"))) == 1
+
     def test_tube_cap(self):
         video = []
         for t in range(4):

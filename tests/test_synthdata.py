@@ -168,6 +168,10 @@ class TestSceneGeneration:
         assert entry[1] == 1
         assert entry[2] == BoundingBox(100, 100, 120, 120)
 
+    def test_nan_velocity_sigma_rejected(self):
+        with pytest.raises(ValueError, match="^velocity_sigma must be non-negative$"):
+            ActorSpec(0, 0, 5, BoundingBox(0, 0, 10, 10), velocity_sigma=float("nan"))
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             simple_spec(num_frames=0)
@@ -267,6 +271,11 @@ class TestRenderDetections:
             for det in fd.detections:
                 assert 0.0 <= det.score <= 1.0
 
+    @pytest.mark.parametrize("name", ["sigma_loc", "tp_score_sigma", "fp_score_sigma", "fp_rate"])
+    def test_nan_noise_setting_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            NoiseModel(**{name: float("nan")})
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(miss_rate=1.5)
@@ -311,6 +320,12 @@ class TestProposalOracle:
         overlaps = [iou(p, gt_box) for p in oracle.propose(0)]
         assert min(overlaps) > 0.2
         assert max(overlaps) < 1.0
+
+    @pytest.mark.parametrize("name", ["jitter_sigma", "per_actor", "clutter"])
+    def test_nan_parameter_rejected(self, name):
+        scene = generate_scene(simple_spec())
+        with pytest.raises(ValueError, match="^oracle parameters must be non-negative$"):
+            ProposalOracle(scene, **{name: float("nan")})
 
     def test_parameter_validation(self):
         scene = generate_scene(simple_spec())
