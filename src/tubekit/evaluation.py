@@ -24,6 +24,7 @@ from .anticipation import (
     STRATEGIES,
     STRATEGY_LEARNED,
     STRATEGY_NONE,
+    STRATEGY_NON_MOTION,
     AnticipationModel,
     Motion,
     TrainingSet,
@@ -288,14 +289,21 @@ def run_detection_pass(
 ) -> list[FrameDetections]:
     """Run proposals → (anticipation) → detection over every frame.
 
-    ``anticipator`` is what :func:`anticipate` takes: a trained model or a
-    strategy name. Unless it is ``"none"``, the pass feeds its own detections
-    from ``t - gap`` through :func:`anticipate` for every ``t >= gap`` and
-    appends the predicted boxes to frame ``t``'s proposals before detecting.
+    ``anticipator`` is a trained model or the strategy name ``"none"`` or
+    ``"non-motion"``; any other name is rejected before the pass. Unless it is
+    ``"none"``, the pass feeds its own detections from ``t - gap`` through
+    :func:`anticipate` for every ``t >= gap`` and appends the predicted boxes
+    to frame ``t``'s proposals before detecting.
     """
     spec = scene.spec
     # a model is recognised by its type, so its arrays are never compared
-    anticipating = isinstance(anticipator, AnticipationModel) or anticipator != STRATEGY_NONE
+    is_model = isinstance(anticipator, AnticipationModel)
+    if not is_model and anticipator not in (STRATEGY_NONE, STRATEGY_NON_MOTION):
+        raise ValueError(
+            f"anticipator must be a model, {STRATEGY_NONE!r} or "
+            f"{STRATEGY_NON_MOTION!r}, got {anticipator!r}"
+        )
+    anticipating = is_model or anticipator != STRATEGY_NONE
     if anticipating and (gap is None or gap < 1):
         raise ValueError("anticipating strategies need a positive gap")
     frames: list[FrameDetections] = []

@@ -8,17 +8,24 @@ Three schemas, all versioned with a ``format_version`` field:
 * tube file — flat list of tubes (``video_id``, ``class_id``, ``start``,
   ``end``, ``tube_score``, per-frame ``boxes`` and ``scores``).
 
-Writers are canonical (sorted keys, fixed indentation) so identical data
-produces identical bytes. Validation errors name the offending field path.
+Writers are canonical: a file holds exactly the bytes of
+``json.dumps(data, sort_keys=True, indent=2)`` and a newline (the tests
+compare the two), so identical data produces identical bytes. Readers accept
+the shape the writers produce with one check for a tube's boxes, one for its
+scores and one per detection. Anything else is walked field by field, and
+only that walk reports errors, each naming the offending field path.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import fields
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, NoReturn, Sequence, TypeVar, Union
+from typing import Any, Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
 from .geometry import BoundingBox
 from .linking import ActionTube, Detection, FrameDetections, tube_order
@@ -111,27 +118,103 @@ def _box(value: Any, path: str) -> BoundingBox:
     return _construct(path, BoundingBox, *coords)
 
 
+def _finite_floats(values: Sequence) -> bool:
+    """Whether ``values`` holds at least one value, and only finite floats."""
+    return set(map(type, values)) == {float} and all(map(math.isfinite, values))
+
+
+def _boxes(value: list, path: str) -> list[BoundingBox]:
+    """The boxes of the array ``value``: lists of four floats are built at once."""
+    if (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {4}
+        and set(map(type, chain.from_iterable(value))) == {float}
+    ):
+        try:
+            return list(starmap(BoundingBox, value))
+        except ValueError:  # left to the walk below, which names the box
+            pass
+    return [_box(b, f"{path}[{k}]") for k, b in enumerate(value)]
+
+
+def _numbers(value: list, path: str) -> list[float]:
+    """The numbers of the array ``value``: finite floats are taken as they are."""
+    if _finite_floats(value):
+        return value
+    return [_number(v, f"{path}[{k}]") for k, v in enumerate(value)]
+
+
 def _check_version(data: dict, path: str) -> None:
     version = _field(data, "format_version", path, _integer)
     if version != FORMAT_VERSION:
         _fail(f"{path}.format_version", f"unsupported version {version}")
 
 
+def _encode(value: Any, indent: str) -> str:
+    """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it at ``indent``.
+
+    Types are tested in ``json.encoder``'s order. A key that is not a string
+    and a value of any other type raise ``TypeError``.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if _finite_floats(value):
+            items = map(float.__repr__, value)
+        else:
+            items = [_encode(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}"
+            for k, v in sorted(value.items())
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Union[str, Path], data: dict) -> None:
-    Path(path).write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
+    try:
+        text = _encode(data, "")
+    except (TypeError, RecursionError):
+        # json.dumps writes keys that are not strings and raises its own error
+        # for what it cannot encode, a cycle included
+        text = json.dumps(data, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path: Union[str, Path]) -> dict:
     try:
-        raw = Path(path).read_text()
+        raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"{path}: cannot read file ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: top level must be a JSON object")
     return data
@@ -232,6 +315,52 @@ def detections_to_dict(video_id: str, frames: Sequence[FrameDetections]) -> dict
     }
 
 
+_DETECTION_KEYS = {"bbox", "class_id", "score"}
+_MOTION_KEYS = _DETECTION_KEYS | {"motion"}
+
+
+def _plain_detection(det: Any) -> Optional[Detection]:
+    """``det`` if it has exactly the fields and types the writer gives it, else None."""
+    if type(det) is not dict:
+        return None
+    keys, motion = det.keys(), det.get("motion")
+    if keys == _DETECTION_KEYS or (
+        keys == _MOTION_KEYS
+        and type(motion) is list
+        and len(motion) == 2
+        and _finite_floats(motion)
+    ):
+        bbox, class_id, score = det["bbox"], det["class_id"], det["score"]
+        if (
+            type(bbox) is list
+            and len(bbox) == 4
+            and _finite_floats(bbox)
+            and type(class_id) is int
+            and type(score) is float
+        ):
+            try:
+                motion = None if motion is None else tuple(motion)
+                return Detection(BoundingBox(*bbox), class_id, score, motion)
+            except ValueError:  # left to _detection, which names the field
+                pass
+    return None
+
+
+def _detection(value: Any, path: str) -> Detection:
+    det = _object(value, path)
+    motion = None
+    if "motion" in det:
+        motion = _pair(det["motion"], f"{path}.motion", "[dx, dy]")
+    return _construct(
+        path,
+        Detection,
+        box=_field(det, "bbox", path, _box),
+        class_id=_field(det, "class_id", path, _integer),
+        score=_field(det, "score", path, _number),
+        motion=motion,
+    )
+
+
 def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDetections]]:
     _check_version(data, path)
     video_id = _field(data, "video_id", path, _string)
@@ -244,23 +373,10 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
         if index <= previous_index:
             _fail(f"{fpath}.frame_index", "frame indices must be strictly increasing")
         previous_index = index
-        dets = []
-        for j, det_raw in enumerate(_field(frame, "detections", fpath, _array)):
-            dpath = f"{fpath}.detections[{j}]"
-            det = _object(det_raw, dpath)
-            motion = None
-            if "motion" in det:
-                motion = _pair(det["motion"], f"{dpath}.motion", "[dx, dy]")
-            dets.append(
-                _construct(
-                    dpath,
-                    Detection,
-                    box=_field(det, "bbox", dpath, _box),
-                    class_id=_field(det, "class_id", dpath, _integer),
-                    score=_field(det, "score", dpath, _number),
-                    motion=motion,
-                )
-            )
+        dets = [
+            _plain_detection(det) or _detection(det, f"{fpath}.detections[{j}]")
+            for j, det in enumerate(_field(frame, "detections", fpath, _array))
+        ]
         frames.append(FrameDetections(frame_index=index, detections=tuple(dets)))
     return video_id, frames
 
@@ -300,10 +416,7 @@ def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
         video_id = _field(tube, "video_id", tpath, _string)
         start = _field(tube, "start", tpath, _integer)
         end = _field(tube, "end", tpath, _integer)
-        boxes = [
-            _box(b, f"{tpath}.boxes[{k}]")
-            for k, b in enumerate(_field(tube, "boxes", tpath, _array))
-        ]
+        boxes = _boxes(_field(tube, "boxes", tpath, _array), f"{tpath}.boxes")
         if end < start:
             _fail(tpath, f"start {start} exceeds end {end}")
         if len(boxes) != end - start + 1:
@@ -313,10 +426,7 @@ def tubes_from_dict(data: dict, path: str = "$") -> dict[str, list[ActionTube]]:
                 f"got {len(boxes)}",
             )
         _field(tube, "tube_score", tpath, _number)
-        scores = [
-            _number(s, f"{tpath}.scores[{k}]")
-            for k, s in enumerate(_field(tube, "scores", tpath, _array))
-        ]
+        scores = _numbers(_field(tube, "scores", tpath, _array), f"{tpath}.scores")
         if len(scores) != len(boxes):
             _fail(f"{tpath}.scores", "one score per frame required")
         parsed = _construct(

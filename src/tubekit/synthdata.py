@@ -121,6 +121,10 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
+        try:
+            float(self.width), float(self.height)
+        except OverflowError:
+            raise ValueError("image dimensions must fit in a float") from None
         if self.num_frames < 1:
             raise ValueError("need at least one frame")
         if not self.actors:

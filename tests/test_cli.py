@@ -187,6 +187,31 @@ def test_missing_spec_field_exits_2_and_names_it(tmp_path, capsys):
     assert "width" in err
 
 
+@pytest.mark.parametrize("field", ["width", "height"])
+def test_simulate_dimension_beyond_float_range_exits_2(tmp_path, capsys, field):
+    data = scene_spec_to_dict(clean_spec())
+    data[field] = 10**400
+    path = tmp_path / "huge.json"
+    write_json(path, data)
+    assert main(["simulate", str(path), str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: image dimensions must fit in a float\n"
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"format_version": 1, "video_id": "\xff"}', "not UTF-8 text at byte 35"),
+        (b"[" * 200000, "invalid JSON: nested too deeply"),
+    ],
+    ids=["not-utf8", "deep-nesting"],
+)
+def test_link_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "dets.json"
+    path.write_bytes(content)
+    assert main(["link", str(path), str(tmp_path / "tubes.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_link_rejects_bad_beta(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     main(["simulate", str(spec_file), str(out)])

@@ -10,10 +10,16 @@ from tubekit.evaluation import (
     evaluate,
     match_tubes,
     mean_ap,
+    run_detection_pass,
     run_strategy_study,
     tube_iou,
 )
-from tubekit.synthdata import drifting_scene_specs
+from tubekit.synthdata import (
+    ConditionedDetector,
+    ProposalOracle,
+    drifting_scene_specs,
+    generate_scene,
+)
 
 
 def straight_tube(start, length, x=0.0, y=0.0, size=20.0, class_id=0, score=0.5, step=0.0):
@@ -373,6 +379,23 @@ class TestStudyArguments:
             run_strategy_study(
                 drifting_scene_specs(1), deltas=(0.05, 0.1, 0.2, 0.3, 1.5), seeds=(0,)
             )
+
+
+class TestDetectionPassArguments:
+    """A strategy name the pass cannot run is rejected before any proposal."""
+
+    @pytest.mark.parametrize("anticipator", ["learned", "bogus"])
+    def test_rejected_on_entry(self, monkeypatch, anticipator):
+        # no frame reaches the gap, so only the entry check can raise
+        scene = generate_scene(drifting_scene_specs(1, num_frames=6)[0])
+        oracle = ProposalOracle(scene)
+
+        def fail(frame_index):
+            pytest.fail("the pass asked for proposals before checking its anticipator")
+
+        monkeypatch.setattr(oracle, "propose", fail)
+        with pytest.raises(ValueError, match=f"got '{anticipator}'"):
+            run_detection_pass(scene, oracle, ConditionedDetector(scene), anticipator, gap=8)
 
 
 class TestStudyGolden:

@@ -2,11 +2,12 @@ import copy
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from tubekit.geometry import BoundingBox
 from tubekit.linking import ActionTube, Detection, FrameDetections
-from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec
+from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec, generate_scene, render_detections
 from tubekit.formats import (
     FORMAT_VERSION,
     SchemaError,
@@ -372,7 +373,71 @@ class TestOptionalFields:
         assert str(info.value) == message
 
 
+def _long_documents():
+    """The three schemas at the size of the benchmark's long CLI chain: 10 actors, 600 frames."""
+    actors = tuple(
+        ActorSpec(
+            class_id=i % 2,
+            entry_frame=10 * i,
+            exit_frame=499 + 10 * i,
+            box=BoundingBox(20 + 60 * i, 40.5, 70 + 60 * i, 120.25),
+            velocity=(0.05, -0.02),
+            velocity_sigma=0.05,
+        )
+        for i in range(10)
+    )
+    noise = NoiseModel(sigma_loc=2.0, miss_rate=0.0, fp_rate=0.3)
+    spec = SceneSpec("long", 640, 480, 600, actors, noise, seed=0)
+    scene = generate_scene(spec)
+    return (
+        scene_spec_to_dict(spec),
+        detections_to_dict(spec.video_id, render_detections(scene)),
+        tubes_to_dict({spec.video_id: list(scene.tubes)}),
+    )
+
+
+# every kind of value json.dumps writes, in lists, dicts and tuples
+_EDGE_DOCUMENT = {
+    "non-finite": [float("nan"), float("inf"), float("-inf"), 0.5],
+    "floats": [-0.0, 1e-05, 1e16, 5e-324, 0.1],
+    "scalars": [10**30, True, False, None, float("-inf"), 3, -0.0],
+    "strings": ["\u00e9 \u2603 \U0001f600", "tab\tnl\n\x00\x1f\x7f", '"q" \\ /', ""],
+    "\u00fcn\u00efcode key": {"b": [], "a": {}, "c": [[], {}, [[]], {"x": {}}]},
+    "tuple": (1.5, (2.5, "t")),
+    "numpy": [np.float64(0.1), np.float64("nan"), 2.0],
+    "numpy scalar": np.float64(-2.5),
+    "empty": "",
+}
+
+
+def _no_fallback(*args, **kwargs):
+    raise AssertionError("write_json handed the document to json.dumps")
+
+
 class TestJsonPlumbing:
+    @pytest.mark.parametrize(
+        "document",
+        [*_long_documents(), _EDGE_DOCUMENT],
+        ids=["scene-spec", "detections", "tubes", "edge-values"],
+    )
+    def test_bytes_match_json_dumps(self, tmp_path, monkeypatch, document):
+        expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        # the writer's own encoder must produce these, not its fallback
+        monkeypatch.setattr(json, "dumps", _no_fallback)
+        write_json(tmp_path / "out.json", document)
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
+    def test_keys_that_are_not_strings_match_json_dumps(self, tmp_path):
+        document = {"b": {2: "two", 1: "one"}, "a": {1.5: None, True: 0}}
+        write_json(tmp_path / "out.json", document)
+        expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "out.json").read_text() == expected
+
+    def test_unencodable_value_raises_json_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+            write_json(tmp_path / "out.json", {"a": [1.0, {2, 3}]})
+        assert not (tmp_path / "out.json").exists()
+
     def test_written_files_are_canonical(self, tmp_path):
         path = tmp_path / "out.json"
         write_json(path, {"b": 1, "a": 2, "format_version": FORMAT_VERSION})
@@ -409,8 +474,9 @@ _MUTATION_VALUES = (
 )
 _DELETED = object()
 # sha256 of all outcome lines of _mutation_outcomes: a changed error message,
-# path, check order, exception type or parsed value changes it
-_MUTATION_DIGEST = "9df04a2a3abcd4116eb3b9979bbdaa8a88c90cdc6d096a53f9c5a947946db66a"
+# path, check order, exception type or parsed value changes it. Recorded after
+# scene specs began to reject a width or height of 10**400
+_MUTATION_DIGEST = "05f44e2527d8fefcb485a511af6f80010968c8e2943d3ef43d592b2d5a5f84e4"
 
 
 def _containers(node, path=()):
@@ -476,3 +542,51 @@ def test_mutated_files_keep_every_outcome():
     assert len(lines) == 2430
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _MUTATION_DIGEST
+
+
+# One all-float entry per schema: the shape every writer produces
+_FLOAT_TUBE = {
+    "video_id": "v", "class_id": 1, "start": 3, "end": 4, "tube_score": 0.5,
+    "boxes": [[0.0, 1.0, 10.0, 11.0], [2.0, 1.5, 12.0, 11.5]], "scores": [0.0, 1.0],
+}
+_FLOAT_DETECTION = {"bbox": [1.0, 2.0, 11.0, 12.0], "class_id": 0, "score": 1.0, "motion": [1.0, -2.0]}
+# valid variants of those entries, as (schema, field, value): numbers written
+# as ints, a missing motion, an unknown extra key
+_VARIANTS = (
+    ("tubes", "boxes", [[0, 1, 10, 11], [2, 1.5, 12, 11.5]]),
+    ("tubes", "scores", [0, 1]),
+    ("tubes", "note", "extra"),
+    ("detections", "bbox", [1, 2, 11, 12]),
+    ("detections", "score", 1),
+    ("detections", "motion", _DELETED),
+    ("detections", "motion", [1, -2]),
+    ("detections", "note", "extra"),
+)
+# sha256 of the repr of every parsed variant, as the path-precise walk alone
+# parsed them
+_VARIANTS_DIGEST = "0fc57dd8a6b9c695542c198c2f94729e1ac6a7f154bda68ea273316a19c858df"
+
+
+def _parse_variant(schema, field=None, value=None):
+    entry = copy.deepcopy(_FLOAT_TUBE if schema == "tubes" else _FLOAT_DETECTION)
+    if value is _DELETED:
+        del entry[field]
+    elif field is not None:
+        entry[field] = value
+    if schema == "tubes":
+        return tubes_from_dict({"format_version": FORMAT_VERSION, "tubes": [entry]})
+    frames = [{"frame_index": 0, "detections": [entry]}]
+    return detections_from_dict({"format_version": FORMAT_VERSION, "video_id": "v", "frames": frames})
+
+
+@pytest.mark.parametrize(
+    "schema, field, value", [v for v in _VARIANTS if v[2] is not _DELETED]
+)
+def test_variant_parses_to_the_float_document(schema, field, value):
+    """Ints and unknown keys read as the floats they stand for."""
+    assert _parse_variant(schema, field, value) == _parse_variant(schema)
+
+
+def test_variants_keep_their_parsed_values():
+    parsed = [repr(_parse_variant(*variant)) for variant in _VARIANTS]
+    assert hashlib.sha256("\n".join(parsed).encode()).hexdigest() == _VARIANTS_DIGEST

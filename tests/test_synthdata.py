@@ -181,6 +181,13 @@ class TestSceneGeneration:
             # actor outlives the scene
             simple_spec(num_frames=10)
 
+    @pytest.mark.parametrize("field", ["width", "height"])
+    def test_dimension_beyond_float_range_rejected(self, field):
+        with pytest.raises(ValueError, match="^image dimensions must fit in a float$"):
+            simple_spec(**{field: 10**400})
+        with pytest.raises(ValueError, match="^image dimensions must be positive$"):
+            simple_spec(**{field: -(10**400)})
+
 
 class TestRenderDetections:
     def test_noiseless_reproduces_ground_truth(self):
