@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .geometry import BoundingBox, iou
@@ -138,8 +139,34 @@ def tube_link_scores(tube: ActionTube, params: LinkingParams) -> list[float]:
     ]
 
 
+def _link_row(
+    det: Detection,
+    nexts: Sequence[Detection],
+    next_ids: Sequence[int],
+    beta: float,
+    link_cache: Optional[dict],
+) -> list[float]:
+    """Link scores from ``det`` to each of ``nexts`` (whose ``id()``s are ``next_ids``).
+
+    Scores are memoised per ``id(det)`` in ``link_cache``; without a cache the
+    memo starts empty, so every pair is scored afresh.
+    """
+    known = {} if link_cache is None else link_cache.setdefault(id(det), {})
+    try:
+        return list(map(known.__getitem__, next_ids))
+    except KeyError:  # some pair is new: score the missing ones, then read again
+        box, score = det.box, det.score
+        for det_next, key in zip(nexts, next_ids):
+            if key not in known:
+                known[key] = _link_score(box, score, det_next.box, det_next.score, beta)
+        return list(map(known.__getitem__, next_ids))
+
+
 def viterbi_link(
-    frames: Sequence[Sequence[Detection]], params: LinkingParams
+    frames: Sequence[Sequence[Detection]],
+    params: LinkingParams,
+    *,
+    link_cache: Optional[dict] = None,
 ) -> tuple[list[int], float]:
     """Best path through per-frame candidate lists.
 
@@ -149,6 +176,13 @@ def viterbi_link(
     lexicographically smallest index sequence wins. The score of a
     single-frame path is the chosen detection's own score (there are no
     links to sum).
+
+    ``link_cache``, when given, memoises link scores by the ``id()`` of the
+    two detections, so repeated solves over the same detections (with the
+    same ``params``) score each pair once. Pass a dict that starts empty and
+    keep it only while every detection it has seen stays alive: an id that
+    is reused by a new object would return a stale score. Without it, every
+    pair is scored afresh on each call.
 
     Returns:
         ``(indices, total)`` where ``indices[t]`` selects from ``frames[t]``.
@@ -175,39 +209,25 @@ def viterbi_link(
         return [best], frames[0][best].score
 
     beta = params.beta
-    boxes = [[det.box for det in frame] for frame in frames]
-    scores = [[det.score for det in frame] for frame in frames]
+    ids = [list(map(id, frame)) for frame in frames]
     # value[t][j]: best achievable sum of link scores from frame t to the end,
     # starting at candidate j; filled back to front
-    value: list[list[float]] = [[0.0] * len(f) for f in frames]
+    value: list[list[float]] = [[]] * (n_frames - 1) + [[0.0] * len(frames[-1])]
     for t in range(n_frames - 2, -1, -1):
-        nxt = list(zip(boxes[t + 1], scores[t + 1], value[t + 1]))
-        row = value[t]
-        for j, (box, score) in enumerate(zip(boxes[t], scores[t])):
-            best = -float("inf")
-            for box_next, score_next, value_next in nxt:
-                cand = _link_score(box, score, box_next, score_next, beta) + value_next
-                if cand > best:
-                    best = cand
-            row[j] = best
+        nxt, nxt_ids, value_next = frames[t + 1], ids[t + 1], value[t + 1]
+        value[t] = [
+            max(map(add, _link_row(det, nxt, nxt_ids, beta, link_cache), value_next))
+            for det in frames[t]
+        ]
 
     # walk forward, preferring the lowest index among optimal continuations
-    # (max returns the first maximum)
-    start = max(range(len(frames[0])), key=value[0].__getitem__)
+    # (max and index find the first maximum)
+    start = value[0].index(max(value[0]))
     path = [start]
     for t in range(n_frames - 1):
-        j = path[-1]
-        box, score = boxes[t][j], scores[t][j]
-        chosen = 0
-        best = -float("inf")
-        for k, (box_next, score_next, value_next) in enumerate(
-            zip(boxes[t + 1], scores[t + 1], value[t + 1])
-        ):
-            cand = _link_score(box, score, box_next, score_next, beta) + value_next
-            if cand > best:
-                best = cand
-                chosen = k
-        path.append(chosen)
+        row = _link_row(frames[t][path[-1]], frames[t + 1], ids[t + 1], beta, link_cache)
+        cands = list(map(add, row, value[t + 1]))
+        path.append(cands.index(max(cands)))
     return path, value[0][start]
 
 
@@ -262,9 +282,13 @@ def extract_tubes(
             if dets:
                 remaining[fd.frame_index] = dets
 
+        # every solve of the class shares one link-score cache; ``video``
+        # keeps its detections alive, so their ids stay unique meanwhile
+        link_cache: dict = {}
+
         def solve(run: list[int]) -> tuple[float, list[int]]:
             frames = [remaining[f] for f in run]
-            path, total = viterbi_link(frames, params)
+            path, total = viterbi_link(frames, params, link_cache=link_cache)
             mean_link = total if len(run) == 1 else total / (len(run) - 1)
             return mean_link, path
 

@@ -237,6 +237,12 @@ def _add_corner_noise(box: BoundingBox, e: Sequence[float]) -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2)
 
 
+def _check_jitter(sigma: float) -> None:
+    """Reject a corner-jitter ``sigma`` that is negative, NaN or infinite."""
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"jitter_sigma must be finite and non-negative, got {sigma}")
+
+
 def _jitter_box(
     box: BoundingBox, sigma: float, rng: np.random.Generator, width: float, height: float
 ) -> Optional[BoundingBox]:
@@ -329,6 +335,7 @@ class ProposalOracle:
     ) -> None:
         if not (jitter_sigma >= 0 and per_actor >= 0 and clutter >= 0):
             raise ValueError("oracle parameters must be non-negative")
+        _check_jitter(jitter_sigma)
         self.scene = scene
         self.jitter_sigma = jitter_sigma
         self.per_actor = per_actor
@@ -581,6 +588,7 @@ def cascade_recall_demo(
     """
     if num_boxes < 1:
         raise ValueError("need at least one box")
+    _check_jitter(jitter_sigma)
     rng = np.random.default_rng(seed)
     cell = 400.0
     cols = int(math.ceil(math.sqrt(num_boxes)))

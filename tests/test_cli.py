@@ -340,6 +340,14 @@ def test_proposal_recall_requires_files_without_demo(capsys):
     assert "cascade-demo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jitter", ["-1", "nan", "inf"])
+def test_proposal_recall_rejects_bad_jitter(jitter, capsys):
+    code = main(["proposal-recall", "--cascade-demo", "--num-boxes", "4", f"--jitter={jitter}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: jitter_sigma must be finite and non-negative, got {float(jitter)}\n"
+
+
 def test_proposal_recall_cascade_demo(tmp_path, capsys):
     code = main(["proposal-recall", "--cascade-demo", "--num-boxes", "120"])
     assert code == 0

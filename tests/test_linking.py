@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from tubekit import linking
 from tubekit.geometry import BoundingBox
 from tubekit.linking import (
     ActionTube,
@@ -12,6 +13,7 @@ from tubekit.linking import (
     extract_tubes,
     linking_score,
     tube_link_scores,
+    tube_order,
     viterbi_link,
 )
 
@@ -205,6 +207,26 @@ class TestViterbi:
             # the reported total is reproducible from the path itself
             assert path_score(frames, path, params) == pytest.approx(total, abs=1e-9)
 
+    def test_link_cache_matches_exhaustive_search(self):
+        # quantised boxes and scores make ties; a shared cache keeps serving
+        # later calls over the same detections
+        rng = np.random.default_rng(77)
+        for _ in range(15):
+            pool = [quantised_detection(rng) for _ in range(6)]
+            params = LinkingParams(beta=float(rng.choice([0.0, 0.5, 0.7, 1.0])))
+            shared: dict = {}
+            for _ in range(8):
+                frames = [
+                    [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))]
+                    for _ in range(int(rng.integers(1, 6)))
+                ]
+                oracle_path, oracle_total = exhaustive_best(frames, params)
+                uncached = viterbi_link(frames, params)
+                assert uncached[0] == oracle_path
+                assert uncached[1] == pytest.approx(oracle_total, abs=1e-9)
+                for cache in ({}, shared):
+                    assert viterbi_link(frames, params, link_cache=cache) == uncached
+
     def test_beta_one_is_scale_invariant_in_scores(self):
         rng = np.random.default_rng(8)
         frames = [
@@ -242,6 +264,70 @@ class TestViterbi:
 
 def frame(idx, *dets):
     return FrameDetections(frame_index=idx, detections=tuple(dets))
+
+
+def quantised_detection(rng, class_id=0):
+    """A detection on a coarse grid with a score in tenths, so links tie."""
+    x1, y1 = (float(v) for v in rng.integers(0, 6, size=2) * 5)
+    w, h = (float(v) for v in rng.integers(1, 4, size=2) * 5)
+    score = float(rng.integers(0, 11)) / 10.0
+    return Detection(box=BoundingBox(x1, y1, x1 + w, y1 + h), class_id=class_id, score=score)
+
+
+def crowded_video(rng, num_frames=9, num_classes=3, per_frame=5):
+    """Quantised multi-class frames with a gap, a detection repeated within
+    a frame and one detection object shared by two consecutive frames."""
+    frames = [
+        [
+            quantised_detection(rng, class_id=int(rng.integers(0, num_classes)))
+            for _ in range(per_frame)
+        ]
+        for _ in range(num_frames)
+    ]
+    frames[1].append(frames[1][0])
+    frames[3].append(frames[2][-1])
+    gap = num_frames // 2  # a frame without detections splits every run
+    return [frame(t, *dets) for t, dets in enumerate(frames) if t != gap]
+
+
+def reference_extract(video, params, max_tubes_per_class=10, min_mean_link_score=0.1):
+    """extract_tubes from scratch: every round re-solves every run uncached."""
+    tubes = []
+    for class_id in sorted({d.class_id for fd in video for d in fd.detections}):
+        remaining = {}
+        for fd in video:
+            dets = [d for d in fd.detections if d.class_id == class_id]
+            if dets:
+                remaining[fd.frame_index] = dets
+        emitted = 0
+        while remaining and emitted < max_tubes_per_class:
+            runs = []
+            for f in sorted(remaining):
+                if runs and f == runs[-1][-1] + 1:
+                    runs[-1].append(f)
+                else:
+                    runs.append([f])
+            solved = []
+            for run in runs:
+                path, total = viterbi_link([remaining[f] for f in run], params)
+                mean = total if len(run) == 1 else total / (len(run) - 1)
+                solved.append(((-mean, run[0], -len(run)), run, path))
+            (neg_mean, _, _), run, path = min(solved, key=lambda s: s[0])
+            if -neg_mean < min_mean_link_score:
+                break
+            chosen = [remaining[f].pop(path[t]) for t, f in enumerate(run)]
+            for f in run:
+                if not remaining[f]:
+                    del remaining[f]
+            tubes.append(ActionTube(
+                class_id=class_id,
+                start_frame=run[0],
+                boxes=tuple(d.box for d in chosen),
+                scores=tuple(d.score for d in chosen),
+            ))
+            emitted += 1
+    tubes.sort(key=tube_order)
+    return tubes
 
 
 class TestExtractTubes:
@@ -363,3 +449,42 @@ class TestExtractTubes:
             a = Detection(box=tube.boxes[i], class_id=0, score=tube.scores[i])
             b = Detection(box=tube.boxes[i + 1], class_id=0, score=tube.scores[i + 1])
             assert value == linking_score(a, b, params)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cached_extraction_matches_uncached_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        video = crowded_video(rng)
+        params = LinkingParams(beta=float(rng.choice([0.3, 0.7])))
+        for floor, cap in ((0.1, 10), (-float("inf"), 10), (0.1, 2)):
+            tubes = extract_tubes(
+                video, params, max_tubes_per_class=cap, min_mean_link_score=floor
+            )
+            expected = reference_extract(video, params, cap, floor)
+            assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == [
+                (t.class_id, t.start_frame, t.boxes, t.scores) for t in expected
+            ]
+
+    def test_each_pair_is_scored_once(self, monkeypatch):
+        offered = []  # (id(a), id(b)) of every edge offered to a solve
+        solve = linking.viterbi_link
+
+        def recording_viterbi(frames, params, **kwargs):
+            offered.extend(
+                (id(a), id(b)) for f, g in zip(frames, frames[1:]) for a in f for b in g
+            )
+            return solve(frames, params, **kwargs)
+
+        calls = []
+        score = linking.iou
+
+        def counting_iou(a, b):
+            calls.append(1)
+            return score(a, b)
+
+        monkeypatch.setattr(linking, "viterbi_link", recording_viterbi)
+        monkeypatch.setattr(linking, "iou", counting_iou)
+        video = crowded_video(np.random.default_rng(3), per_frame=4)
+        tubes = extract_tubes(video, min_mean_link_score=-float("inf"))
+        assert len(tubes) > 3
+        assert len(set(offered)) < len(offered)  # re-solves offer pairs again
+        assert len(calls) == len(set(offered))

@@ -338,6 +338,8 @@ class TestProposalOracle:
         scene = generate_scene(simple_spec())
         with pytest.raises(ValueError):
             ProposalOracle(scene, jitter_sigma=-1.0)
+        with pytest.raises(ValueError, match="^jitter_sigma must be finite"):
+            ProposalOracle(scene, jitter_sigma=float("inf"))
         with pytest.raises(ValueError):
             ProposalOracle(scene, per_actor=-1)
 
@@ -543,6 +545,13 @@ class TestCascadeDemo:
             assert all(a >= b for a, b in zip(values, values[1:]))
         # the second stage pays off where localization must be tight
         assert two[0.8] > one[0.8]
+
+    @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
+    def test_bad_jitter_rejected_up_front(self, sigma):
+        with pytest.raises(
+            ValueError, match=f"^jitter_sigma must be finite and non-negative, got {sigma}$"
+        ):
+            cascade_recall_demo(num_boxes=4, jitter_sigma=sigma)
 
 
 class TestNoiseStreamGolden:
