@@ -301,6 +301,22 @@ def train_anticipation_model(
     )
 
 
+def _anticipates(anticipator: Union[str, AnticipationModel]) -> bool:
+    """Whether ``anticipator`` predicts any box; only a model, ``"none"`` or
+    ``"non-motion"`` is accepted.
+
+    A model is recognised by its type, so its arrays are never compared.
+    """
+    if isinstance(anticipator, AnticipationModel):
+        return True
+    if anticipator not in (STRATEGY_NONE, STRATEGY_NON_MOTION):
+        raise ValueError(
+            f"anticipator must be a model, {STRATEGY_NONE!r} or "
+            f"{STRATEGY_NON_MOTION!r}, got {anticipator!r}"
+        )
+    return anticipator != STRATEGY_NONE
+
+
 def anticipate(
     strategy: Union[str, AnticipationModel],
     detections: Sequence[tuple[BoundingBox, Motion]],
@@ -315,16 +331,10 @@ def anticipate(
     current boxes unchanged, i.e. a zero-motion assumption). Degenerate
     boxes are skipped; outputs are clipped to the image.
     """
-    if isinstance(strategy, str):
-        if strategy == STRATEGY_NONE:
-            return []
-        if strategy == STRATEGY_NON_MOTION:
-            return [
-                clip(box, image_width, image_height) for box, _ in detections
-            ]
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES} or a model"
-        )
+    if not _anticipates(strategy):
+        return []
+    if isinstance(strategy, str):  # "non-motion"
+        return [clip(box, image_width, image_height) for box, _ in detections]
     out: list[BoundingBox] = []
     for box, motion in detections:
         if box.width <= 0.0 or box.height <= 0.0:

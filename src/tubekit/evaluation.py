@@ -24,10 +24,10 @@ from .anticipation import (
     STRATEGIES,
     STRATEGY_LEARNED,
     STRATEGY_NONE,
-    STRATEGY_NON_MOTION,
     AnticipationModel,
     Motion,
     TrainingSet,
+    _anticipates,
     anticipate,
     augment_proposals,
     build_training_set,
@@ -290,22 +290,20 @@ def run_detection_pass(
     """Run proposals → (anticipation) → detection over every frame.
 
     ``anticipator`` is a trained model or the strategy name ``"none"`` or
-    ``"non-motion"``; any other name is rejected before the pass. Unless it is
-    ``"none"``, the pass feeds its own detections from ``t - gap`` through
-    :func:`anticipate` for every ``t >= gap`` and appends the predicted boxes
-    to frame ``t``'s proposals before detecting.
+    ``"non-motion"``; any other name, and a model trained for another
+    ``gap``, is rejected before the pass. Unless it is ``"none"``, the pass
+    feeds its own detections from ``t - gap`` through :func:`anticipate` for
+    every ``t >= gap`` and appends the predicted boxes to frame ``t``'s
+    proposals before detecting.
     """
     spec = scene.spec
-    # a model is recognised by its type, so its arrays are never compared
-    is_model = isinstance(anticipator, AnticipationModel)
-    if not is_model and anticipator not in (STRATEGY_NONE, STRATEGY_NON_MOTION):
-        raise ValueError(
-            f"anticipator must be a model, {STRATEGY_NONE!r} or "
-            f"{STRATEGY_NON_MOTION!r}, got {anticipator!r}"
-        )
-    anticipating = is_model or anticipator != STRATEGY_NONE
+    anticipating = _anticipates(anticipator)
     if anticipating and (gap is None or gap < 1):
         raise ValueError("anticipating strategies need a positive gap")
+    if isinstance(anticipator, AnticipationModel) and anticipator.gap != gap:
+        raise ValueError(
+            f"the model was trained for gap {anticipator.gap}, the pass runs with gap {gap}"
+        )
     frames: list[FrameDetections] = []
     for t in range(spec.num_frames):
         proposals = oracle.propose(t)

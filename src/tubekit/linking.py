@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from numbers import Integral
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -254,73 +255,57 @@ def extract_tubes(
     Per class, detections are grouped into maximal runs of consecutive
     frames (a frame with no detection of the class breaks the run). The
     best path over any run — ranked by mean per-link score so a strong long
-    tube always beats stray single-frame noise — is extracted, its
-    detections are removed, and the affected run is re-split; extraction
-    stops once the best remaining path drops below ``min_mean_link_score``
-    or the class has ``max_tubes_per_class`` tubes.
+    tube always beats stray single-frame noise — is extracted and its
+    detections are removed; only the run it split is solved again. A class
+    stops when no run is left, when the best remaining path drops below
+    ``min_mean_link_score``, or when it has ``max_tubes_per_class`` tubes.
 
     Output is sorted by (class, start frame, score descending).
     """
+    if isinstance(max_tubes_per_class, bool) or not isinstance(max_tubes_per_class, Integral):
+        raise ValueError(f"max_tubes_per_class must be an integer, got {max_tubes_per_class!r}")
     if max_tubes_per_class < 1:
         raise ValueError("max_tubes_per_class must be at least 1")
     if math.isnan(min_mean_link_score):
         raise ValueError("min_mean_link_score must not be NaN")
+    # class -> frame index -> that frame's detections of the class
+    by_class: dict[int, dict[int, list[Detection]]] = {}
     seen_frames = set()
     for fd in video:
         if fd.frame_index in seen_frames:
             raise ValueError(f"duplicate frame_index {fd.frame_index}")
         seen_frames.add(fd.frame_index)
+        for det in fd.detections:
+            by_class.setdefault(det.class_id, {}).setdefault(fd.frame_index, []).append(det)
 
-    class_ids = sorted(
-        {det.class_id for fd in video for det in fd.detections}
-    )
     tubes: list[ActionTube] = []
-    for class_id in class_ids:
-        remaining: dict[int, list[Detection]] = {}
-        for fd in video:
-            dets = [d for d in fd.detections if d.class_id == class_id]
-            if dets:
-                remaining[fd.frame_index] = dets
-
+    for class_id, remaining in sorted(by_class.items()):
         # every solve of the class shares one link-score cache; ``video``
         # keeps its detections alive, so their ids stay unique meanwhile
         link_cache: dict = {}
 
-        def solve(run: list[int]) -> tuple[float, list[int]]:
-            frames = [remaining[f] for f in run]
-            path, total = viterbi_link(frames, params, link_cache=link_cache)
+        def solve(run: list[int]) -> tuple[float, int, list[int], list[int]]:
+            path, total = viterbi_link([remaining[f] for f in run], params, link_cache=link_cache)
             mean_link = total if len(run) == 1 else total / (len(run) - 1)
-            return mean_link, path
+            return -mean_link, run[0], run, path
 
-        # candidate per run: (mean link score, run frames, best path)
-        candidates = [(run, solve(run)) for run in _runs(remaining.keys())]
+        # one entry per unsolved run: (-mean link score, first frame, run, path)
+        candidates = [solve(run) for run in _runs(remaining)]
         emitted = 0
         while candidates and emitted < max_tubes_per_class:
-            # strongest path first; ties fall to the earlier, longer run
-            candidates.sort(key=lambda c: (-c[1][0], c[0][0], -len(c[0])))
-            run, (mean_link, path) = candidates.pop(0)
-            if mean_link < min_mean_link_score:
+            # strongest path first; a class's runs are disjoint, so the first
+            # frame settles ties
+            best = min(candidates, key=lambda c: c[:2])
+            neg_mean, _, run, path = best
+            if -neg_mean < min_mean_link_score:
                 break  # every remaining path is at least as weak
-            chosen = [remaining[f][path[t]] for t, f in enumerate(run)]
-            tubes.append(
-                ActionTube(
-                    class_id=class_id,
-                    start_frame=run[0],
-                    boxes=tuple(d.box for d in chosen),
-                    scores=tuple(d.score for d in chosen),
-                )
-            )
+            candidates.remove(best)
+            chosen = [remaining[f].pop(j) for f, j in zip(run, path)]
+            boxes = tuple(d.box for d in chosen)
+            scores = tuple(d.score for d in chosen)
+            tubes.append(ActionTube(class_id=class_id, start_frame=run[0], boxes=boxes, scores=scores))
             emitted += 1
-            leftover: list[int] = []
-            for t, frame_idx in enumerate(run):
-                frame = remaining[frame_idx]
-                frame.pop(path[t])
-                if frame:
-                    leftover.append(frame_idx)
-                else:
-                    del remaining[frame_idx]
-            candidates.extend(
-                (sub, solve(sub)) for sub in _runs(leftover)
-            )
+            # only the run just split changes: re-solve its non-empty sub-runs
+            candidates += map(solve, _runs(f for f in run if remaining[f]))
     tubes.sort(key=tube_order)
     return tubes

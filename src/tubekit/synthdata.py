@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,12 @@ _STREAM_PROPOSALS = 101
 _STREAM_DETECTOR = 202
 
 _MIN_FP_SIZE = 8.0
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Reject an infinite emulation setting before it reaches a random draw."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +70,9 @@ class ActorSpec:
             raise ValueError("need 0 <= entry_frame <= exit_frame")
         if not self.velocity_sigma >= 0:
             raise ValueError("velocity_sigma must be non-negative")
+        _check_finite("velocity_sigma", self.velocity_sigma)
+        if not all(map(math.isfinite, self.velocity)):
+            raise ValueError(f"velocity must be finite, got {self.velocity}")
         if self.box.area <= 0:
             raise ValueError("actor box must have positive area")
 
@@ -89,6 +99,7 @@ class NoiseModel:
         for name in ("sigma_loc", "tp_score_sigma", "fp_score_sigma", "fp_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
+            _check_finite(name, getattr(self, name))
         for name in ("miss_rate", "tp_score_mean", "fp_score_mean"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
@@ -336,6 +347,9 @@ class ProposalOracle:
         if not (jitter_sigma >= 0 and per_actor >= 0 and clutter >= 0):
             raise ValueError("oracle parameters must be non-negative")
         _check_jitter(jitter_sigma)
+        for name, count in (("per_actor", per_actor), ("clutter", clutter)):
+            if isinstance(count, bool) or not isinstance(count, Integral):
+                raise ValueError(f"{name} must be an integer, got {count!r}")
         self.scene = scene
         self.jitter_sigma = jitter_sigma
         self.per_actor = per_actor

@@ -293,6 +293,14 @@ def test_anticipate_rejects_unknown_strategy():
         anticipate("teleport", [], image_width=W, image_height=H)
 
 
+@pytest.mark.parametrize("strategy", [STRATEGY_LEARNED, None])
+def test_anticipate_names_the_accepted_anticipators(strategy):
+    # "learned" names the study's strategy; anticipate itself needs the trained model
+    message = f"^anticipator must be a model, 'none' or 'non-motion', got {strategy!r}$"
+    with pytest.raises(ValueError, match=message):
+        anticipate(strategy, [], image_width=W, image_height=H)
+
+
 def test_anticipate_strategy_names_are_distinct():
     assert len({STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED}) == 3
 

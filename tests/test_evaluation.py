@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tubekit import evaluation
+from tubekit.anticipation import AnticipationModel
 from tubekit.geometry import BoundingBox
 from tubekit.linking import ActionTube
 from tubekit.evaluation import (
@@ -396,6 +397,24 @@ class TestDetectionPassArguments:
         monkeypatch.setattr(oracle, "propose", fail)
         with pytest.raises(ValueError, match=f"got '{anticipator}'"):
             run_detection_pass(scene, oracle, ConditionedDetector(scene), anticipator, gap=8)
+
+    def test_model_gap_must_match_the_pass_gap(self, monkeypatch):
+        scene = generate_scene(drifting_scene_specs(1, num_frames=12)[0])
+        oracle = ProposalOracle(scene)
+        model = AnticipationModel(
+            weights=np.zeros((4, 6)),
+            bias=np.zeros(4),
+            gap=8,
+            feature_mean=np.zeros(6),
+            feature_scale=np.ones(6),
+        )
+
+        def fail(frame_index):
+            pytest.fail("the pass asked for proposals before checking the model's gap")
+
+        monkeypatch.setattr(oracle, "propose", fail)
+        with pytest.raises(ValueError, match="trained for gap 8, the pass runs with gap 2$"):
+            run_detection_pass(scene, oracle, ConditionedDetector(scene), model, gap=2)
 
 
 class TestStudyGolden:

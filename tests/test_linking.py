@@ -330,6 +330,58 @@ def reference_extract(video, params, max_tubes_per_class=10, min_mean_link_score
     return tubes
 
 
+def incremental_solves(video, params, max_tubes_per_class, min_mean_link_score):
+    """What an incremental extraction solves, and why each class stopped.
+
+    Per class the initial runs are solved; after each tube only the run it
+    came from is split, and its non-empty sub-runs are solved. A solve is
+    recorded as the ids of each frame's remaining detections.
+    """
+    solves, exits = [], set()
+    for class_id in sorted({d.class_id for fd in video for d in fd.detections}):
+        remaining = {}
+        for fd in video:
+            dets = [d for d in fd.detections if d.class_id == class_id]
+            if dets:
+                remaining[fd.frame_index] = dets
+        pool = []
+
+        def solve(frames):
+            for run in reference_runs(frames):
+                solves.append(tuple(tuple(map(id, remaining[f])) for f in run))
+                path, total = viterbi_link([remaining[f] for f in run], params)
+                mean = total if len(run) == 1 else total / (len(run) - 1)
+                pool.append((mean, run, path))
+
+        solve(remaining)
+        for _ in range(max_tubes_per_class):
+            if not pool:
+                exits.add("empty")
+                break
+            best = max(pool, key=lambda c: (c[0], -c[1][0]))
+            mean, run, path = best
+            if mean < min_mean_link_score:
+                exits.add("floor")
+                break
+            pool.remove(best)
+            for f, j in zip(run, path):
+                remaining[f].pop(j)
+            solve([f for f in run if remaining[f]])
+        else:
+            exits.add("cap")
+    return solves, exits
+
+
+def reference_runs(frame_indices):
+    runs = []
+    for f in sorted(frame_indices):
+        if runs and f == runs[-1][-1] + 1:
+            runs[-1].append(f)
+        else:
+            runs.append([f])
+    return runs
+
+
 class TestExtractTubes:
     def test_two_parallel_actors_two_tubes(self):
         video = []
@@ -463,6 +515,40 @@ class TestExtractTubes:
             assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == [
                 (t.class_id, t.start_frame, t.boxes, t.scores) for t in expected
             ]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "cap, floor, stop",
+        [(2, -float("inf"), "cap"), (100, 0.5, "floor"), (100, -float("inf"), "empty")],
+    )
+    def test_only_split_runs_are_solved_again(self, monkeypatch, seed, cap, floor, stop):
+        solves = []
+        solve = linking.viterbi_link
+
+        def recording_viterbi(frames, params, **kwargs):
+            solves.append(tuple(tuple(map(id, frame)) for frame in frames))
+            return solve(frames, params, **kwargs)
+
+        monkeypatch.setattr(linking, "viterbi_link", recording_viterbi)
+        video = crowded_video(np.random.default_rng(seed), num_frames=11, per_frame=6)
+        params = LinkingParams()
+        extract_tubes(video, params, max_tubes_per_class=cap, min_mean_link_score=floor)
+        expected, exits = incremental_solves(video, params, cap, floor)
+        assert stop in exits
+        assert sorted(solves) == sorted(expected)
+
+    @pytest.mark.parametrize("cap", [2.5, 2.0, float("nan"), float("inf"), True, "3"])
+    def test_non_integer_tube_cap_rejected(self, cap):
+        video = [frame(0, det(0, 0, 10, 10, 0.9)), frame(1, det(0, 0, 10, 10, 0.9))]
+        with pytest.raises(ValueError, match="^max_tubes_per_class must be an integer, got "):
+            extract_tubes(video, max_tubes_per_class=cap)
+
+    def test_tube_cap_below_one_keeps_its_message(self):
+        video = [frame(0, det(0, 0, 10, 10, 0.9))]
+        for cap in (0, -1, np.int64(0)):
+            with pytest.raises(ValueError, match="^max_tubes_per_class must be at least 1$"):
+                extract_tubes(video, max_tubes_per_class=cap)
+        assert len(extract_tubes(video, max_tubes_per_class=np.int64(1))) == 1
 
     def test_each_pair_is_scored_once(self, monkeypatch):
         offered = []  # (id(a), id(b)) of every edge offered to a solve

@@ -172,6 +172,19 @@ class TestSceneGeneration:
         with pytest.raises(ValueError, match="^velocity_sigma must be non-negative$"):
             ActorSpec(0, 0, 5, BoundingBox(0, 0, 10, 10), velocity_sigma=float("nan"))
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(velocity_sigma=float("inf")), "^velocity_sigma must be finite, got inf$"),
+            (dict(velocity=(float("inf"), 0.0)), r"^velocity must be finite, got \(inf, 0\.0\)$"),
+            (dict(velocity=(0.0, float("nan"))), r"^velocity must be finite, got \(0\.0, nan\)$"),
+            (dict(velocity=(0.0, -float("inf"))), "^velocity must be finite"),
+        ],
+    )
+    def test_non_finite_motion_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ActorSpec(0, 0, 5, BoundingBox(0, 0, 10, 10), **kwargs)
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             simple_spec(num_frames=0)
@@ -283,6 +296,13 @@ class TestRenderDetections:
         with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
             NoiseModel(**{name: float("nan")})
 
+    @pytest.mark.parametrize("name", ["sigma_loc", "tp_score_sigma", "fp_score_sigma", "fp_rate"])
+    def test_infinite_noise_setting_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            NoiseModel(**{name: float("inf")})
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative$"):
+            NoiseModel(**{name: -float("inf")})
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(miss_rate=1.5)
@@ -333,6 +353,26 @@ class TestProposalOracle:
         scene = generate_scene(simple_spec())
         with pytest.raises(ValueError, match="^oracle parameters must be non-negative$"):
             ProposalOracle(scene, **{name: float("nan")})
+
+    @pytest.mark.parametrize("name", ["per_actor", "clutter"])
+    @pytest.mark.parametrize("value", [float("inf"), 2.5, 2.0, True, np.float64(3.0)])
+    def test_non_integer_count_rejected(self, name, value):
+        scene = generate_scene(simple_spec())
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ProposalOracle(scene, **{name: value})
+
+    @pytest.mark.parametrize("name", ["per_actor", "clutter"])
+    def test_negative_count_keeps_its_message(self, name):
+        scene = generate_scene(simple_spec())
+        for value in (-1, -2.5):
+            with pytest.raises(ValueError, match="^oracle parameters must be non-negative$"):
+                ProposalOracle(scene, **{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        scene = generate_scene(simple_spec())
+        oracle = ProposalOracle(scene, per_actor=np.int64(3), clutter=np.int32(2), seed=5)
+        expected = ProposalOracle(scene, per_actor=3, clutter=2, seed=5).propose(4)
+        assert oracle.propose(4) == expected
 
     def test_parameter_validation(self):
         scene = generate_scene(simple_spec())
