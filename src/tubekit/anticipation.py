@@ -43,10 +43,9 @@ STRATEGIES = (STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED)
 
 
 def _smooth_l1_and_grad(x):
-    """Smooth L1 of ``x`` and its derivative, from one ``|x|`` and one mask."""
-    ax = np.abs(x)
-    small = ax < 1.0
-    return np.where(small, 0.5 * np.square(x), ax - 0.5), np.where(small, x, np.sign(x))
+    """Smooth L1 of ``x`` and its derivative, from one clipped slope."""
+    slope = np.clip(x, -1.0, 1.0)
+    return slope * (x - 0.5 * slope), slope
 
 
 def smooth_l1(x):
@@ -257,7 +256,7 @@ def train_anticipation_model(
     gap: int,
     *,
     epochs: int = 1500,
-    learning_rate: float = 0.5,
+    learning_rate: float = 0.2,
 ) -> AnticipationModel:
     """Fit the linear predictor by full-batch gradient descent.
 

@@ -206,12 +206,6 @@ DEFAULT_STUDY_DELTAS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5)
 DEFAULT_GAPS = (2, 8, 16)
 DEFAULT_STUDY_SEEDS = (0, 1, 2)
 
-# oracle, detector and training calibration shared by every study cell
-_ORACLE_JITTER = 15.0
-_PROPOSALS_PER_ACTOR = 3
-_CLUTTER_PROPOSALS = 2
-_MIN_COVERAGE = 0.40
-_LEARNING_RATE = 0.2
 # seed stream of each replica role
 _REPLICA_STREAMS = {"train": 1, "eval": 2}
 
@@ -377,18 +371,8 @@ def _replica(
         video_id=f"{spec.video_id}@{role}{seed}",
     )
     scene = generate_scene(replica_spec)
-    oracle = ProposalOracle(
-        scene,
-        jitter_sigma=_ORACLE_JITTER,
-        per_actor=_PROPOSALS_PER_ACTOR,
-        clutter=_CLUTTER_PROPOSALS,
-        seed=_mix_seed(replica_spec.seed, 3),
-    )
-    detector = ConditionedDetector(
-        scene,
-        min_coverage=_MIN_COVERAGE,
-        seed=_mix_seed(replica_spec.seed, 4),
-    )
+    oracle = ProposalOracle(scene, seed=_mix_seed(replica_spec.seed, 3))
+    detector = ConditionedDetector(scene, seed=_mix_seed(replica_spec.seed, 4))
     return scene, oracle, detector
 
 
@@ -449,10 +433,7 @@ def run_strategy_study(
         if STRATEGY_LEARNED in strategies:
             for gap in gaps:
                 models[gap] = train_anticipation_model(
-                    _training_set_for_gap(train_data, gap),
-                    gap,
-                    epochs=config.train_epochs,
-                    learning_rate=_LEARNING_RATE,
+                    _training_set_for_gap(train_data, gap), gap, epochs=config.train_epochs
                 )
         for strategy, gap in cells:
             anticipator = models[gap] if strategy == STRATEGY_LEARNED else strategy

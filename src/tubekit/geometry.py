@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,12 @@ import numpy as np
 # decode_delta rejects scale offsets beyond this bound instead of silently
 # producing enormous boxes
 MAX_SCALE_DELTA = 10.0
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count, frame number or seed that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from numbers import Integral
 from operator import add
 from typing import Iterable, Optional, Sequence
 
-from .geometry import BoundingBox, iou
+from .geometry import BoundingBox, _check_integer, iou
 
 DEFAULT_MAX_TUBES_PER_CLASS = 10
 DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
@@ -262,8 +261,7 @@ def extract_tubes(
 
     Output is sorted by (class, start frame, score descending).
     """
-    if isinstance(max_tubes_per_class, bool) or not isinstance(max_tubes_per_class, Integral):
-        raise ValueError(f"max_tubes_per_class must be an integer, got {max_tubes_per_class!r}")
+    _check_integer("max_tubes_per_class", max_tubes_per_class)
     if max_tubes_per_class < 1:
         raise ValueError("max_tubes_per_class must be at least 1")
     if math.isnan(min_mean_link_score):

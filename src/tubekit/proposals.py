@@ -33,6 +33,13 @@ Regressor = Callable[[BoundingBox], BoxDelta]
 
 # IoU above which a refined box suppresses a lower-scored one
 NMS_THRESHOLD = 0.7
+# training labels: positive above POSITIVE_IOU, negative below NEGATIVE_IOU
+POSITIVE_IOU = 0.7
+NEGATIVE_IOU = 0.3
+# mini-batch draw: at most MINIBATCH_SIZE samples, at most
+# MINIBATCH_MAX_RATIO positives per negative
+MINIBATCH_SIZE = 128
+MINIBATCH_MAX_RATIO = 1.2
 
 
 @dataclass(frozen=True)
@@ -186,21 +193,16 @@ class SampleAssignment:
 def assign_samples(
     candidates: Sequence[BoundingBox],
     ground_truths: Sequence[BoundingBox],
-    *,
-    positive_threshold: float = 0.7,
-    negative_threshold: float = 0.3,
 ) -> SampleAssignment:
     """Label candidates by IoU against ground truth.
 
-    IoU above ``positive_threshold`` is positive, below
-    ``negative_threshold`` negative, anything between is ignored (-1).
+    IoU above ``POSITIVE_IOU`` (0.7) is positive, below ``NEGATIVE_IOU``
+    (0.3) negative, anything between is ignored (-1).
     Additionally, for every ground-truth box the candidate with the highest
     IoU is forced positive (ties keep all tied candidates) so that no ground
     truth goes unmatched even when all overlaps are low. With an empty
     ground-truth set, every candidate is negative.
     """
-    if negative_threshold > positive_threshold:
-        raise ValueError("negative threshold must not exceed positive threshold")
     n = len(candidates)
     if not ground_truths:
         return SampleAssignment(
@@ -212,8 +214,8 @@ def assign_samples(
     max_iou = ious.max(axis=1)
     matched_gt = ious.argmax(axis=1).astype(np.int64)
     labels = np.full(n, -1, dtype=np.int8)
-    labels[max_iou < negative_threshold] = 0
-    labels[max_iou > positive_threshold] = 1
+    labels[max_iou < NEGATIVE_IOU] = 0
+    labels[max_iou > POSITIVE_IOU] = 1
     if n:
         # force each ground truth's best candidate(s) positive
         gt_best = ious.max(axis=0)
@@ -244,44 +246,27 @@ class MiniBatch:
         return len(self.positives) / len(self.negatives)
 
 
-def sample_minibatch(
-    assignment: SampleAssignment,
-    rng: np.random.Generator,
-    *,
-    max_size: int = 128,
-    ratio_low: float = 0.8,
-    ratio_high: float = 1.2,
-) -> MiniBatch:
+def sample_minibatch(assignment: SampleAssignment, rng: np.random.Generator) -> MiniBatch:
     """Draw a ratio-balanced mini-batch from an assignment.
 
-    The draw keeps at most ``max_size`` samples total with a
-    positive:negative count ratio inside ``[ratio_low, ratio_high]``
-    whenever both pools are non-empty, shrinking whichever side is
-    over-represented. If either pool is empty no valid ratio exists and the
-    batch is empty. Selection within each pool is uniform without
-    replacement.
+    Whenever both pools are non-empty the draw takes up to
+    ``MINIBATCH_SIZE // 2`` (64) positives and as many negatives, then caps
+    the positives at ``MINIBATCH_MAX_RATIO`` (1.2) per negative, so a batch
+    holds at most 128 samples at a positive:negative ratio in [1, 1.2],
+    inside the [0.8, 1.2] window. If either pool is empty no valid ratio
+    exists and the batch is empty. Selection within each pool is uniform
+    without replacement.
     """
-    if max_size < 2:
-        raise ValueError("max_size must be at least 2")
-    if not 0 < ratio_low <= ratio_high:
-        raise ValueError("need 0 < ratio_low <= ratio_high")
     pos_pool = np.nonzero(assignment.labels == 1)[0]
     neg_pool = np.nonzero(assignment.labels == 0)[0]
-    empty = MiniBatch(
-        positives=np.zeros(0, dtype=np.int64), negatives=np.zeros(0, dtype=np.int64)
-    )
     if len(pos_pool) == 0 or len(neg_pool) == 0:
-        return empty
-    target_ratio = min(max(1.0, ratio_low), ratio_high)
-    n_pos = min(len(pos_pool), max_size // 2)
-    n_neg = min(len(neg_pool), max_size - n_pos, max(1, round(n_pos / target_ratio)))
+        return MiniBatch(
+            positives=np.zeros(0, dtype=np.int64), negatives=np.zeros(0, dtype=np.int64)
+        )
+    n_pos = min(len(pos_pool), MINIBATCH_SIZE // 2)
+    n_neg = min(len(neg_pool), n_pos)
     # the negative pool may be small; cap positives so the ratio stays legal
-    n_pos = min(n_pos, int(np.floor(ratio_high * n_neg)))
-    if n_pos == 0:
-        return empty
-    ratio = n_pos / n_neg
-    if not ratio_low <= ratio <= ratio_high:
-        return empty
+    n_pos = min(n_pos, int(np.floor(MINIBATCH_MAX_RATIO * n_neg)))
     pos = rng.choice(pos_pool, size=n_pos, replace=False)
     neg = rng.choice(neg_pool, size=n_neg, replace=False)
     return MiniBatch(positives=np.sort(pos), negatives=np.sort(neg))

@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, box_from_center, clip_visible, encode_delta, iou_matrix
+from .geometry import (
+    BoundingBox, _check_integer, box_from_center, clip_visible, encode_delta, iou_matrix
+)
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
 
@@ -52,6 +53,13 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a seed that is not a non-negative integer before any random draw."""
+    _check_integer("seed", seed)
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+
+
 @dataclass(frozen=True)
 class ActorSpec:
     """One moving rectangle: class, lifetime, initial box, velocity."""
@@ -64,13 +72,18 @@ class ActorSpec:
     velocity_sigma: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_integer("class_id", self.class_id)
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
+        _check_integer("entry_frame", self.entry_frame)
+        _check_integer("exit_frame", self.exit_frame)
         if self.entry_frame < 0 or self.exit_frame < self.entry_frame:
             raise ValueError("need 0 <= entry_frame <= exit_frame")
         if not self.velocity_sigma >= 0:
             raise ValueError("velocity_sigma must be non-negative")
         _check_finite("velocity_sigma", self.velocity_sigma)
+        if np.shape(self.velocity) != (2,):
+            raise ValueError(f"velocity must have two components, got {self.velocity}")
         if not all(map(math.isfinite, self.velocity)):
             raise ValueError(f"velocity must be finite, got {self.velocity}")
         if self.box.area <= 0:
@@ -136,12 +149,12 @@ class SceneSpec:
             float(self.width), float(self.height)
         except OverflowError:
             raise ValueError("image dimensions must fit in a float") from None
+        _check_integer("num_frames", self.num_frames)
         if self.num_frames < 1:
             raise ValueError("need at least one frame")
         if not self.actors:
             raise ValueError("scene needs at least one actor")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        _check_seed(self.seed)
         for actor in self.actors:
             if actor.exit_frame >= self.num_frames:
                 raise ValueError(
@@ -292,23 +305,20 @@ def _false_positives(scene: Scene, rng: np.random.Generator) -> list[Detection]:
     return out
 
 
-def render_detections(
-    scene: Scene, seed: Optional[int] = None
-) -> list[FrameDetections]:
+def render_detections(scene: Scene) -> list[FrameDetections]:
     """Unconditional noisy detections for every frame of a scene.
 
     Per visible ground-truth box: dropped with the miss rate, otherwise
     corner-jittered, clipped, and scored; false positives arrive at a
     Poisson rate per frame with their own score model. With all noise at
     zero the output equals the ground truth with score 1.0. Deterministic
-    given the seed (default: the scene's own).
+    given the scene's seed; another draw needs a spec with another seed.
     """
     spec = scene.spec
     noise = spec.noise
-    seed = spec.seed if seed is None else seed
     frames: list[FrameDetections] = []
     for frame in range(spec.num_frames):
-        rng = np.random.default_rng([seed, frame, _STREAM_RENDER])
+        rng = np.random.default_rng([spec.seed, frame, _STREAM_RENDER])
         dets: list[Detection] = []
         for _, class_id, box, motion in scene.frame_truth(frame):
             if noise.miss_rate > 0 and rng.uniform() < noise.miss_rate:
@@ -332,24 +342,25 @@ class ProposalOracle:
     visible ground-truth box spawns ``per_actor`` corner-jittered copies
     (``jitter_sigma`` px), and ``clutter`` background boxes are thrown in
     uniformly. Per-frame outputs are deterministic in (seed, frame), so each
-    frame is drawn once and kept for later calls.
+    frame is drawn once and kept for later calls. The defaults are the
+    strategy study's calibration.
     """
 
     def __init__(
         self,
         scene: Scene,
         *,
-        jitter_sigma: float = 8.0,
-        per_actor: int = 6,
-        clutter: int = 4,
+        jitter_sigma: float = 15.0,
+        per_actor: int = 3,
+        clutter: int = 2,
         seed: int = 0,
     ) -> None:
         if not (jitter_sigma >= 0 and per_actor >= 0 and clutter >= 0):
             raise ValueError("oracle parameters must be non-negative")
         _check_jitter(jitter_sigma)
-        for name, count in (("per_actor", per_actor), ("clutter", clutter)):
-            if isinstance(count, bool) or not isinstance(count, Integral):
-                raise ValueError(f"{name} must be an integer, got {count!r}")
+        _check_integer("per_actor", per_actor)
+        _check_integer("clutter", clutter)
+        _check_seed(seed)
         self.scene = scene
         self.jitter_sigma = jitter_sigma
         self.per_actor = per_actor
@@ -405,7 +416,8 @@ class ConditionedDetector:
 
     Everything of a frame that does not depend on the proposals (its truth,
     its noise draws and its false positives) is drawn once and kept for
-    later calls on the same frame.
+    later calls on the same frame. The defaults are the strategy study's
+    calibration.
     """
 
     def __init__(
@@ -413,13 +425,14 @@ class ConditionedDetector:
         scene: Scene,
         *,
         regress_strength: float = 0.75,
-        min_coverage: float = 0.45,
+        min_coverage: float = 0.40,
         seed: int = 0,
     ) -> None:
         if not 0.0 <= regress_strength <= 1.0:
             raise ValueError("regress_strength must be in [0, 1]")
         if not 0.0 <= min_coverage <= 1.0:
             raise ValueError("min_coverage must be in [0, 1]")
+        _check_seed(seed)
         self.scene = scene
         self.regress_strength = regress_strength
         self.min_coverage = min_coverage

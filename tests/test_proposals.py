@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -226,15 +227,6 @@ class TestAssignSamples:
                     best_rows = [i for i, v in enumerate(overlaps) if v == best]
                     assert all(out.labels[i] == 1 for i in best_rows)
 
-    def test_threshold_order_validated(self):
-        with pytest.raises(ValueError):
-            assign_samples(
-                [BoundingBox(0, 0, 1, 1)],
-                [BoundingBox(0, 0, 1, 1)],
-                positive_threshold=0.3,
-                negative_threshold=0.7,
-            )
-
 
 def make_assignment(n_pos, n_neg, n_ignore=0):
     labels = np.array([1] * n_pos + [0] * n_neg + [-1] * n_ignore, dtype=np.int8)
@@ -288,12 +280,40 @@ class TestMiniBatch:
             if batch.size:
                 assert 0.8 <= batch.ratio <= 1.2
 
-    def test_parameter_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_minibatch(make_assignment(5, 5), rng, max_size=1)
-        with pytest.raises(ValueError):
-            sample_minibatch(make_assignment(5, 5), rng, ratio_low=1.5, ratio_high=1.0)
+    def test_matches_the_parametrised_draw_at_the_fixed_protocol(self):
+        # the draw as it was when size and ratio window were arguments,
+        # evaluated at the values that are now fixed
+        def reference(assignment, rng, max_size=128, ratio_low=0.8, ratio_high=1.2):
+            pos_pool = np.nonzero(assignment.labels == 1)[0]
+            neg_pool = np.nonzero(assignment.labels == 0)[0]
+            empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+            if len(pos_pool) == 0 or len(neg_pool) == 0:
+                return empty
+            target_ratio = min(max(1.0, ratio_low), ratio_high)
+            n_pos = min(len(pos_pool), max_size // 2)
+            n_neg = min(len(neg_pool), max_size - n_pos, max(1, round(n_pos / target_ratio)))
+            n_pos = min(n_pos, int(np.floor(ratio_high * n_neg)))
+            if n_pos == 0:
+                return empty
+            if not ratio_low <= n_pos / n_neg <= ratio_high:
+                return empty
+            pos = rng.choice(pos_pool, size=n_pos, replace=False)
+            neg = rng.choice(neg_pool, size=n_neg, replace=False)
+            return np.sort(pos), np.sort(neg)
+
+        shuffle = np.random.default_rng(5)
+        for seed in (0, 1, 2):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_pos in range(91):
+                for n_neg in range(91):
+                    assignment = make_assignment(n_pos, n_neg, (n_pos + n_neg) % 7)
+                    assignment = replace(assignment, labels=shuffle.permutation(assignment.labels))
+                    batch = sample_minibatch(assignment, rng)
+                    positives, negatives = reference(assignment, reference_rng)
+                    assert np.array_equal(batch.positives, positives)
+                    assert np.array_equal(batch.negatives, negatives)
+            # both generators advanced through the same draws
+            assert rng.integers(2**62) == reference_rng.integers(2**62)
 
 
 class TestRecall:

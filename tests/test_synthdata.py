@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -194,6 +195,68 @@ class TestSceneGeneration:
             # actor outlives the scene
             simple_spec(num_frames=10)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            ((0, 0.5, 3), "entry_frame"),
+            ((0, 0, 3.0), "exit_frame"),
+            ((0, False, 3), "entry_frame"),
+            ((1.0, 0, 3), "class_id"),
+            ((True, 0, 3), "class_id"),
+            ((np.float64(0), 0, 3), "class_id"),
+        ],
+    )
+    def test_non_integer_actor_fields_rejected(self, args, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ActorSpec(*args, BoundingBox(0, 0, 10, 10))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_frames", 20.0),
+            ("num_frames", 2.5),
+            ("num_frames", True),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", np.float64(3.0)),
+        ],
+    )
+    def test_non_integer_scene_fields_rejected(self, field, value):
+        message = f"^{field} must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            simple_spec(**{field: value})
+
+    def test_range_messages_unchanged(self):
+        box = BoundingBox(0, 0, 10, 10)
+        with pytest.raises(ValueError, match="^class_id must be non-negative$"):
+            ActorSpec(-1, 0, 3, box)
+        for entry, exit_ in ((-1, 3), (4, 3)):
+            with pytest.raises(ValueError, match="^need 0 <= entry_frame <= exit_frame$"):
+                ActorSpec(0, entry, exit_, box)
+        with pytest.raises(ValueError, match="^need at least one frame$"):
+            simple_spec(num_frames=0)
+        with pytest.raises(ValueError, match="^seed must be non-negative$"):
+            simple_spec(seed=-1)
+
+    def test_numpy_integer_fields_accepted(self):
+        noise = NoiseModel(sigma_loc=2.0, miss_rate=0.1, fp_rate=1.0)
+        actor = ActorSpec(
+            np.int64(0), np.int32(0), np.int64(19), BoundingBox(40, 40, 60, 60),
+            velocity=(2.0, 0.0),
+        )
+        spec = simple_spec(actors=(actor,), num_frames=np.int64(20), seed=np.int64(3), noise=noise)
+        expected = generate_scene(simple_spec(noise=noise))
+        assert generate_scene(spec).tubes == expected.tubes
+        assert render_detections(generate_scene(spec)) == render_detections(expected)
+
+    @pytest.mark.parametrize(
+        "velocity", [(1.0,), (1.0, 2.0, 3.0), (), (float("nan"),), 1.0, ((1.0, 2.0), (3.0, 4.0))]
+    )
+    def test_velocity_needs_two_components(self, velocity):
+        message = f"^velocity must have two components, got {re.escape(str(velocity))}$"
+        with pytest.raises(ValueError, match=message):
+            ActorSpec(0, 0, 4, BoundingBox(0, 0, 10, 10), velocity=velocity)
+
     @pytest.mark.parametrize("field", ["width", "height"])
     def test_dimension_beyond_float_range_rejected(self, field):
         with pytest.raises(ValueError, match="^image dimensions must fit in a float$"):
@@ -225,9 +288,9 @@ class TestRenderDetections:
 
     def test_different_seeds_differ(self):
         noise = NoiseModel(sigma_loc=2.0, miss_rate=0.1, fp_rate=1.0)
-        scene = generate_scene(simple_spec(noise=noise))
-        a = render_detections(scene, seed=1)
-        b = render_detections(scene, seed=2)
+        spec = simple_spec(noise=noise)
+        a = render_detections(generate_scene(replace(spec, seed=1)))
+        b = render_detections(generate_scene(replace(spec, seed=2)))
         assert a != b
 
     def test_certain_miss_leaves_only_false_positives(self):
@@ -537,6 +600,25 @@ class TestConditionedDetector:
             ConditionedDetector(scene, min_coverage=-0.1)
 
 
+@pytest.mark.parametrize("cls", [ProposalOracle, ConditionedDetector])
+def test_seed_checked_at_construction(cls):
+    scene = generate_scene(simple_spec())
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        cls(scene, seed=-1)
+    for value in (1.5, True, np.float64(2.0), None):
+        message = f"^seed must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            cls(scene, seed=value)
+
+
+def test_numpy_integer_seed_accepted():
+    scene = generate_scene(simple_spec(noise=NoiseModel(sigma_loc=2.0, fp_rate=2.0)))
+    proposals = ProposalOracle(scene, seed=5).propose(4)
+    assert ProposalOracle(scene, seed=np.int64(5)).propose(4) == proposals
+    detections = ConditionedDetector(scene, seed=6).detect(4, proposals)
+    assert ConditionedDetector(scene, seed=np.uint8(6)).detect(4, proposals) == detections
+
+
 class TestDriftingFixture:
     def test_shape_of_the_benchmark(self):
         specs = drifting_scene_specs(4)
@@ -624,8 +706,8 @@ class TestNoiseStreamGolden:
         import hashlib
 
         scene = generate_scene(drifting_scene_specs(1)[0])
-        oracle = ProposalOracle(scene, seed=5)
-        detector = ConditionedDetector(scene, seed=6)
+        oracle = ProposalOracle(scene, jitter_sigma=8.0, per_actor=6, clutter=4, seed=5)
+        detector = ConditionedDetector(scene, min_coverage=0.45, seed=6)
         records = []
         for fd in render_detections(scene):
             records.append(("render", fd.frame_index, self._dets(fd.detections)))
