@@ -118,17 +118,17 @@ def boxes_to_array(boxes: Sequence[BoundingBox]) -> np.ndarray:
 
 
 def _iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of every row of ``a`` (N, 4) against every row of ``b`` (M, 4).
+    """IoU of every row of ``a`` (..., N, 4) against every row of ``b`` (..., M, 4).
 
-    Entries with zero union area are 0.
+    Leading axes broadcast to (..., N, M). Entries with zero union area are 0.
     """
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
+    lt = np.maximum(a[..., :, None, :2], b[..., None, :, :2])
+    rb = np.minimum(a[..., :, None, 2:], b[..., None, :, 2:])
     wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[:, :, 0] * wh[:, :, 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
+    inter = wh[..., 0] * wh[..., 1]
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a[..., :, None] + area_b[..., None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
     return out

@@ -18,12 +18,15 @@ import math
 import statistics
 from dataclasses import dataclass
 from operator import add
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .geometry import BoundingBox, _check_integer, iou
+import numpy as np
+
+from .geometry import BoundingBox, _check_integer, _iou_arrays, boxes_to_array, iou
 
 DEFAULT_MAX_TUBES_PER_CLASS = 10
 DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
+_EDGE_BLOCK = 4096  # edges per batch-kernel call in extract_tubes: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -110,11 +113,9 @@ def tube_order(tube: ActionTube) -> tuple[int, int, float]:
     return (tube.class_id, tube.start_frame, -tube.tube_score)
 
 
-def _link_score(
-    box_a: BoundingBox, score_a: float, box_b: BoundingBox, score_b: float, beta: float
-) -> float:
-    """The link score formula of the module docstring."""
-    return (1.0 - beta) * (score_a + score_b) + beta * iou(box_a, box_b)
+def _link_score(score_a, score_b, overlap, beta: float):
+    """The link score formula of the module docstring, on floats or on arrays."""
+    return (1.0 - beta) * (score_a + score_b) + beta * overlap
 
 
 def linking_score(a: Detection, b: Detection, params: LinkingParams) -> float:
@@ -127,46 +128,47 @@ def linking_score(a: Detection, b: Detection, params: LinkingParams) -> float:
         raise ValueError(
             f"cannot link detections of different classes ({a.class_id} vs {b.class_id})"
         )
-    return _link_score(a.box, a.score, b.box, b.score, params.beta)
+    return _link_score(a.score, b.score, iou(a.box, b.box), params.beta)
 
 
 def tube_link_scores(tube: ActionTube, params: LinkingParams) -> list[float]:
     """Link score of each consecutive frame pair along a tube (length - 1 values)."""
     boxes, scores = tube.boxes, tube.scores
     return [
-        _link_score(boxes[i], scores[i], boxes[i + 1], scores[i + 1], params.beta)
+        _link_score(scores[i], scores[i + 1], iou(boxes[i], boxes[i + 1]), params.beta)
         for i in range(len(boxes) - 1)
     ]
 
 
-def _link_row(
-    det: Detection,
-    nexts: Sequence[Detection],
-    next_ids: Sequence[int],
-    beta: float,
-    link_cache: Optional[dict],
-) -> list[float]:
-    """Link scores from ``det`` to each of ``nexts`` (whose ``id()``s are ``next_ids``).
+def _best_path(
+    frames: Sequence[Sequence[Detection]], row: Callable[[int, int], list[float]]
+) -> tuple[list[int], float]:
+    """:func:`viterbi_link`'s search; ``row(t, i)`` returns the link scores from
+    ``frames[t][i]`` to each candidate of ``frames[t + 1]``."""
+    n_frames = len(frames)
+    if n_frames == 1:
+        # no links; fall back to confidence, lowest index on ties (the first maximum)
+        best = max(range(len(frames[0])), key=lambda i: frames[0][i].score)
+        return [best], frames[0][best].score
 
-    Scores are memoised per ``id(det)`` in ``link_cache``; without a cache the
-    memo starts empty, so every pair is scored afresh.
-    """
-    known = {} if link_cache is None else link_cache.setdefault(id(det), {})
-    try:
-        return list(map(known.__getitem__, next_ids))
-    except KeyError:  # some pair is new: score the missing ones, then read again
-        box, score = det.box, det.score
-        for det_next, key in zip(nexts, next_ids):
-            if key not in known:
-                known[key] = _link_score(box, score, det_next.box, det_next.score, beta)
-        return list(map(known.__getitem__, next_ids))
+    # value[t][j]: best achievable sum of link scores from frame t to the end,
+    # starting at candidate j; filled back to front
+    value: list[list[float]] = [[]] * (n_frames - 1) + [[0.0] * len(frames[-1])]
+    for t in range(n_frames - 2, -1, -1):
+        value[t] = [max(map(add, row(t, i), value[t + 1])) for i in range(len(frames[t]))]
+
+    # walk forward, preferring the lowest index among optimal continuations
+    # (max and index find the first maximum)
+    start = value[0].index(max(value[0]))
+    path = [start]
+    for t in range(n_frames - 1):
+        cands = list(map(add, row(t, path[-1]), value[t + 1]))
+        path.append(cands.index(max(cands)))
+    return path, value[0][start]
 
 
 def viterbi_link(
-    frames: Sequence[Sequence[Detection]],
-    params: LinkingParams,
-    *,
-    link_cache: Optional[dict] = None,
+    frames: Sequence[Sequence[Detection]], params: LinkingParams
 ) -> tuple[list[int], float]:
     """Best path through per-frame candidate lists.
 
@@ -177,13 +179,6 @@ def viterbi_link(
     single-frame path is the chosen detection's own score (there are no
     links to sum).
 
-    ``link_cache``, when given, memoises link scores by the ``id()`` of the
-    two detections, so repeated solves over the same detections (with the
-    same ``params``) score each pair once. Pass a dict that starts empty and
-    keep it only while every detection it has seen stays alive: an id that
-    is reused by a new object would return a stale score. Without it, every
-    pair is scored afresh on each call.
-
     Returns:
         ``(indices, total)`` where ``indices[t]`` selects from ``frames[t]``.
     """
@@ -192,43 +187,43 @@ def viterbi_link(
     for t, frame in enumerate(frames):
         if not frame:
             raise ValueError(f"frame {t} has no candidate detections")
-    n_frames = len(frames)
-    if len({det.class_id for frame in frames for det in frame}) > 1:
-        # raise linking_score's error on the first mismatched pair in the
-        # order the backward pass below visits the pairs; a single frame has
-        # no pairs, so its detections are checked against its first one
-        for t in range(n_frames - 2, -1, -1):
-            for det in frames[t]:
-                for det_next in frames[t + 1]:
-                    linking_score(det, det_next, params)
+    if len(frames) == 1 and len({det.class_id for det in frames[0]}) > 1:
+        # no pairs: raise linking_score's error against the first detection
         for det in frames[0]:
             linking_score(frames[0][0], det, params)
-    if n_frames == 1:
-        # no links; fall back to confidence, lowest index on ties (the first maximum)
-        best = max(range(len(frames[0])), key=lambda i: frames[0][i].score)
-        return [best], frames[0][best].score
 
-    beta = params.beta
-    ids = [list(map(id, frame)) for frame in frames]
-    # value[t][j]: best achievable sum of link scores from frame t to the end,
-    # starting at candidate j; filled back to front
-    value: list[list[float]] = [[]] * (n_frames - 1) + [[0.0] * len(frames[-1])]
-    for t in range(n_frames - 2, -1, -1):
-        nxt, nxt_ids, value_next = frames[t + 1], ids[t + 1], value[t + 1]
-        value[t] = [
-            max(map(add, _link_row(det, nxt, nxt_ids, beta, link_cache), value_next))
-            for det in frames[t]
-        ]
+    def row(t: int, i: int) -> list[float]:
+        # linking_score raises on the first mismatched pair the search meets
+        return [linking_score(frames[t][i], det, params) for det in frames[t + 1]]
 
-    # walk forward, preferring the lowest index among optimal continuations
-    # (max and index find the first maximum)
-    start = value[0].index(max(value[0]))
-    path = [start]
-    for t in range(n_frames - 1):
-        row = _link_row(frames[t][path[-1]], frames[t + 1], ids[t + 1], beta, link_cache)
-        cands = list(map(add, row, value[t + 1]))
-        path.append(cands.index(max(cands)))
-    return path, value[0][start]
+    return _best_path(frames, row)
+
+
+def _link_rows(remaining: dict[int, list[Detection]], beta: float) -> dict[int, list[list[float]]]:
+    """``rows[f][i][j]``: the link score of ``remaining[f][i]`` to ``remaining[f + 1][j]``.
+
+    Each consecutive-frame pair is scored once, through the batch IoU kernel
+    in blocks of edges.
+    """
+    frames = sorted(remaining)
+    dets = [det for f in frames for det in remaining[f]]
+    widths, nexts = [], []  # per detection: the next frame's size and its start in ``dets``
+    for f in frames:
+        n = len(remaining[f])
+        widths += [len(remaining.get(f + 1, ()))] * n
+        nexts += [len(nexts) + n] * n
+    boxes = boxes_to_array([det.box for det in dets])
+    scores = np.array([det.score for det in dets], dtype=np.float64)
+    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
+    src = np.repeat(np.arange(len(dets)), widths)  # each edge's detection on frame f
+    dst = np.repeat(np.array(nexts) - first_edge, widths) + np.arange(len(src))  # and on f + 1
+    flat: list[float] = []
+    for lo in range(0, len(src), _EDGE_BLOCK):
+        a, b = src[lo : lo + _EDGE_BLOCK], dst[lo : lo + _EDGE_BLOCK]
+        overlap = _iou_arrays(boxes[a, None], boxes[b, None])[:, 0, 0]
+        flat += _link_score(scores[a], scores[b], overlap, beta).tolist()
+    rows = iter([flat[i : i + w] for i, w in zip(first_edge.tolist(), widths)])
+    return {f: [next(rows) for _ in remaining[f]] for f in frames}
 
 
 def _runs(frame_indices: Iterable[int]) -> list[list[int]]:
@@ -278,12 +273,10 @@ def extract_tubes(
 
     tubes: list[ActionTube] = []
     for class_id, remaining in sorted(by_class.items()):
-        # every solve of the class shares one link-score cache; ``video``
-        # keeps its detections alive, so their ids stay unique meanwhile
-        link_cache: dict = {}
+        links = _link_rows(remaining, params.beta)
 
         def solve(run: list[int]) -> tuple[float, int, list[int], list[int]]:
-            path, total = viterbi_link([remaining[f] for f in run], params, link_cache=link_cache)
+            path, total = _best_path([remaining[f] for f in run], lambda t, i: links[run[t]][i])
             mean_link = total if len(run) == 1 else total / (len(run) - 1)
             return -mean_link, run[0], run, path
 
@@ -299,6 +292,10 @@ def extract_tubes(
                 break  # every remaining path is at least as weak
             candidates.remove(best)
             chosen = [remaining[f].pop(j) for f, j in zip(run, path)]
+            for f, j in zip(run, path):  # the chosen leave their rows and columns too
+                del links[f][j]
+                for row in links.get(f - 1, ()):
+                    del row[j]
             boxes = tuple(d.box for d in chosen)
             scores = tuple(d.score for d in chosen)
             tubes.append(ActionTube(class_id=class_id, start_frame=run[0], boxes=boxes, scores=scores))

@@ -143,6 +143,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("width", self.width)
+        _check_integer("height", self.height)
         if self.width <= 0 or self.height <= 0:
             raise ValueError("image dimensions must be positive")
         try:
@@ -510,6 +512,7 @@ def drifting_scene_specs(
     anticipation gap displaces boxes by a large fraction of their size —
     the regime where anticipation strategies separate. Images are 320x240.
     """
+    _check_integer("num_scenes", num_scenes)
     if num_scenes < 1:
         raise ValueError("need at least one scene")
     noise = NoiseModel(
@@ -613,9 +616,11 @@ def cascade_recall_demo(
     Returns:
         ``{"one_stage": {threshold: recall}, "two_stage": {...}}``.
     """
+    _check_integer("num_boxes", num_boxes)
     if num_boxes < 1:
         raise ValueError("need at least one box")
     _check_jitter(jitter_sigma)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     cell = 400.0
     cols = int(math.ceil(math.sqrt(num_boxes)))

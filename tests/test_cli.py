@@ -348,6 +348,15 @@ def test_proposal_recall_rejects_bad_jitter(jitter, capsys):
     assert err == f"error: jitter_sigma must be finite and non-negative, got {float(jitter)}\n"
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [("--seed=-1", "seed must be non-negative"), ("--num-boxes=0", "need at least one box")],
+)
+def test_proposal_recall_cascade_demo_bad_seed_or_count_exits_2(flag, message, capsys):
+    assert main(["proposal-recall", "--cascade-demo", "--num-boxes", "4", flag]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_proposal_recall_cascade_demo(tmp_path, capsys):
     code = main(["proposal-recall", "--cascade-demo", "--num-boxes", "120"])
     assert code == 0

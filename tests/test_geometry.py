@@ -7,6 +7,8 @@ from tubekit.geometry import (
     MAX_SCALE_DELTA,
     BoundingBox,
     BoxDelta,
+    _iou_arrays,
+    boxes_to_array,
     clip,
     clip_visible,
     decode_delta,
@@ -137,6 +139,33 @@ class TestIoU:
         for i, a in enumerate(boxes_a):
             for j, b in enumerate(boxes_b):
                 assert mat[i, j] == iou(a, b)
+
+    def test_batch_kernel_broadcasts_over_leading_axes(self):
+        rng = np.random.default_rng(23)
+        special = [
+            BoundingBox(10, 10, 10, 30),  # zero width
+            BoundingBox(0, 0, 0, 0),  # a point
+            BoundingBox(10, 10, 30, 30),
+            BoundingBox(30, 10, 50, 30),  # touches the previous box's edge
+        ]
+        groups_a = [[random_box(rng) for _ in range(5)] + special for _ in range(3)]
+        groups_b = [special + [random_box(rng) for _ in range(6)] for _ in range(3)]
+        a = np.stack([boxes_to_array(g) for g in groups_a])
+        b = np.stack([boxes_to_array(g) for g in groups_b])
+        stacked = _iou_arrays(a, b)
+        assert stacked.shape == (3, 9, 10)
+        for k in range(3):
+            assert (stacked[k] == _iou_arrays(a[k], b[k])).all()
+            for i, box_a in enumerate(groups_a[k]):
+                for j, box_b in enumerate(groups_b[k]):
+                    assert stacked[k, i, j] == iou(box_a, box_b)
+        # one group against every group, and pair by pair (one box a side)
+        assert (_iou_arrays(a[:1], b) == np.stack([_iou_arrays(a[0], g) for g in b])).all()
+        pairwise = _iou_arrays(a[0][:, None], b[0][:9, None])
+        assert pairwise.shape == (9, 1, 1)
+        assert pairwise[:, 0, 0].tolist() == [
+            iou(p, q) for p, q in zip(groups_a[0], groups_b[0][:9])
+        ]
 
     def test_matches_reference_bit_for_bit(self):
         rng = np.random.default_rng(17)

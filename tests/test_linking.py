@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,25 +208,22 @@ class TestViterbi:
             # the reported total is reproducible from the path itself
             assert path_score(frames, path, params) == pytest.approx(total, abs=1e-9)
 
-    def test_link_cache_matches_exhaustive_search(self):
-        # quantised boxes and scores make ties; a shared cache keeps serving
-        # later calls over the same detections
+    def test_quantised_ties_match_exhaustive_search(self):
+        # quantised boxes and scores make ties; the frames reuse one pool of
+        # detections, within a frame and across frames
         rng = np.random.default_rng(77)
         for _ in range(15):
             pool = [quantised_detection(rng) for _ in range(6)]
             params = LinkingParams(beta=float(rng.choice([0.0, 0.5, 0.7, 1.0])))
-            shared: dict = {}
             for _ in range(8):
                 frames = [
                     [pool[i] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 4)))]
                     for _ in range(int(rng.integers(1, 6)))
                 ]
                 oracle_path, oracle_total = exhaustive_best(frames, params)
-                uncached = viterbi_link(frames, params)
-                assert uncached[0] == oracle_path
-                assert uncached[1] == pytest.approx(oracle_total, abs=1e-9)
-                for cache in ({}, shared):
-                    assert viterbi_link(frames, params, link_cache=cache) == uncached
+                path, total = viterbi_link(frames, params)
+                assert path == oracle_path
+                assert total == pytest.approx(oracle_total, abs=1e-9)
 
     def test_beta_one_is_scale_invariant_in_scores(self):
         rng = np.random.default_rng(8)
@@ -504,17 +502,23 @@ class TestExtractTubes:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_cached_extraction_matches_uncached_reference(self, seed):
+        # the extraction keeps each class's link scores between solves; the
+        # reference re-scores every run in every round. At beta 1 the score
+        # term is multiplied by 0.0, so no score may stand in for a removed
+        # detection (0.0 * -inf is NaN)
         rng = np.random.default_rng(seed)
-        video = crowded_video(rng)
-        params = LinkingParams(beta=float(rng.choice([0.3, 0.7])))
-        for floor, cap in ((0.1, 10), (-float("inf"), 10), (0.1, 2)):
-            tubes = extract_tubes(
-                video, params, max_tubes_per_class=cap, min_mean_link_score=floor
-            )
-            expected = reference_extract(video, params, cap, floor)
-            assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == [
-                (t.class_id, t.start_frame, t.boxes, t.scores) for t in expected
-            ]
+        for per_frame in range(1, 9):
+            video = crowded_video(rng, per_frame=per_frame)
+            for beta in (0.0, 0.5, 1.0):
+                params = LinkingParams(beta=beta)
+                for floor, cap in ((0.1, 10), (-float("inf"), 10), (0.1, 2)):
+                    tubes = extract_tubes(
+                        video, params, max_tubes_per_class=cap, min_mean_link_score=floor
+                    )
+                    expected = reference_extract(video, params, cap, floor)
+                    assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == [
+                        (t.class_id, t.start_frame, t.boxes, t.scores) for t in expected
+                    ]
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -522,18 +526,19 @@ class TestExtractTubes:
         [(2, -float("inf"), "cap"), (100, 0.5, "floor"), (100, -float("inf"), "empty")],
     )
     def test_only_split_runs_are_solved_again(self, monkeypatch, seed, cap, floor, stop):
-        solves = []
-        solve = linking.viterbi_link
-
-        def recording_viterbi(frames, params, **kwargs):
-            solves.append(tuple(tuple(map(id, frame)) for frame in frames))
-            return solve(frames, params, **kwargs)
-
-        monkeypatch.setattr(linking, "viterbi_link", recording_viterbi)
         video = crowded_video(np.random.default_rng(seed), num_frames=11, per_frame=6)
         params = LinkingParams()
-        extract_tubes(video, params, max_tubes_per_class=cap, min_mean_link_score=floor)
+        # the model solves through viterbi_link, so it runs before the spy
         expected, exits = incremental_solves(video, params, cap, floor)
+        solves = []
+        best_path = linking._best_path
+
+        def recording_best_path(frames, row):
+            solves.append(tuple(tuple(map(id, frame)) for frame in frames))
+            return best_path(frames, row)
+
+        monkeypatch.setattr(linking, "_best_path", recording_best_path)
+        extract_tubes(video, params, max_tubes_per_class=cap, min_mean_link_score=floor)
         assert stop in exits
         assert sorted(solves) == sorted(expected)
 
@@ -551,26 +556,49 @@ class TestExtractTubes:
         assert len(extract_tubes(video, max_tubes_per_class=np.int64(1))) == 1
 
     def test_each_pair_is_scored_once(self, monkeypatch):
-        offered = []  # (id(a), id(b)) of every edge offered to a solve
-        solve = linking.viterbi_link
+        # every consecutive-frame pair of a class goes through the batch
+        # kernel exactly once, however often its run is solved again
+        scalar_calls, kernel_edges, offered = [], [], []
+        kernel, best_path = linking._iou_arrays, linking._best_path
 
-        def recording_viterbi(frames, params, **kwargs):
-            offered.extend(
-                (id(a), id(b)) for f, g in zip(frames, frames[1:]) for a in f for b in g
-            )
-            return solve(frames, params, **kwargs)
+        def counting_kernel(a, b):
+            out = kernel(a, b)
+            kernel_edges.append(out.size)
+            return out
 
-        calls = []
-        score = linking.iou
+        def counting_best_path(frames, row):
+            offered.extend(len(f) * len(g) for f, g in zip(frames, frames[1:]))
+            return best_path(frames, row)
 
-        def counting_iou(a, b):
-            calls.append(1)
-            return score(a, b)
-
-        monkeypatch.setattr(linking, "viterbi_link", recording_viterbi)
-        monkeypatch.setattr(linking, "iou", counting_iou)
+        monkeypatch.setattr(linking, "iou", lambda a, b: scalar_calls.append((a, b)))
+        monkeypatch.setattr(linking, "_iou_arrays", counting_kernel)
+        monkeypatch.setattr(linking, "_best_path", counting_best_path)
         video = crowded_video(np.random.default_rng(3), per_frame=4)
         tubes = extract_tubes(video, min_mean_link_score=-float("inf"))
         assert len(tubes) > 3
-        assert len(set(offered)) < len(offered)  # re-solves offer pairs again
-        assert len(calls) == len(set(offered))
+        counts = {}  # (class, frame) -> detections
+        for fd in video:
+            for d in fd.detections:
+                counts[d.class_id, fd.frame_index] = counts.get((d.class_id, fd.frame_index), 0) + 1
+        pairs = sum(n * counts.get((c, f + 1), 0) for (c, f), n in counts.items())
+        assert scalar_calls == []
+        assert sum(kernel_edges) == pairs
+        assert sum(offered) > pairs  # re-solves offer pairs again
+
+    def test_one_wide_frame_keeps_memory_small(self):
+        # 60 frames of one class, one of them 300 detections wide: scoring the
+        # pairs frame by frame needs 600 edges, while padding every frame to
+        # the widest would need 60 * 300 * 300 per temporary (about 40 MB)
+        rng = np.random.default_rng(9)
+        video = [
+            frame(t, *(random_detection(rng) for _ in range(300 if t == 30 else 1)))
+            for t in range(60)
+        ]
+        tracemalloc.start()
+        try:
+            tubes = extract_tubes(video)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tubes
+        assert peak < 5_000_000

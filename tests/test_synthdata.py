@@ -219,6 +219,10 @@ class TestSceneGeneration:
             ("seed", 1.5),
             ("seed", True),
             ("seed", np.float64(3.0)),
+            ("width", 100.5),
+            ("width", True),
+            ("height", 200.0),
+            ("height", None),
         ],
     )
     def test_non_integer_scene_fields_rejected(self, field, value):
@@ -620,6 +624,14 @@ def test_numpy_integer_seed_accepted():
 
 
 class TestDriftingFixture:
+    @pytest.mark.parametrize("num_scenes", [2.5, 2.0, True, None])
+    def test_non_integer_scene_count_rejected(self, num_scenes):
+        message = f"^num_scenes must be an integer, got {re.escape(repr(num_scenes))}$"
+        with pytest.raises(ValueError, match=message):
+            drifting_scene_specs(num_scenes)
+        with pytest.raises(ValueError, match="^need at least one scene$"):
+            drifting_scene_specs(0)
+
     def test_shape_of_the_benchmark(self):
         specs = drifting_scene_specs(4)
         assert len(specs) == 4
@@ -667,6 +679,20 @@ class TestCascadeDemo:
             assert all(a >= b for a, b in zip(values, values[1:]))
         # the second stage pays off where localization must be tight
         assert two[0.8] > one[0.8]
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"num_boxes": 2.5}, "num_boxes must be an integer, got 2.5"),
+            ({"num_boxes": True}, "num_boxes must be an integer, got True"),
+            ({"num_boxes": 0}, "need at least one box"),
+            ({"seed": -1}, "seed must be non-negative"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_bad_count_and_seed_rejected_up_front(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cascade_recall_demo(**{"num_boxes": 4, **kwargs})
 
     @pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf")])
     def test_bad_jitter_rejected_up_front(self, sigma):
