@@ -27,6 +27,7 @@ from .geometry import (
     MAX_SCALE_DELTA,
     BoundingBox,
     BoxDelta,
+    _check_integer,
     clip,
     decode_delta,
     encode_delta,
@@ -265,14 +266,17 @@ def train_anticipation_model(
     convex so no restarts or stochasticity are needed.
 
     Raises:
-        ValueError: when the training set has no positive rows.
+        ValueError: when the training set has no positive rows, ``epochs``
+            is not an integer of at least 1, or ``learning_rate`` is not a
+            positive finite number.
     """
     if training_set.num_positive == 0:
         raise ValueError("cannot train without positive samples")
+    _check_integer("epochs", epochs)
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
-    if learning_rate <= 0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be positive and finite, got {learning_rate!r}")
     feats = training_set.features
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)

@@ -181,6 +181,23 @@ def test_training_requires_positives():
         train_anticipation_model(empty_pos, gap=4)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epochs": True}, "^epochs must be an integer, got True$"),
+        ({"epochs": 2.5}, "^epochs must be an integer, got 2.5$"),
+        ({"learning_rate": float("nan")}, "^learning rate must be positive and finite, got nan$"),
+        ({"learning_rate": float("inf")}, "^learning rate must be positive and finite, got inf$"),
+        ({"learning_rate": -float("inf")}, "^learning rate must be positive and finite, got -inf$"),
+    ],
+    ids=["epochs-bool", "epochs-float", "lr-nan", "lr-inf", "lr-minus-inf"],
+)
+def test_training_rejects_bad_arguments(kwargs, message):
+    ts = build_training_set(drifting_rows((2.0, 1.0), 8), image_width=W, image_height=H)
+    with pytest.raises(ValueError, match=message):
+        train_anticipation_model(ts, gap=8, **kwargs)
+
+
 def test_training_loss_non_increasing():
     pairs = drifting_rows((2.0, 1.0), 8)
     ts = build_training_set(pairs, image_width=W, image_height=H)

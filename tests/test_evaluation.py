@@ -375,11 +375,61 @@ class TestStudyArguments:
         with pytest.raises(ValueError, match="must not repeat"):
             run_strategy_study(drifting_scene_specs(1), **kwargs)
 
+    def test_bad_config_with_no_training_strategy(self, no_passes):
+        # a study without "learned" never trains, but its config is still checked
+        with pytest.raises(ValueError, match="^train_epochs must be at least 1, got -5$"):
+            run_strategy_study(
+                drifting_scene_specs(1),
+                strategies=("none",),
+                seeds=(0,),
+                config=evaluation.StudyConfig(train_epochs=-5),
+            )
+
     def test_threshold_out_of_range(self, no_passes):
         with pytest.raises(ValueError, match=r"must be in \(0, 1\], got \[1\.5\]"):
             run_strategy_study(
                 drifting_scene_specs(1), deltas=(0.05, 0.1, 0.2, 0.3, 1.5), seeds=(0,)
             )
+
+
+class TestStudyConfig:
+    @pytest.mark.parametrize(
+        "epochs, message",
+        [
+            (0, "^train_epochs must be at least 1, got 0$"),
+            (-1, "^train_epochs must be at least 1, got -1$"),
+            (2.5, "^train_epochs must be an integer, got 2.5$"),
+            (True, "^train_epochs must be an integer, got True$"),
+        ],
+    )
+    def test_rejects_bad_epochs(self, epochs, message):
+        with pytest.raises(ValueError, match=message):
+            evaluation.StudyConfig(train_epochs=epochs)
+
+
+class TestStudyConvergence:
+    """The default training length gives the study the answer of twice as long.
+
+    Four drifting scenes of 90 frames with base seed 67 are the
+    ``study-drift`` benchmark's seed 15. Its loss converges slowest of the
+    seeds measured, and its study CSV still changes at 800 epochs.
+    """
+
+    def test_default_epochs_match_2000(self):
+        specs = drifting_scene_specs(4, num_frames=90, base_seed=67)
+        default = run_strategy_study(specs, seeds=(0,), config=evaluation.StudyConfig())
+        longer = run_strategy_study(
+            specs, seeds=(0,), config=evaluation.StudyConfig(train_epochs=2000)
+        )
+
+        def table(report):
+            return [
+                (row.strategy, row.gap, [row.map_by_delta[d].hex() for d in report.deltas])
+                for row in report.rows
+            ]
+
+        assert table(default) == table(longer)
+        assert default.to_csv() == longer.to_csv()
 
 
 class TestDetectionPassArguments:
