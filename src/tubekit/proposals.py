@@ -13,6 +13,7 @@ box regressors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -83,8 +84,8 @@ def generate_anchors(width: int, height: int, config: AnchorConfig) -> list[Boun
             cx = (ix + 0.5) * config.stride
             for scale in config.scales:
                 for ratio in config.ratios:
-                    h = scale * np.sqrt(ratio)
-                    w = scale / np.sqrt(ratio)
+                    h = scale * math.sqrt(ratio)
+                    w = scale / math.sqrt(ratio)
                     anchors.append(box_from_center(cx, cy, w, h))
     return anchors
 

@@ -31,7 +31,14 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .geometry import (
-    BoundingBox, _check_integer, box_from_center, clip_visible, encode_delta, iou_matrix
+    BoundingBox,
+    _check_integer,
+    _iou_arrays,
+    box_from_center,
+    boxes_to_array,
+    clip_visible,
+    encode_delta,
+    iou_matrix,
 )
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
@@ -274,7 +281,7 @@ def _jitter_box(
 ) -> Optional[BoundingBox]:
     """Corner-jittered, order-repaired, clipped copy; None if it collapses."""
     if sigma > 0:
-        box = _add_corner_noise(box, rng.normal(0.0, sigma, size=4))
+        box = _add_corner_noise(box, rng.normal(0.0, sigma, size=4).tolist())
     return clip_visible(box, width, height)
 
 
@@ -399,7 +406,7 @@ class _DetectorFrame(NamedTuple):
     """The part of one frame's detection that no proposal set can change."""
 
     truth: tuple[tuple[int, int, BoundingBox, Motion], ...]
-    draws: tuple[tuple[float, np.ndarray, float], ...]  # miss, corners, score
+    draws: tuple[tuple[float, tuple[float, ...], float], ...]  # miss, corners, score
     false_positives: tuple[Detection, ...]
 
 
@@ -452,6 +459,7 @@ class ConditionedDetector:
         truth, draws, false_positives = drawn
         if not (truth and proposals):
             return list(false_positives)
+        sigma = noise.sigma_loc
         dets: list[Detection] = []
         overlaps = iou_matrix([box for _, _, box, _ in truth], list(proposals))
         for row, (_, class_id, gt_box, motion) in enumerate(truth):
@@ -471,7 +479,7 @@ class ConditionedDetector:
                 prop.y2 + rho * (gt_box.y2 - prop.y2),
             )
             box = clip_visible(
-                _add_corner_noise(blended, corner_noise * noise.sigma_loc),
+                _add_corner_noise(blended, [c * sigma for c in corner_noise]),
                 spec.width,
                 spec.height,
             )
@@ -491,7 +499,11 @@ class ConditionedDetector:
         # be, so that one actor's coverage cannot shift another actor's
         # noise stream
         draws = tuple(
-            (rng.uniform(), rng.normal(0.0, 1.0, size=4), rng.normal(0.0, 1.0))
+            (
+                rng.uniform(),
+                tuple(rng.normal(0.0, 1.0, size=4).tolist()),
+                rng.normal(0.0, 1.0),
+            )
             for _ in truth
         )
         false_positives = _false_positives(self.scene, rng)
@@ -585,8 +597,10 @@ def halving_stage(ground_truths: Sequence[BoundingBox]) -> ProposalStage:
         )
         return encode_delta(box, halfway)
 
+    gt_array = boxes_to_array(ground_truths)
+
     def scorer(box: BoundingBox) -> float:
-        return float(iou_matrix([box], list(ground_truths)).max())
+        return float(_iou_arrays(boxes_to_array([box]), gt_array).max())
 
     return ProposalStage(regressor=regressor, scorer=scorer)
 
@@ -636,7 +650,9 @@ def cascade_recall_demo(
         h = rng.uniform(40.0, 120.0)
         gt = box_from_center(cx, cy, w, h)
         gts.append(gt)
-        anchors.append(_add_corner_noise(gt, rng.normal(0.0, jitter_sigma, size=4)))
+        anchors.append(
+            _add_corner_noise(gt, rng.normal(0.0, jitter_sigma, size=4).tolist())
+        )
     stage = halving_stage(gts)
     one = single_stage_refine(
         anchors, stage, image_width=width, image_height=height, top_n=num_boxes

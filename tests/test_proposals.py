@@ -67,6 +67,32 @@ def test_anchor_ordering_scales_outer_ratios_inner():
     np.testing.assert_allclose(heights, expected)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        AnchorConfig(stride=16, scales=(128.0, 256.0, 512.0), ratios=(0.5, 1.0, 2.0)),
+        AnchorConfig(stride=7, scales=(30, 45.5), ratios=(0.3, 1, 3, 7.25)),
+        AnchorConfig(stride=32, scales=(1e-3, 1e6), ratios=(1e-4, 0.7, 1e4)),
+    ],
+)
+def test_anchor_corners_match_the_numpy_sqrt_formula(config):
+    width, height = 70, 45
+    expected = []
+    for iy in range(-(-height // config.stride)):
+        cy = (iy + 0.5) * config.stride
+        for ix in range(-(-width // config.stride)):
+            cx = (ix + 0.5) * config.stride
+            for scale in config.scales:
+                for ratio in config.ratios:
+                    h = scale * np.sqrt(ratio)
+                    w = scale / np.sqrt(ratio)
+                    expected.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
+    got = [a.as_tuple() for a in generate_anchors(width, height, config)]
+    assert [tuple(v.hex() for v in box) for box in got] == [
+        tuple(float(v).hex() for v in box) for box in expected
+    ]
+
+
 def test_anchor_config_validation():
     with pytest.raises(ValueError):
         AnchorConfig(stride=0)

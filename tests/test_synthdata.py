@@ -4,7 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tubekit.anticipation import anticipate, build_training_set, train_anticipation_model
 from tubekit.geometry import BoundingBox, iou, iou_matrix
+from tubekit.linking import extract_tubes
+from tubekit.proposals import AnchorConfig, generate_anchors
 from tubekit.synthdata import (
     ActorSpec,
     ConditionedDetector,
@@ -17,6 +20,7 @@ from tubekit.synthdata import (
     halving_stage,
     render_detections,
 )
+from tubekit.trimming import TrimmingParams, avg_class_length, trim_tubes
 
 
 def simple_spec(**overrides):
@@ -700,6 +704,105 @@ class TestCascadeDemo:
             ValueError, match=f"^jitter_sigma must be finite and non-negative, got {sigma}$"
         ):
             cascade_recall_demo(num_boxes=4, jitter_sigma=sigma)
+
+
+class TestHalvingScorer:
+    def test_matches_iou_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+
+        def random_box():
+            x, y = rng.uniform(0.0, 300.0, size=2).tolist()
+            w, h = rng.uniform(0.0, 80.0, size=2).tolist()
+            return BoundingBox(x, y, x + w, y + h)
+
+        gts = [random_box() for _ in range(25)]
+        scorer = halving_stage(gts).scorer
+        boxes = [random_box() for _ in range(400)] + gts + [BoundingBox(5, 5, 5, 5)]
+        for box in boxes:
+            got = scorer(box)
+            assert type(got) is float
+            assert got.hex() == float(iou_matrix([box], gts).max()).hex()
+
+
+def _assert_built_in_floats(label, values):
+    bad = [(i, type(v).__name__) for i, v in enumerate(values) if type(v) is not float]
+    assert not bad, f"{label}: values that are not built-in floats: {bad[:5]}"
+
+
+def _assert_float_boxes(label, boxes):
+    _assert_built_in_floats(label, [v for box in boxes for v in box.as_tuple()])
+
+
+def _assert_float_detections(label, dets):
+    _assert_float_boxes(label, [d.box for d in dets])
+    _assert_built_in_floats(label + " scores", [d.score for d in dets])
+    _assert_built_in_floats(label + " motions", [v for d in dets for v in d.motion])
+
+
+class TestBuiltInFloats:
+    """Every corner, score and motion the library draws is a built-in float.
+
+    A numpy scalar that leaks into a box keeps its value but makes every
+    later scalar operation on it (``iou``, ``tube_iou``, trimming, the JSON
+    writer) run numpy scalar arithmetic.
+    """
+
+    def setup_method(self):
+        self.scene = generate_scene(drifting_scene_specs(1, num_frames=24)[0])
+        self.spec = self.scene.spec
+        assert self.spec.noise.sigma_loc > 0
+
+    def test_rendered_detections(self):
+        frames = render_detections(self.scene)
+        dets = [d for fd in frames for d in fd.detections]
+        assert len(dets) > 20
+        _assert_float_detections("render_detections", dets)
+
+    def test_proposals_and_detections(self):
+        oracle = ProposalOracle(self.scene, seed=2)
+        detector = ConditionedDetector(self.scene, seed=3)
+        proposals = [oracle.propose(t) for t in range(self.spec.num_frames)]
+        _assert_float_boxes("propose", [b for props in proposals for b in props])
+        dets = [
+            d for t, props in enumerate(proposals) for d in detector.detect(t, props)
+        ]
+        assert len(dets) > 20
+        _assert_float_detections("detect", dets)
+
+    def test_anticipated_boxes(self):
+        gap = 4
+        frames = render_detections(self.scene)
+        pairs = [
+            (
+                [(d.box, d.motion) for d in frames[t].detections],
+                [box for _, _, box, _ in self.scene.frame_truth(t + gap)],
+            )
+            for t in range(self.spec.num_frames - gap)
+        ]
+        size = dict(image_width=self.spec.width, image_height=self.spec.height)
+        model = train_anticipation_model(
+            build_training_set(pairs, **size), gap, epochs=20
+        )
+        current = [(d.box, d.motion) for fd in frames for d in fd.detections]
+        for label, strategy in (("non-motion", "non-motion"), ("model", model)):
+            boxes = anticipate(strategy, current, **size)
+            assert len(boxes) == len(current)
+            _assert_float_boxes(f"anticipate {label}", boxes)
+
+    def test_linked_and_trimmed_tubes(self):
+        tubes = extract_tubes(render_detections(self.scene))
+        trimmed = trim_tubes(tubes, TrimmingParams(avg_class_length(tubes)))
+        assert tubes and trimmed
+        for label, batch in (("extract_tubes", tubes), ("trim_tubes", trimmed)):
+            _assert_float_boxes(label, [b for tube in batch for b in tube.boxes])
+            _assert_built_in_floats(label, [s for tube in batch for s in tube.scores])
+
+    def test_anchors(self):
+        for config in (
+            AnchorConfig(stride=16, scales=(32, 64), ratios=(0.5, 1, 2)),
+            AnchorConfig(stride=8, scales=(24.0,), ratios=(1.0, 3.0)),
+        ):
+            _assert_float_boxes("generate_anchors", generate_anchors(48, 32, config))
 
 
 class TestNoiseStreamGolden:
