@@ -236,14 +236,9 @@ class AnticipationModel:
     ) -> BoxDelta:
         phi = feature_vector(box, motion, image_width, image_height)
         phi = (phi - self.feature_mean) / self.feature_scale
-        raw = self.weights @ phi + self.bias
+        tx, ty, tw, th = (self.weights @ phi + self.bias).tolist()
         bound = MAX_SCALE_DELTA
-        return BoxDelta(
-            float(raw[0]),
-            float(raw[1]),
-            float(np.clip(raw[2], -bound, bound)),
-            float(np.clip(raw[3], -bound, bound)),
-        )
+        return BoxDelta(tx, ty, min(max(tw, -bound), bound), min(max(th, -bound), bound))
 
     def predict_box(
         self, box: BoundingBox, motion: Motion, image_width: float, image_height: float
@@ -336,14 +331,12 @@ def anticipate(
     """
     if not _anticipates(strategy):
         return []
+    kept = [(box, motion) for box, motion in detections if box.width > 0.0 and box.height > 0.0]
     if isinstance(strategy, str):  # "non-motion"
-        return [clip(box, image_width, image_height) for box, _ in detections]
-    out: list[BoundingBox] = []
-    for box, motion in detections:
-        if box.width <= 0.0 or box.height <= 0.0:
-            continue
-        out.append(strategy.predict_box(box, motion, image_width, image_height))
-    return out
+        return [clip(box, image_width, image_height) for box, _ in kept]
+    return [
+        strategy.predict_box(box, motion, image_width, image_height) for box, motion in kept
+    ]
 
 
 def augment_proposals(

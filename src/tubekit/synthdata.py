@@ -38,7 +38,7 @@ from .geometry import (
     boxes_to_array,
     clip_visible,
     encode_delta,
-    iou_matrix,
+    iou,
 )
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
@@ -461,16 +461,16 @@ class ConditionedDetector:
             return list(false_positives)
         sigma = noise.sigma_loc
         dets: list[Detection] = []
-        overlaps = iou_matrix([box for _, _, box, _ in truth], list(proposals))
         for row, (_, class_id, gt_box, motion) in enumerate(truth):
-            coverage = float(overlaps[row].max())
+            overlaps = [iou(gt_box, p) for p in proposals]
+            coverage = float(max(overlaps))
             miss_draw, corner_noise, score_noise = draws[row]
             if coverage < self.min_coverage:
                 continue
             if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
                 continue
-            best = int(overlaps[row].argmax())
-            prop = proposals[best]
+            # ties go to the earliest proposal
+            prop = proposals[overlaps.index(coverage)]
             rho = self.regress_strength
             blended = BoundingBox(
                 prop.x1 + rho * (gt_box.x1 - prop.x1),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubekit.geometry import BoundingBox, decode_delta, encode_delta, iou
+from tubekit.geometry import MAX_SCALE_DELTA, BoundingBox, decode_delta, encode_delta, iou
 from tubekit.anticipation import (
     STRATEGY_LEARNED,
     STRATEGY_NON_MOTION,
@@ -294,6 +294,55 @@ def test_predict_delta_is_clamped_against_overflow():
     assert 0 <= predicted.x1 <= predicted.x2 <= W
 
 
+def old_clip_delta(model, box, motion):
+    """``predict_delta`` as it was written with ``np.clip`` on numpy scalars."""
+    phi = feature_vector(box, motion, W, H)
+    phi = (phi - model.feature_mean) / model.feature_scale
+    raw = model.weights @ phi + model.bias
+    bound = MAX_SCALE_DELTA
+    return (
+        float(raw[0]),
+        float(raw[1]),
+        float(np.clip(raw[2], -bound, bound)),
+        float(np.clip(raw[3], -bound, bound)),
+    )
+
+
+def test_predict_delta_matches_the_np_clip_formula_bit_for_bit():
+    gap = 8
+    ts = build_training_set(drifting_rows((2.0, -1.0), gap), image_width=W, image_height=H)
+    trained = train_anticipation_model(ts, gap=gap, epochs=50)
+    rng = np.random.default_rng(4)
+    models = [trained]
+    # biases past the clamp on both sides, one exactly on it, and weights
+    # that carry some rows across it
+    for tw, th in ((25.0, -25.0), (-MAX_SCALE_DELTA, MAX_SCALE_DELTA), (9.5, -9.5)):
+        models.append(
+            AnticipationModel(
+                weights=rng.normal(0.0, 2.0, size=(4, 6)),
+                bias=np.array([0.3, -0.2, tw, th]),
+                gap=gap,
+                feature_mean=trained.feature_mean,
+                feature_scale=trained.feature_scale,
+            )
+        )
+    probes = []
+    for _ in range(200):
+        x, y = rng.uniform(0.0, 280.0, size=2).tolist()
+        w, h = rng.uniform(1.0, 60.0, size=2).tolist()
+        motion = tuple(rng.normal(0.0, 3.0, size=2).tolist())
+        probes.append((BoundingBox(x, y, x + w, y + h), motion))
+    clamped = 0
+    for model in models:
+        for box, motion in probes:
+            delta = model.predict_delta(box, motion, W, H)
+            got = delta.as_tuple()
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == [v.hex() for v in old_clip_delta(model, box, motion)]
+            clamped += sum(abs(v) == MAX_SCALE_DELTA for v in got[2:])
+    assert clamped > 200
+
+
 def test_anticipate_none_and_non_motion():
     dets = [
         (BoundingBox(0, 0, 10, 10), (1.0, 0.0)),
@@ -303,6 +352,26 @@ def test_anticipate_none_and_non_motion():
     repeated = anticipate(STRATEGY_NON_MOTION, dets, image_width=W, image_height=H)
     assert repeated[0] == BoundingBox(0, 0, 10, 10)
     assert repeated[1] == BoundingBox(0, 5, 15, 25)  # clipped into the image
+
+
+@pytest.mark.parametrize("learned", [False, True])
+def test_anticipate_skips_degenerate_boxes(learned):
+    gap = 4
+    strategy = STRATEGY_NON_MOTION
+    if learned:
+        ts = build_training_set(drifting_rows((1.0, 0.0), gap), image_width=W, image_height=H)
+        strategy = train_anticipation_model(ts, gap=gap, epochs=20)
+    good = [(BoundingBox(10, 10, 30, 40), (1.0, 0.0)), (BoundingBox(50, 60, 70, 75), (0.0, 2.0))]
+    degenerate = [
+        (BoundingBox(10, 10, 10, 20), (0.0, 0.0)),  # zero width
+        (BoundingBox(10, 10, 20, 10), (1.0, 0.0)),  # zero height
+        (BoundingBox(5, 5, 5, 5), (0.0, 0.0)),  # a point
+    ]
+    mixed = [degenerate[0], good[0], degenerate[1], degenerate[2], good[1]]
+    size = dict(image_width=W, image_height=H)
+    assert anticipate(strategy, degenerate, **size) == []
+    assert anticipate(strategy, mixed, **size) == anticipate(strategy, good, **size)
+    assert len(anticipate(strategy, good, **size)) == 2
 
 
 def test_anticipate_rejects_unknown_strategy():

@@ -4,9 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tubekit.anticipation import anticipate, build_training_set, train_anticipation_model
-from tubekit.geometry import BoundingBox, iou, iou_matrix
-from tubekit.linking import extract_tubes
+from tubekit.anticipation import (
+    anticipate,
+    augment_proposals,
+    build_training_set,
+    train_anticipation_model,
+)
+from tubekit.geometry import BoundingBox, clip_visible, iou, iou_matrix
+from tubekit.linking import Detection, extract_tubes
 from tubekit.proposals import AnchorConfig, generate_anchors
 from tubekit.synthdata import (
     ActorSpec,
@@ -14,6 +19,8 @@ from tubekit.synthdata import (
     NoiseModel,
     ProposalOracle,
     SceneSpec,
+    _add_corner_noise,
+    _clip01,
     cascade_recall_demo,
     drifting_scene_specs,
     generate_scene,
@@ -504,11 +511,11 @@ class TestConditionedDetector:
         scene = generate_scene(spec)
         calls = []
 
-        def counting_iou_matrix(a, b):
-            calls.append((len(a), len(b)))
-            return iou_matrix(a, b)
+        def counting_iou(a, b):
+            calls.append((a, b))
+            return iou(a, b)
 
-        monkeypatch.setattr(synthdata, "iou_matrix", counting_iou_matrix)
+        monkeypatch.setattr(synthdata, "iou", counting_iou)
         det = ConditionedDetector(scene, seed=2)
         proposal = BoundingBox(40, 40, 60, 60)
         early = [det.detect(t, [proposal]) for t in range(10)]
@@ -516,7 +523,7 @@ class TestConditionedDetector:
         assert early == [det.detect(t, []) for t in range(10)]
         assert any(early)
         det.detect(12, [proposal])
-        assert calls == [(1, 1)]
+        assert len(calls) == 1
 
     def test_low_coverage_is_a_miss(self):
         scene = self.make_scene()
@@ -606,6 +613,158 @@ class TestConditionedDetector:
             ConditionedDetector(scene, regress_strength=1.5)
         with pytest.raises(ValueError):
             ConditionedDetector(scene, min_coverage=-0.1)
+
+
+def reference_detect(detector, frame_index, proposals):
+    """``ConditionedDetector.detect`` as it was written around one ``iou_matrix``
+    of the truth rows against the proposals, ``argmax`` picking each row's
+    proposal."""
+    spec = detector.scene.spec
+    noise = spec.noise
+    truth, draws, false_positives = detector._draw(frame_index)
+    if not (truth and proposals):
+        return list(false_positives)
+    sigma = noise.sigma_loc
+    dets = []
+    overlaps = iou_matrix([box for _, _, box, _ in truth], list(proposals))
+    for row, (_, class_id, gt_box, motion) in enumerate(truth):
+        coverage = float(overlaps[row].max())
+        miss_draw, corner_noise, score_noise = draws[row]
+        if coverage < detector.min_coverage:
+            continue
+        if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
+            continue
+        prop = proposals[int(overlaps[row].argmax())]
+        rho = detector.regress_strength
+        blended = BoundingBox(
+            prop.x1 + rho * (gt_box.x1 - prop.x1),
+            prop.y1 + rho * (gt_box.y1 - prop.y1),
+            prop.x2 + rho * (gt_box.x2 - prop.x2),
+            prop.y2 + rho * (gt_box.y2 - prop.y2),
+        )
+        box = clip_visible(
+            _add_corner_noise(blended, [c * sigma for c in corner_noise]),
+            spec.width,
+            spec.height,
+        )
+        if box is None:
+            continue
+        score = _clip01(noise.tp_score_mean * coverage + score_noise * noise.tp_score_sigma)
+        dets.append(Detection(box=box, class_id=class_id, score=score, motion=motion))
+    dets.extend(false_positives)
+    return dets
+
+
+def hexed_detections(dets):
+    return [
+        (
+            tuple(float(v).hex() for v in d.box.as_tuple()),
+            d.class_id,
+            float(d.score).hex(),
+            d.motion and tuple(float(v).hex() for v in d.motion),
+        )
+        for d in dets
+    ]
+
+
+class TestDetectMatchesMatrixReference:
+    """``detect`` keeps the bits of the matrix-based body it replaced,
+    including which of several equally covering proposals it regresses from."""
+
+    def assert_matches(self, make_detector, frame_index, proposals):
+        got = make_detector().detect(frame_index, proposals)
+        want = reference_detect(make_detector(), frame_index, proposals)
+        assert hexed_detections(got) == hexed_detections(want)
+        return got
+
+    def test_drifting_fixture_with_and_without_anticipation(self):
+        gap = 4
+        scene = generate_scene(drifting_scene_specs(1, num_frames=40)[0])
+        spec = scene.spec
+        size = dict(image_width=spec.width, image_height=spec.height)
+        rendered = render_detections(scene)
+        model = train_anticipation_model(
+            build_training_set(
+                [
+                    (
+                        [(d.box, d.motion) for d in rendered[t].detections],
+                        [box for _, _, box, _ in scene.frame_truth(t + gap)],
+                    )
+                    for t in range(spec.num_frames - gap)
+                ],
+                **size,
+            ),
+            gap,
+            epochs=20,
+        )
+        detected = 0
+        for anticipator in ("none", "non-motion", model):
+            oracle = ProposalOracle(scene, seed=2)
+            detector = ConditionedDetector(scene, seed=3)
+            reference = ConditionedDetector(scene, seed=3)
+            frames = []
+            for t in range(spec.num_frames):
+                proposals = oracle.propose(t)
+                if anticipator != "none" and t >= gap:
+                    predicted = anticipate(
+                        anticipator,
+                        [(d.box, d.motion or (0.0, 0.0)) for d in frames[t - gap]],
+                        **size,
+                    )
+                    proposals = augment_proposals(proposals, predicted)
+                got = detector.detect(t, proposals)
+                want = reference_detect(reference, t, proposals)
+                assert hexed_detections(got) == hexed_detections(want), (anticipator, t)
+                frames.append(got)
+            detected += sum(map(len, frames))
+        assert detected > 100
+
+    def test_equal_coverage_takes_the_first_proposal(self):
+        scene = generate_scene(simple_spec())
+        gt_box = scene.tubes[0].boxes[0]  # (40, 40, 60, 60)
+        left = BoundingBox(38, 40, 58, 60)
+        right = BoundingBox(42, 40, 62, 60)
+        above = BoundingBox(40, 38, 60, 58)
+        far = BoundingBox(150, 150, 170, 170)
+        assert iou(gt_box, left) == iou(gt_box, right) == iou(gt_box, above)
+
+        def make():
+            return ConditionedDetector(scene, regress_strength=0.5, seed=1)
+
+        picked = []
+        for proposals in (
+            [left, right],
+            [far, right, left, above],
+            [above, left, far, right],
+            [right, right, left],  # a duplicate of the best
+            [far, left, left],
+        ):
+            (det,) = self.assert_matches(make, 0, proposals)
+            first = next(p for p in proposals if p is not far)
+            # noiseless: the box is the first best proposal pulled halfway to the truth
+            assert det.box == BoundingBox(
+                *(p + 0.5 * (g - p) for p, g in zip(first.as_tuple(), gt_box.as_tuple()))
+            )
+            picked.append(det.box)
+        assert len(set(picked)) == 3
+
+    def test_rows_below_min_coverage(self):
+        actors = (
+            ActorSpec(class_id=0, entry_frame=0, exit_frame=9, box=BoundingBox(20, 20, 50, 50)),
+            ActorSpec(class_id=1, entry_frame=0, exit_frame=9, box=BoundingBox(120, 120, 150, 160)),
+        )
+        noise = NoiseModel(sigma_loc=1.0, miss_rate=0.0, fp_rate=0.0)
+        scene = generate_scene(simple_spec(actors=actors, noise=noise))
+        covering = BoundingBox(21, 19, 51, 49)
+        sliver = BoundingBox(120, 120, 126, 126)
+
+        def make():
+            return ConditionedDetector(scene, min_coverage=0.5, seed=4)
+
+        for t in range(10):
+            dets = self.assert_matches(make, t, [sliver, covering])
+            assert [d.class_id for d in dets] == [0]
+            assert self.assert_matches(make, t, [sliver]) == []
 
 
 @pytest.mark.parametrize("cls", [ProposalOracle, ConditionedDetector])
