@@ -10,10 +10,13 @@ Three schemas, all versioned with a ``format_version`` field:
 
 Writers are canonical: a file holds exactly the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` and a newline (the tests
-compare the two), so identical data produces identical bytes. Readers accept
-the shape the writers produce with one check for a tube's boxes, one for its
-scores and one per detection. Anything else is walked field by field, and
-only that walk reports errors, each naming the offending field path.
+compare the two), so identical data produces identical bytes. A list of
+equal-length lists of finite built-in floats, such as a tube's boxes, is
+written with one row template of ``%r`` fields, filled in once for all rows.
+Readers accept the shape the writers produce with one check for a tube's
+boxes, one for its scores and one per detection. Anything else is walked
+field by field, and only that walk reports errors, each naming the offending
+field path.
 """
 
 from __future__ import annotations
@@ -150,6 +153,25 @@ def _check_version(data: dict, path: str) -> None:
         _fail(f"{path}.format_version", f"unsupported version {version}")
 
 
+def _float_rows(value: list, indent: str) -> Optional[str]:
+    """``value`` as :func:`_encode` writes it, or None if it is not float rows.
+
+    Float rows are lists of one length k >= 1 holding only finite built-in
+    floats, such as a tube's boxes. They are written with one row template
+    of k ``%r`` fields, joined once per row; ``%r`` of a built-in float is
+    ``float.__repr__``.
+    """
+    if set(map(type, value)) != {list} or len(set(map(len, value))) != 1:
+        return None
+    flat = list(chain.from_iterable(value))
+    if not _finite_floats(flat):
+        return None
+    inner, row_inner = indent + "  ", indent + "    "
+    row = f"[\n{row_inner}" + f",\n{row_inner}".join(["%r"] * len(value[0])) + f"\n{inner}]"
+    rows = f",\n{inner}".join([row] * len(value)) % tuple(flat)
+    return f"[\n{inner}{rows}\n{indent}]"
+
+
 def _encode(value: Any, indent: str) -> str:
     """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it at ``indent``.
 
@@ -174,6 +196,11 @@ def _encode(value: Any, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        # the type test keeps other lists, such as a file's frames, off the row path
+        if type(value[0]) is list:
+            rows = _float_rows(value, indent)
+            if rows is not None:
+                return rows
         if _finite_floats(value):
             items = map(float.__repr__, value)
         else:

@@ -29,7 +29,16 @@ def _check_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass(frozen=True)
+def _check_corners(x1, y1, x2, y2) -> None:
+    """Reject a non-finite corner, naming the first, then inverted corners."""
+    for name, value in (("x1", x1), ("y1", y1), ("x2", x2), ("y2", y2)):
+        if not math.isfinite(value):
+            raise ValueError(f"box coordinate {name} must be finite")
+    if x2 < x1 or y2 < y1:
+        raise ValueError(f"invalid box corners ({x1}, {y1}, {x2}, {y2})")
+
+
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """Axis-aligned box with ``x2 >= x1`` and ``y2 >= y1``."""
 
@@ -38,14 +47,20 @@ class BoundingBox:
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"box coordinate {name} must be finite")
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(
-                f"invalid box corners ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
-            )
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        # four finite built-in floats in order pass one comparison chain;
+        # anything else (ints, numpy scalars, NaN, huge ints, strings) runs the
+        # full checks, whose math.isfinite raises TypeError or OverflowError
+        if not (
+            type(x1) is type(y1) is type(x2) is type(y2) is float
+            and -math.inf < x1 <= x2 < math.inf
+            and -math.inf < y1 <= y2 < math.inf
+        ):
+            _check_corners(x1, y1, x2, y2)
+        _set_x1(self, x1)
+        _set_y1(self, y1)
+        _set_x2(self, x2)
+        _set_y2(self, y2)
 
     @property
     def width(self) -> float:
@@ -65,6 +80,13 @@ class BoundingBox:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.x1, self.y1, self.x2, self.y2)
+
+
+# the slot descriptors' setters write a frozen instance's fields once, in __init__
+_set_x1 = BoundingBox.x1.__set__
+_set_y1 = BoundingBox.y1.__set__
+_set_x2 = BoundingBox.x2.__set__
+_set_y2 = BoundingBox.y2.__set__
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,18 @@ DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
 _EDGE_BLOCK = 4096  # edges per batch-kernel call in extract_tubes: bounds its temporaries
 
 
-@dataclass(frozen=True)
+def _check_detection(class_id, score) -> None:
+    """Reject a bool or out-of-range score, then a class id that is not a natural number."""
+    if isinstance(score, bool):
+        raise ValueError(f"detection score must be a number, got {score!r}")
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"detection score must be in [0, 1], got {score}")
+    _check_integer("class_id", class_id)
+    if class_id < 0:
+        raise ValueError("class_id must be non-negative")
+
+
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A scored, classified box on a single frame.
 
@@ -42,11 +53,33 @@ class Detection:
     score: float
     motion: Optional[tuple[float, float]] = None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"detection score must be in [0, 1], got {self.score}")
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
+    def __init__(
+        self,
+        box: BoundingBox,
+        class_id: int,
+        score: float,
+        motion: Optional[tuple[float, float]] = None,
+    ) -> None:
+        # a built-in int class and float score in range pass one test; the
+        # full checks run otherwise
+        if not (
+            type(class_id) is int
+            and class_id >= 0
+            and type(score) is float
+            and 0.0 <= score <= 1.0
+        ):
+            _check_detection(class_id, score)
+        _set_box(self, box)
+        _set_class_id(self, class_id)
+        _set_score(self, score)
+        _set_motion(self, motion)
+
+
+# the slot descriptors' setters write a frozen instance's fields once, in __init__
+_set_box = Detection.box.__set__
+_set_class_id = Detection.class_id.__set__
+_set_score = Detection.score.__set__
+_set_motion = Detection.motion.__set__
 
 
 @dataclass(frozen=True)
@@ -57,6 +90,7 @@ class FrameDetections:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
+        _check_integer("frame_index", self.frame_index)
         if self.frame_index < 0:
             raise ValueError("frame_index must be non-negative")
 
@@ -90,8 +124,10 @@ class ActionTube:
             raise ValueError("a tube needs at least one frame")
         if len(self.boxes) != len(self.scores):
             raise ValueError("boxes and scores must align one per frame")
+        _check_integer("start_frame", self.start_frame)
         if self.start_frame < 0:
             raise ValueError("start_frame must be non-negative")
+        _check_integer("class_id", self.class_id)
         if self.class_id < 0:
             raise ValueError("class_id must be non-negative")
 

@@ -427,6 +427,42 @@ class TestJsonPlumbing:
         write_json(tmp_path / "out.json", document)
         assert (tmp_path / "out.json").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.5, 1.0, 10.25, 12.0], [-0.0, 5e-324, 1e16, 0.1], [2.5, 3.5, 4.5, 5.5]],
+            [[1.0, 2.0, 3.0, 4.0]],
+            [[0.1], [0.2], [0.3]],
+            [[1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0]],
+            [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0]],
+            [[1.0, float("nan"), 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]],
+            [[1.0, 2.0, 3.0, float("inf")], [float("-inf"), 2.0, 3.0, 4.0]],
+            [[1.0, 2.0, 3.0, 4.0], [1.0, 2, 3.0, 4.0]],
+            [[1.0, 2.0, 3.0, 4.0], [1.0, True, 3.0, 4.0]],
+            [[1.0, 2.0, 3.0, 4.0], [1.0, np.float64(0.1), 3.0, 4.0]],
+            [[], [], []],
+            [[], [1.0]],
+            [(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)],
+            [[1.0, 2.0, 3.0, 4.0], (5.0, 6.0, 7.0, 8.0)],
+            [[1.0, 2.0, 3.0, 4.0], {"x": 1.0}],
+            [[1.0, 2.0], {"x": [3.0, 4.0]}, [5.0, 6.0]],
+            [[[1.0, 2.0]], [[3.0, 4.0]]],
+            [[1.0, "2.0"], [3.0, 4.0]],
+        ],
+        ids=[
+            "uniform", "single-box", "one-column", "ragged-short-last",
+            "ragged-short-first", "nan", "infinities", "int", "bool", "numpy-float",
+            "empty-rows", "empty-and-full", "tuples", "list-and-tuple",
+            "list-and-dict", "dict-between-lists", "nested-lists", "string",
+        ],
+    )
+    def test_float_rows_match_json_dumps(self, tmp_path, monkeypatch, rows):
+        document = {"boxes": rows, "nested": {"boxes": rows}, "outer": [rows, rows]}
+        expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        monkeypatch.setattr(json, "dumps", _no_fallback)
+        write_json(tmp_path / "out.json", document)
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
     def test_keys_that_are_not_strings_match_json_dumps(self, tmp_path):
         document = {"b": {2: "two", 1: "one"}, "a": {1.5: None, True: 0}}
         write_json(tmp_path / "out.json", document)

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -94,6 +99,111 @@ class TestBoundingBox:
         assert BoundingBox(-big, -big, big, big).x2 == big
         assert BoundingBox(-0.0, 0.0, 0.0, -0.0).area == 0.0
         assert BoundingBox(0, 0, 10**300, 1).x2 == 10**300
+
+
+@dataclasses.dataclass(frozen=True)
+class ReferenceBox:
+    """BoundingBox as first written: a frozen dataclass checked in __post_init__ (oracle)."""
+
+    x1: float
+    y1: float
+    x2: float
+    y2: float
+
+    def __post_init__(self) -> None:
+        for name in ("x1", "y1", "x2", "y2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"box coordinate {name} must be finite")
+        if self.x2 < self.x1 or self.y2 < self.y1:
+            raise ValueError(
+                f"invalid box corners ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+            )
+
+
+_MAX = sys.float_info.max
+# every kind of corner a caller can pass: the fast path takes only the first row
+CORNER_VALUES = [
+    0.0, 1.5, -2.25, 1e16,
+    0, 3, -4, True, False,
+    10**300, -(10**300), 10**400, -(10**400),
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, _MAX, -_MAX,
+    math.nan, math.inf, -math.inf,
+    np.float64(1.5), np.float64(math.nan), np.float64(-math.inf), np.int64(2),
+    Fraction(1, 3), "a", None,
+]
+
+
+def typed_corners(box):
+    return [(type(v), repr(v)) for v in (box.x1, box.y1, box.x2, box.y2)]
+
+
+def construction_outcome(make, corners):
+    """``make(*corners)``'s corners with their types, or its exception's type and message."""
+    try:
+        return typed_corners(make(*corners))
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBoundingBoxConstruction:
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", CORNER_VALUES, ids=repr)
+    def test_one_corner_matches_reference(self, value, position):
+        corners = [0.0, 0.0, 1.0, 1.0]
+        corners[position] = value
+        assert construction_outcome(BoundingBox, corners) == construction_outcome(
+            ReferenceBox, corners
+        )
+
+    def test_random_corners_match_reference(self):
+        rng = np.random.default_rng(3)
+        for _ in range(3000):
+            corners = [CORNER_VALUES[i] for i in rng.integers(0, len(CORNER_VALUES), 4)]
+            assert construction_outcome(BoundingBox, corners) == construction_outcome(
+                ReferenceBox, corners
+            ), corners
+
+    def test_random_float_corners_match_reference(self):
+        rng = np.random.default_rng(4)
+        for corners in rng.normal(0.0, 10.0, size=(3000, 4)).tolist():
+            assert construction_outcome(BoundingBox, corners) == construction_outcome(
+                ReferenceBox, corners
+            ), corners
+
+    def test_frozen(self):
+        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            box.x1 = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del box.y2
+        assert box.as_tuple() == (0.0, 0.0, 1.0, 1.0)
+
+    def test_replace_checks_the_new_corners(self):
+        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        assert dataclasses.replace(box, x2=2.0) == BoundingBox(0.0, 0.0, 2.0, 1.0)
+        with pytest.raises(ValueError, match=r"^invalid box corners \(0.0, 0.0, -1.0, 1.0\)$"):
+            dataclasses.replace(box, x2=-1.0)
+
+    def test_equality_hash_and_repr(self):
+        box = BoundingBox(0.5, 1.0, 2.0, 3.0)
+        assert box == BoundingBox(0.5, 1.0, 2.0, 3.0)
+        assert box == BoundingBox(0.5, 1, 2, 3)
+        assert box != BoundingBox(0.5, 1.0, 2.0, 3.5)
+        assert hash(box) == hash((0.5, 1.0, 2.0, 3.0))
+        assert repr(box) == "BoundingBox(x1=0.5, y1=1.0, x2=2.0, y2=3.0)"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_keep_fields_and_types(self, protocol):
+        box = BoundingBox(np.float64(0.5), 1, Fraction(3, 2), 2.0)
+        for copied in (copy.deepcopy(box), pickle.loads(pickle.dumps(box, protocol))):
+            assert copied == box
+            assert typed_corners(copied) == typed_corners(box)
+
+    def test_instances_are_slotted(self):
+        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        assert not hasattr(box, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            object.__setattr__(box, "label", "x")
 
 
 class TestIoU:

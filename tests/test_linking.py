@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -79,6 +82,96 @@ class TestParams:
             det(0, 0, 1, 1, 1.5)
         with pytest.raises(ValueError):
             det(0, 0, 1, 1, 0.5, class_id=-1)
+
+
+class TestDetectionValue:
+    BOX = BoundingBox(0.0, 0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "class_id, score",
+        [(0, 0.0), (3, 1.0), (2, 1), (1, 0), (4, np.float64(0.5)), (np.int64(5), 0.5)],
+    )
+    def test_accepted_values_are_kept_as_given(self, class_id, score):
+        d = Detection(self.BOX, class_id, score)
+        assert (d.box, d.class_id, d.score, d.motion) == (self.BOX, class_id, score, None)
+        assert (type(d.class_id), type(d.score)) == (type(class_id), type(score))
+
+    @pytest.mark.parametrize(
+        "class_id, score, message",
+        [
+            (0, 1.5, "detection score must be in [0, 1], got 1.5"),
+            (0, -0.0625, "detection score must be in [0, 1], got -0.0625"),
+            (0, float("nan"), "detection score must be in [0, 1], got nan"),
+            (-1, 2.0, "detection score must be in [0, 1], got 2.0"),
+            (0, True, "detection score must be a number, got True"),
+            (0, False, "detection score must be a number, got False"),
+            (-1, 0.5, "class_id must be non-negative"),
+            (1.5, 0.9, "class_id must be an integer, got 1.5"),
+            (1.0, 0.9, "class_id must be an integer, got 1.0"),
+            (True, 0.9, "class_id must be an integer, got True"),
+            ("1", 0.9, "class_id must be an integer, got '1'"),
+            (np.float64(2.0), 0.9, "class_id must be an integer, got np.float64(2.0)"),
+        ],
+    )
+    def test_rejections_name_the_value(self, class_id, score, message):
+        with pytest.raises(ValueError) as info:
+            Detection(self.BOX, class_id, score)
+        assert str(info.value) == message
+
+    def test_frozen_and_slotted(self):
+        d = Detection(self.BOX, 1, 0.5, (1.0, -1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.score = 0.25
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            d.motion = None
+        assert not hasattr(d, "__dict__")
+        assert d.score == 0.5 and d.motion == (1.0, -1.0)
+
+    def test_replace_runs_the_checks(self):
+        d = Detection(self.BOX, 1, 0.5)
+        assert dataclasses.replace(d, score=0.25, motion=(0.0, 1.0)) == Detection(
+            self.BOX, 1, 0.25, (0.0, 1.0)
+        )
+        with pytest.raises(ValueError, match="^class_id must be an integer, got 1.5$"):
+            dataclasses.replace(d, class_id=1.5)
+
+    def test_equality_hash_and_repr(self):
+        d = Detection(self.BOX, 1, 0.5, (1.0, 2.0))
+        assert d == Detection(box=self.BOX, class_id=1, score=0.5, motion=(1.0, 2.0))
+        assert d != Detection(self.BOX, 1, 0.5)
+        assert hash(d) == hash((self.BOX, 1, 0.5, (1.0, 2.0)))
+        assert repr(d) == (
+            "Detection(box=BoundingBox(x1=0.0, y1=0.0, x2=1.0, y2=1.0), "
+            "class_id=1, score=0.5, motion=(1.0, 2.0))"
+        )
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_copies_are_equal(self, protocol):
+        d = Detection(self.BOX, 2, 0.75, (0.5, 0.5))
+        assert copy.deepcopy(d) == d
+        assert pickle.loads(pickle.dumps(d, protocol)) == d
+
+
+class TestIntegerFields:
+    """Frame numbers and class ids are integers: a bool or a float is refused up front."""
+
+    @pytest.mark.parametrize("value", [True, 1.5, 2.0, np.float64(3.0)])
+    def test_frame_index(self, value):
+        with pytest.raises(ValueError, match=r"^frame_index must be an integer, got "):
+            FrameDetections(value, ())
+
+    @pytest.mark.parametrize("field", ["class_id", "start_frame"])
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0, np.float64(3.0)])
+    def test_action_tube(self, field, value):
+        fields = dict(class_id=0, start_frame=0, boxes=(BoundingBox(0, 0, 1, 1),), scores=(0.5,))
+        fields[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer, got "):
+            ActionTube(**fields)
+
+    def test_numpy_integers_accepted(self):
+        frame = FrameDetections(np.int64(3), ())
+        tube = ActionTube(np.int32(1), np.int64(2), (BoundingBox(0, 0, 1, 1),), (0.5,))
+        assert (frame.frame_index, tube.class_id, tube.start_frame) == (3, 1, 2)
 
 
 class TestActionTube:
