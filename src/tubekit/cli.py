@@ -17,6 +17,7 @@ writes byte-identical files. Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -252,7 +253,9 @@ def cmd_study(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``tubekit`` parser, built once; ``main`` runs ``cmd_<command>``."""
     parser = argparse.ArgumentParser(
         prog="tubekit",
         description="Synthetic action-tube detection pipeline tools.",
@@ -262,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate ground truth and noisy detections")
     p.add_argument("spec", help="scene spec JSON file")
     p.add_argument("out_dir", help="output directory for gt.json and dets.json")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("link", help="link per-frame detections into tubes")
     p.add_argument("dets", help="detection JSON file")
@@ -273,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="maximum tubes per class (default %(default)s)")
     p.add_argument("--min-score", type=float, default=linking.DEFAULT_MIN_MEAN_LINK_SCORE,
                    help="stop extraction below this mean per-link score (default %(default)s)")
-    p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("trim", help="trim tubes to their best temporal sub-range")
     p.add_argument("tubes", help="tube JSON file")
@@ -286,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length-drift penalty flavor (default %(default)s)")
     p.add_argument("--beta", type=float, default=LinkingParams().beta,
                    help="overlap weight for recomputing link scores (default %(default)s)")
-    p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser("eval", help="score predicted tubes against ground truth")
     p.add_argument("gt", help="ground-truth tube JSON file")
@@ -296,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", action="store_true",
                    help="append one AP column per class")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
         "proposal-recall", help="recall-vs-IoU curve for a proposal set"
@@ -315,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=synthdata.DEMO_SEED,
                    help="demo rng seed (default %(default)s)")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p.set_defaults(func=cmd_proposal_recall)
 
     p = sub.add_parser("study", help="anticipation strategy comparison study")
     p.add_argument("spec_dir", help="directory of scene spec JSON files")
@@ -328,16 +326,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seeds to average over (default %(default)s)")
     p.add_argument("--deltas", default=_joined(evaluation.DEFAULT_STUDY_DELTAS),
                    help="overlap thresholds (default %(default)s)")
-    p.set_defaults(func=cmd_study)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up on every call, so that a replaced module attribute cmd_* runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (ValueError, OSError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

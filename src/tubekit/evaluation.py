@@ -21,11 +21,11 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .anticipation import (
+    DEFAULT_TRAIN_EPOCHS,
     STRATEGIES,
     STRATEGY_LEARNED,
     STRATEGY_NONE,
     AnticipationModel,
-    Motion,
     TrainingSet,
     _anticipates,
     anticipate,
@@ -33,7 +33,7 @@ from .anticipation import (
     build_training_set,
     train_anticipation_model,
 )
-from .geometry import BoundingBox, _check_integer, iou
+from .geometry import BoundingBox, Motion, _check_count, _check_integer, iou
 from .linking import ActionTube, Detection, FrameDetections, extract_tubes
 from .synthdata import ConditionedDetector, ProposalOracle, Scene, SceneSpec, generate_scene
 from .trimming import TrimmingParams, avg_class_length, trim_tubes
@@ -127,9 +127,6 @@ class EvalReport:
 
     map_by_delta: dict[float, float]
     ap_by_delta: dict[float, dict[int, float]]
-
-    def mean_ap(self, delta: float) -> float:
-        return self.map_by_delta[delta]
 
 
 def evaluate(
@@ -257,15 +254,9 @@ class StudyReport:
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Anticipation training length shared by every study cell.
+    """Anticipation training length shared by every study cell."""
 
-    1000 epochs is where the training loss has converged: on the
-    ``study-drift`` benchmark's 64 reference seeds (four drifting scenes of
-    90 frames), 1000 and 2000 epochs print the same study CSV, while 800
-    epochs already change it at two of them.
-    """
-
-    train_epochs: int = 1000
+    train_epochs: int = DEFAULT_TRAIN_EPOCHS
 
     def __post_init__(self) -> None:
         _check_integer("train_epochs", self.train_epochs)
@@ -303,8 +294,10 @@ def run_detection_pass(
     """
     spec = scene.spec
     anticipating = _anticipates(anticipator)
-    if anticipating and (gap is None or gap < 1):
-        raise ValueError("anticipating strategies need a positive gap")
+    if anticipating:
+        if gap is None:
+            raise ValueError("anticipating strategies need a positive gap")
+        _check_count("gap", gap, 1)
     if isinstance(anticipator, AnticipationModel) and anticipator.gap != gap:
         raise ValueError(
             f"the model was trained for gap {anticipator.gap}, the pass runs with gap {gap}"
@@ -344,7 +337,7 @@ def _training_set_for_gap(
             dets = frames[t].detections
             if not dets:
                 continue
-            future = [box for _, _, box, _ in scene.frame_truth(t + gap)]
+            future = [box for _, box, _ in scene.frame_truth(t + gap)]
             pairs.append((_boxes_and_motions(dets), future))
         per_scene.append(
             build_training_set(
@@ -414,8 +407,12 @@ def run_strategy_study(
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
+    for gap in gaps:
+        _check_integer("gap", gap)
     if any(g < 1 for g in gaps):
         raise ValueError("gaps must be positive")
+    for seed in seeds:
+        _check_count("seed", seed)
     named = {"strategies": strategies, "gaps": gaps, "thresholds": deltas, "seeds": seeds}
     for name, values in named.items():
         if len(set(values)) != len(values):

@@ -30,6 +30,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
+import numpy as np
+
 from .geometry import BoundingBox
 from .linking import ActionTube, Detection, FrameDetections, tube_order
 from .synthdata import ActorSpec, NoiseModel, SceneSpec
@@ -175,8 +177,10 @@ def _float_rows(value: list, indent: str) -> Optional[str]:
 def _encode(value: Any, indent: str) -> str:
     """``value`` as ``json.dumps(..., sort_keys=True, indent=2)`` writes it at ``indent``.
 
-    Types are tested in ``json.encoder``'s order. A key that is not a string
-    and a value of any other type raise ``TypeError``.
+    Types are tested in ``json.encoder``'s order. A numpy integer or floating
+    scalar, which the constructors accept, is written as the equal built-in
+    value. A key that is not a string and a value of any other type raise
+    ``TypeError``.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -214,6 +218,10 @@ def _encode(value: Any, indent: str) -> str:
             for k, v in sorted(value.items())
         ]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    if isinstance(value, np.integer):
+        return int.__repr__(int(value))
+    if isinstance(value, np.floating):
+        return _encode(float(value), indent)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

@@ -22,11 +22,22 @@ import numpy as np
 # producing enormous boxes
 MAX_SCALE_DELTA = 10.0
 
+# a box's center displacement from the previous frame, (dx, dy)
+Motion = tuple[float, float]
+
 
 def _check_integer(name: str, value) -> None:
     """Reject a count, frame number or seed that is not an integer (bools included)."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name: str, value, minimum: int = 0) -> None:
+    """Reject a count, frame number, class id or seed that is not an integer >= ``minimum``."""
+    _check_integer(name, value)
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}")
 
 
 def _check_corners(x1, y1, x2, y2) -> None:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, _check_integer, _iou_arrays, boxes_to_array, iou
+from .geometry import BoundingBox, _check_count, _iou_arrays, boxes_to_array, iou
 
 DEFAULT_MAX_TUBES_PER_CLASS = 10
 DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
@@ -30,14 +30,13 @@ _EDGE_BLOCK = 4096  # edges per batch-kernel call in extract_tubes: bounds its t
 
 
 def _check_detection(class_id, score) -> None:
-    """Reject a bool or out-of-range score, then a class id that is not a natural number."""
-    if isinstance(score, bool):
+    """Reject a bool (built-in or numpy) or out-of-range score, then a class id
+    that is not a natural number."""
+    if isinstance(score, (bool, np.bool_)):
         raise ValueError(f"detection score must be a number, got {score!r}")
     if not 0.0 <= score <= 1.0:
         raise ValueError(f"detection score must be in [0, 1], got {score}")
-    _check_integer("class_id", class_id)
-    if class_id < 0:
-        raise ValueError("class_id must be non-negative")
+    _check_count("class_id", class_id)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,9 +89,7 @@ class FrameDetections:
     detections: tuple[Detection, ...]
 
     def __post_init__(self) -> None:
-        _check_integer("frame_index", self.frame_index)
-        if self.frame_index < 0:
-            raise ValueError("frame_index must be non-negative")
+        _check_count("frame_index", self.frame_index)
 
 
 @dataclass(frozen=True)
@@ -124,12 +121,8 @@ class ActionTube:
             raise ValueError("a tube needs at least one frame")
         if len(self.boxes) != len(self.scores):
             raise ValueError("boxes and scores must align one per frame")
-        _check_integer("start_frame", self.start_frame)
-        if self.start_frame < 0:
-            raise ValueError("start_frame must be non-negative")
-        _check_integer("class_id", self.class_id)
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
+        _check_count("start_frame", self.start_frame)
+        _check_count("class_id", self.class_id)
 
     @property
     def end_frame(self) -> int:
@@ -292,9 +285,7 @@ def extract_tubes(
 
     Output is sorted by (class, start frame, score descending).
     """
-    _check_integer("max_tubes_per_class", max_tubes_per_class)
-    if max_tubes_per_class < 1:
-        raise ValueError("max_tubes_per_class must be at least 1")
+    _check_count("max_tubes_per_class", max_tubes_per_class, 1)
     if math.isnan(min_mean_link_score):
         raise ValueError("min_mean_link_score must not be NaN")
     # class -> frame index -> that frame's detections of the class

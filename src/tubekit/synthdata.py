@@ -32,6 +32,8 @@ import numpy as np
 
 from .geometry import (
     BoundingBox,
+    Motion,
+    _check_count,
     _check_integer,
     _iou_arrays,
     box_from_center,
@@ -42,8 +44,6 @@ from .geometry import (
 )
 from .linking import ActionTube, Detection, FrameDetections
 from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
-
-Motion = tuple[float, float]
 
 # stream tags keeping the per-frame rng of each consumer distinct
 _STREAM_TRAJECTORY = 3
@@ -60,13 +60,6 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _check_seed(seed: int) -> None:
-    """Reject a seed that is not a non-negative integer before any random draw."""
-    _check_integer("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
-
-
 @dataclass(frozen=True)
 class ActorSpec:
     """One moving rectangle: class, lifetime, initial box, velocity."""
@@ -79,9 +72,7 @@ class ActorSpec:
     velocity_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        _check_integer("class_id", self.class_id)
-        if self.class_id < 0:
-            raise ValueError("class_id must be non-negative")
+        _check_count("class_id", self.class_id)
         _check_integer("entry_frame", self.entry_frame)
         _check_integer("exit_frame", self.exit_frame)
         if self.entry_frame < 0 or self.exit_frame < self.entry_frame:
@@ -163,7 +154,7 @@ class SceneSpec:
             raise ValueError("need at least one frame")
         if not self.actors:
             raise ValueError("scene needs at least one actor")
-        _check_seed(self.seed)
+        _check_count("seed", self.seed)
         for actor in self.actors:
             if actor.exit_frame >= self.num_frames:
                 raise ValueError(
@@ -188,17 +179,13 @@ class Scene:
     def classes(self) -> tuple[int, ...]:
         return tuple(sorted({t.class_id for t in self.tubes}))
 
-    def frame_truth(
-        self, frame_index: int
-    ) -> list[tuple[int, int, BoundingBox, Motion]]:
-        """(tube index, class_id, box, motion) for every tube covering the frame."""
+    def frame_truth(self, frame_index: int) -> list[tuple[int, BoundingBox, Motion]]:
+        """(class_id, box, motion) for every tube covering the frame."""
         out = []
-        for i, tube in enumerate(self.tubes):
+        for tube, motions in zip(self.tubes, self.motions):
             if tube.start_frame <= frame_index <= tube.end_frame:
                 offset = frame_index - tube.start_frame
-                out.append(
-                    (i, tube.class_id, tube.boxes[offset], self.motions[i][offset])
-                )
+                out.append((tube.class_id, tube.boxes[offset], motions[offset]))
         return out
 
 
@@ -329,7 +316,7 @@ def render_detections(scene: Scene) -> list[FrameDetections]:
     for frame in range(spec.num_frames):
         rng = np.random.default_rng([spec.seed, frame, _STREAM_RENDER])
         dets: list[Detection] = []
-        for _, class_id, box, motion in scene.frame_truth(frame):
+        for class_id, box, motion in scene.frame_truth(frame):
             if noise.miss_rate > 0 and rng.uniform() < noise.miss_rate:
                 continue
             jittered = _jitter_box(box, noise.sigma_loc, rng, spec.width, spec.height)
@@ -369,7 +356,7 @@ class ProposalOracle:
         _check_jitter(jitter_sigma)
         _check_integer("per_actor", per_actor)
         _check_integer("clutter", clutter)
-        _check_seed(seed)
+        _check_count("seed", seed)
         self.scene = scene
         self.jitter_sigma = jitter_sigma
         self.per_actor = per_actor
@@ -388,7 +375,7 @@ class ProposalOracle:
         spec = self.scene.spec
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_PROPOSALS])
         out: list[BoundingBox] = []
-        for _, _, box, _ in self.scene.frame_truth(frame_index):
+        for _, box, _ in self.scene.frame_truth(frame_index):
             for _ in range(self.per_actor):
                 jittered = _jitter_box(
                     box, self.jitter_sigma, rng, spec.width, spec.height
@@ -405,7 +392,7 @@ class ProposalOracle:
 class _DetectorFrame(NamedTuple):
     """The part of one frame's detection that no proposal set can change."""
 
-    truth: tuple[tuple[int, int, BoundingBox, Motion], ...]
+    truth: tuple[tuple[int, BoundingBox, Motion], ...]
     draws: tuple[tuple[float, tuple[float, ...], float], ...]  # miss, corners, score
     false_positives: tuple[Detection, ...]
 
@@ -441,7 +428,7 @@ class ConditionedDetector:
             raise ValueError("regress_strength must be in [0, 1]")
         if not 0.0 <= min_coverage <= 1.0:
             raise ValueError("min_coverage must be in [0, 1]")
-        _check_seed(seed)
+        _check_count("seed", seed)
         self.scene = scene
         self.regress_strength = regress_strength
         self.min_coverage = min_coverage
@@ -461,7 +448,7 @@ class ConditionedDetector:
             return list(false_positives)
         sigma = noise.sigma_loc
         dets: list[Detection] = []
-        for row, (_, class_id, gt_box, motion) in enumerate(truth):
+        for row, (class_id, gt_box, motion) in enumerate(truth):
             overlaps = [iou(gt_box, p) for p in proposals]
             coverage = float(max(overlaps))
             miss_draw, corner_noise, score_noise = draws[row]
@@ -634,7 +621,7 @@ def cascade_recall_demo(
     if num_boxes < 1:
         raise ValueError("need at least one box")
     _check_jitter(jitter_sigma)
-    _check_seed(seed)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     cell = 400.0
     cols = int(math.ceil(math.sqrt(num_boxes)))

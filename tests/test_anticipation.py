@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tubekit.anticipation import (
     STRATEGY_LEARNED,
     STRATEGY_NON_MOTION,
     STRATEGY_NONE,
+    DEFAULT_TRAIN_EPOCHS,
     AnticipationModel,
     anticipate,
     anticipation_loss,
@@ -17,6 +20,7 @@ from tubekit.anticipation import (
     smooth_l1_grad,
     train_anticipation_model,
 )
+from tubekit.evaluation import StudyConfig
 
 W, H = 320.0, 240.0
 
@@ -425,3 +429,28 @@ def test_model_validation():
             feature_mean=np.zeros(6),
             feature_scale=np.zeros(6),
         )
+
+
+@pytest.mark.parametrize(
+    "gap, message",
+    [
+        (0, "^gap must be at least 1$"),
+        (2.5, "^gap must be an integer, got 2.5$"),
+        (True, "^gap must be an integer, got True$"),
+    ],
+)
+def test_model_gap_is_a_positive_integer(gap, message):
+    with pytest.raises(ValueError, match=message):
+        AnticipationModel(
+            weights=np.zeros((4, 6)),
+            bias=np.zeros(4),
+            gap=gap,
+            feature_mean=np.zeros(6),
+            feature_scale=np.ones(6),
+        )
+
+
+def test_default_training_length_is_the_study_default():
+    assert DEFAULT_TRAIN_EPOCHS == 1000
+    default = inspect.signature(train_anticipation_model).parameters["epochs"].default
+    assert default == DEFAULT_TRAIN_EPOCHS == StudyConfig().train_epochs

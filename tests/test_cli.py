@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tubekit import cli
 from tubekit.cli import main
 from tubekit.formats import (
     load_detections,
@@ -568,6 +569,26 @@ def test_study_repeated_gap_exits_2(tmp_path, capsys):
     assert main(["study", str(spec_dir), str(out), "--gaps", "8,8"]) == 2
     assert "gaps must not repeat" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_study_negative_seed_exits_2(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec()))
+    out = tmp_path / "s.csv"
+    assert main(["study", str(spec_dir), str(out), "--seeds", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative\n"
+    assert not out.exists()
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append((args.gt, args.pred)) or 0)
+    cli.build_parser.cache_clear()
+    assert main(["eval", "gt1.json", "pred1.json"]) == 0
+    assert main(["eval", "gt2.json", "pred2.json"]) == 0
+    assert ran == [("gt1.json", "pred1.json"), ("gt2.json", "pred2.json")]
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_trim_non_finite_avg_len_exits_2(tmp_path, spec_file, capsys):

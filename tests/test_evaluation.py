@@ -255,7 +255,7 @@ class TestEvaluate:
             ]
         }
         report = evaluate(pred, gt, [0.5])
-        assert report.mean_ap(0.5) == 1.0
+        assert report.map_by_delta[0.5] == 1.0
         assert report.ap_by_delta[0.5] == {0: 1.0, 1: 1.0}
 
     def test_one_class_found_one_missed(self):
@@ -269,7 +269,7 @@ class TestEvaluate:
         report = evaluate(pred, gt, [0.5])
         assert report.ap_by_delta[0.5][0] == 1.0
         assert report.ap_by_delta[0.5][1] == 0.0
-        assert report.mean_ap(0.5) == pytest.approx(0.5)
+        assert report.map_by_delta[0.5] == pytest.approx(0.5)
 
     def test_map_non_increasing_in_delta(self):
         rng = np.random.default_rng(71)
@@ -296,7 +296,7 @@ class TestEvaluate:
             pred[vid] = preds
         deltas = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
         report = evaluate(pred, gt, deltas)
-        values = [report.mean_ap(d) for d in deltas]
+        values = [report.map_by_delta[d] for d in deltas]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_matching_is_per_video(self):
@@ -308,7 +308,7 @@ class TestEvaluate:
         pred = {"a": [straight_tube(0, 10, score=0.9)], "b": []}
         report = evaluate(pred, gt, [0.5])
         # one of two ground truths found: AP = 0.5
-        assert report.mean_ap(0.5) == pytest.approx(0.5)
+        assert report.map_by_delta[0.5] == pytest.approx(0.5)
 
     def test_unknown_video_rejected(self):
         with pytest.raises(ValueError):
@@ -339,7 +339,7 @@ class TestEvaluate:
         }
         report = evaluate(pred, gt, [0.5])
         assert set(report.ap_by_delta[0.5]) == {0}
-        assert report.mean_ap(0.5) == 1.0
+        assert report.map_by_delta[0.5] == 1.0
 
 
 class TestStudyArguments:
@@ -390,6 +390,56 @@ class TestStudyArguments:
             run_strategy_study(
                 drifting_scene_specs(1), deltas=(0.05, 0.1, 0.2, 0.3, 1.5), seeds=(0,)
             )
+
+
+class TestStudyGapsAndSeeds:
+    """A gap or seed that is not an integer of the right range stops the study before any pass."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        real = evaluation.run_detection_pass
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_detection_pass", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"gaps": (2.5,)}, "^gap must be an integer, got 2.5$"),
+            ({"gaps": (True,)}, "^gap must be an integer, got True$"),
+            ({"gaps": (8, np.float64(2.0))}, r"^gap must be an integer, got np\.float64\(2\.0\)$"),
+            ({"gaps": (2, 0)}, "^gaps must be positive$"),
+            ({"gaps": (-1,)}, "^gaps must be positive$"),
+            ({"seeds": (True,)}, "^seed must be an integer, got True$"),
+            ({"seeds": (0.5,)}, "^seed must be an integer, got 0.5$"),
+            ({"seeds": (0, -1)}, "^seed must be non-negative$"),
+        ],
+        ids=[
+            "gap-float", "gap-bool", "gap-numpy-float", "gap-zero", "gap-negative",
+            "seed-bool", "seed-float", "seed-negative",
+        ],
+    )
+    def test_rejected_before_any_pass(self, passes, kwargs, message):
+        specs = drifting_scene_specs(1, num_frames=12)
+        with pytest.raises(ValueError, match=message):
+            run_strategy_study(specs, **{"seeds": (0,), **kwargs})
+        assert passes == []
+
+    def test_numpy_integers_run(self, passes):
+        specs = drifting_scene_specs(1, num_frames=12)
+        config = evaluation.StudyConfig(train_epochs=20)
+        numpy_run = run_strategy_study(
+            specs, gaps=(np.int64(2),), seeds=(np.int64(0),), config=config
+        )
+        assert len(passes) == 1 + 3  # the training pass, then none, non-motion and learned
+        assert numpy_run.to_csv() == run_strategy_study(
+            specs, gaps=(2,), seeds=(0,), config=config
+        ).to_csv()
 
 
 class TestStudyConfig:
@@ -465,6 +515,24 @@ class TestDetectionPassArguments:
         monkeypatch.setattr(oracle, "propose", fail)
         with pytest.raises(ValueError, match="trained for gap 8, the pass runs with gap 2$"):
             run_detection_pass(scene, oracle, ConditionedDetector(scene), model, gap=2)
+
+    @pytest.mark.parametrize(
+        "gap, message",
+        [
+            (2.5, "^gap must be an integer, got 2.5$"),
+            (True, "^gap must be an integer, got True$"),
+            (0, "^gap must be at least 1$"),
+            (None, "^anticipating strategies need a positive gap$"),
+        ],
+    )
+    def test_bad_gap_rejected_on_entry(self, monkeypatch, gap, message):
+        scene = generate_scene(drifting_scene_specs(1, num_frames=12)[0])
+        oracle = ProposalOracle(scene)
+        proposals = []
+        monkeypatch.setattr(oracle, "propose", proposals.append)
+        with pytest.raises(ValueError, match=message):
+            run_detection_pass(scene, oracle, ConditionedDetector(scene), "non-motion", gap)
+        assert proposals == []
 
 
 class TestStudyGolden:

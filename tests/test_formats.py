@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 
@@ -500,6 +501,53 @@ class TestJsonPlumbing:
 
     def test_schema_error_is_a_value_error(self):
         assert issubclass(SchemaError, ValueError)
+
+
+def _detection_file(class_id=2, score=0.5, frame_index=3):
+    box = BoundingBox(1.0, 2.0, 11.0, 12.0)
+    frames = [FrameDetections(frame_index, (Detection(box, class_id, score, (1.0, 0.5)),))]
+    return detections_to_dict("clip", frames)
+
+
+def _tube_file(class_id=1, start_frame=4, scores=(0.5, 0.25)):
+    boxes = (BoundingBox(0, 0, 10, 10), BoundingBox(2, 0, 12, 10))
+    return tubes_to_dict({"clip": [ActionTube(class_id, start_frame, boxes, scores)]})
+
+
+def _spec_file(width=320):
+    return scene_spec_to_dict(dataclasses.replace(sample_spec(), width=width))
+
+
+class TestNumpyScalars:
+    """A numpy scalar that a constructor accepts is written as the equal built-in value."""
+
+    @pytest.mark.parametrize(
+        "numpy_document, plain_document",
+        [
+            (_detection_file(class_id=np.int64(2)), _detection_file(class_id=2)),
+            (_detection_file(score=np.float32(0.5)), _detection_file(score=0.5)),
+            (_detection_file(score=np.float32(0.1)), _detection_file(score=float(np.float32(0.1)))),
+            (_detection_file(frame_index=np.int64(3)), _detection_file(frame_index=3)),
+            (_tube_file(class_id=np.int32(1)), _tube_file(class_id=1)),
+            (_tube_file(start_frame=np.int64(4)), _tube_file(start_frame=4)),
+            (
+                _tube_file(scores=(np.float32(0.5), np.float32(0.25))),
+                _tube_file(scores=(0.5, 0.25)),
+            ),
+            (_spec_file(width=np.int64(320)), _spec_file(width=320)),
+        ],
+        ids=[
+            "detection-class-int64", "detection-score-float32", "detection-score-float32-inexact",
+            "frame-index-int64", "tube-class-int32", "tube-start-int64", "tube-scores-float32",
+            "spec-width-int64",
+        ],
+    )
+    def test_written_as_the_built_in_value(self, tmp_path, numpy_document, plain_document):
+        write_json(tmp_path / "numpy.json", numpy_document)
+        write_json(tmp_path / "plain.json", plain_document)
+        written = (tmp_path / "numpy.json").read_bytes()
+        assert written == (tmp_path / "plain.json").read_bytes()
+        assert written == (json.dumps(plain_document, sort_keys=True, indent=2) + "\n").encode()
 
 
 # replacement values of the mutation check

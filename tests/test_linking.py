@@ -105,6 +105,8 @@ class TestDetectionValue:
             (-1, 2.0, "detection score must be in [0, 1], got 2.0"),
             (0, True, "detection score must be a number, got True"),
             (0, False, "detection score must be a number, got False"),
+            (0, np.True_, "detection score must be a number, got np.True_"),
+            (0, np.False_, "detection score must be a number, got np.False_"),
             (-1, 0.5, "class_id must be non-negative"),
             (1.5, 0.9, "class_id must be an integer, got 1.5"),
             (1.0, 0.9, "class_id must be an integer, got 1.0"),

@@ -176,9 +176,9 @@ class TestSceneGeneration:
         assert len(scene.frame_truth(12)) == 2
         assert len(scene.frame_truth(16)) == 1
         assert scene.classes == (0, 1)
-        entry = scene.frame_truth(12)[1]
-        assert entry[1] == 1
-        assert entry[2] == BoundingBox(100, 100, 120, 120)
+        class_id, box, _ = scene.frame_truth(12)[1]
+        assert class_id == 1
+        assert box == BoundingBox(100, 100, 120, 120)
 
     def test_nan_velocity_sigma_rejected(self):
         with pytest.raises(ValueError, match="^velocity_sigma must be non-negative$"):
@@ -584,7 +584,7 @@ class TestConditionedDetector:
         proposal_sets = [
             ProposalOracle(scene, jitter_sigma=10.0, seed=1).propose,
             ProposalOracle(scene, jitter_sigma=25.0, per_actor=2, seed=2).propose,
-            lambda t: [box for _, _, box, _ in scene.frame_truth(t)],
+            lambda t: [box for _, box, _ in scene.frame_truth(t)],
             lambda t: [],
         ]
         rng = np.random.default_rng(0)
@@ -626,8 +626,8 @@ def reference_detect(detector, frame_index, proposals):
         return list(false_positives)
     sigma = noise.sigma_loc
     dets = []
-    overlaps = iou_matrix([box for _, _, box, _ in truth], list(proposals))
-    for row, (_, class_id, gt_box, motion) in enumerate(truth):
+    overlaps = iou_matrix([box for _, box, _ in truth], list(proposals))
+    for row, (class_id, gt_box, motion) in enumerate(truth):
         coverage = float(overlaps[row].max())
         miss_draw, corner_noise, score_noise = draws[row]
         if coverage < detector.min_coverage:
@@ -688,7 +688,7 @@ class TestDetectMatchesMatrixReference:
                 [
                     (
                         [(d.box, d.motion) for d in rendered[t].detections],
-                        [box for _, _, box, _ in scene.frame_truth(t + gap)],
+                        [box for _, box, _ in scene.frame_truth(t + gap)],
                     )
                     for t in range(spec.num_frames - gap)
                 ],
@@ -934,7 +934,7 @@ class TestBuiltInFloats:
         pairs = [
             (
                 [(d.box, d.motion) for d in frames[t].detections],
-                [box for _, _, box, _ in self.scene.frame_truth(t + gap)],
+                [box for _, box, _ in self.scene.frame_truth(t + gap)],
             )
             for t in range(self.spec.num_frames - gap)
         ]
