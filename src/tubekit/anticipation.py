@@ -18,7 +18,7 @@ gap, i.e. repeat the current box).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,6 +41,8 @@ FEATURE_DIM = 6
 # frames), 1000 and 2000 epochs print the same study CSV, while 800 epochs
 # already change it at two of them
 DEFAULT_TRAIN_EPOCHS = 1000
+# the gradient-descent step of every fit; the strategy study's calibration
+_LEARNING_RATE = 0.2
 
 STRATEGY_NONE = "none"
 STRATEGY_NON_MOTION = "non-motion"
@@ -48,10 +50,9 @@ STRATEGY_LEARNED = "learned"
 STRATEGIES = (STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED)
 
 
-def _smooth_l1_and_grad(x):
-    """Smooth L1 of ``x`` and its derivative, from one clipped slope."""
-    slope = np.clip(x, -1.0, 1.0)
-    return slope * (x - 0.5 * slope), slope
+def smooth_l1_grad(x):
+    """Derivative of :func:`smooth_l1`: ``x`` for ``|x| < 1``, else ``sign(x)``."""
+    return np.clip(x, -1.0, 1.0)
 
 
 def smooth_l1(x):
@@ -59,22 +60,15 @@ def smooth_l1(x):
 
     Accepts scalars or arrays.
     """
-    return _smooth_l1_and_grad(x)[0]
+    slope = smooth_l1_grad(x)
+    return slope * (x - 0.5 * slope)
 
 
-def smooth_l1_grad(x):
-    """Derivative of :func:`smooth_l1`: ``x`` for ``|x| < 1``, else ``sign(x)``."""
-    return _smooth_l1_and_grad(x)[1]
-
-
-def _loss_and_grad(
+def _loss_grad(
     predictions: np.ndarray, targets: np.ndarray, positive: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """:func:`anticipation_loss` and its gradient from one residual."""
-    n = predictions.shape[0]
-    value, slope = _smooth_l1_and_grad(predictions - targets)
-    loss = float((positive * value.sum(axis=1)).sum() / n)
-    return loss, positive[:, None] / n * slope
+) -> np.ndarray:
+    """:func:`anticipation_loss_grad` of checked arguments."""
+    return positive[:, None] / predictions.shape[0] * smooth_l1_grad(predictions - targets)
 
 
 def _checked_loss_args(
@@ -104,7 +98,9 @@ def anticipation_loss(
     Negative rows contribute nothing to the numerator but still count in the
     normalizer.
     """
-    return _loss_and_grad(*_checked_loss_args(predictions, targets, positive))[0]
+    predictions, targets, positive = _checked_loss_args(predictions, targets, positive)
+    value = smooth_l1(predictions - targets)
+    return float((positive * value.sum(axis=1)).sum() / predictions.shape[0])
 
 
 def anticipation_loss_grad(
@@ -114,7 +110,7 @@ def anticipation_loss_grad(
 
     Row ``i`` is ``positive_i / N * smooth_l1_grad(pred_i - target_i)``.
     """
-    return _loss_and_grad(*_checked_loss_args(predictions, targets, positive))[1]
+    return _loss_grad(*_checked_loss_args(predictions, targets, positive))
 
 
 def feature_vector(
@@ -220,7 +216,6 @@ class AnticipationModel:
     gap: int
     feature_mean: np.ndarray  # (6,)
     feature_scale: np.ndarray  # (6,)
-    loss_history: tuple[float, ...] = field(default=(), compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.weights.shape != (4, FEATURE_DIM):
@@ -256,24 +251,22 @@ def train_anticipation_model(
     gap: int,
     *,
     epochs: int = DEFAULT_TRAIN_EPOCHS,
-    learning_rate: float = 0.2,
 ) -> AnticipationModel:
-    """Fit the linear predictor by full-batch gradient descent.
+    """Fit the linear predictor by ``epochs`` steps of full-batch gradient
+    descent at the fixed rate ``_LEARNING_RATE``.
 
     Features are standardized with statistics from the training set
     (constant columns get unit scale). Weights start at zero; the problem is
-    convex so no restarts or stochasticity are needed.
+    convex so no restarts or stochasticity are needed. No loss is recorded:
+    :func:`anticipation_loss` gives it for any predictions.
 
     Raises:
-        ValueError: when the training set has no positive rows, ``epochs``
-            is not an integer of at least 1, or ``learning_rate`` is not a
-            positive finite number.
+        ValueError: when the training set has no positive rows or ``epochs``
+            is not an integer of at least 1.
     """
     if training_set.num_positive == 0:
         raise ValueError("cannot train without positive samples")
     _check_count("epochs", epochs, 1)
-    if not (math.isfinite(learning_rate) and learning_rate > 0):
-        raise ValueError(f"learning rate must be positive and finite, got {learning_rate!r}")
     feats = training_set.features
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)
@@ -284,20 +277,12 @@ def train_anticipation_model(
 
     weights = np.zeros((4, FEATURE_DIM))
     bias = np.zeros(4)
-    history: list[float] = []
     for _ in range(epochs):
-        pred = phi @ weights.T + bias
-        loss, grad_pred = _loss_and_grad(pred, targets, positive)  # grad (N, 4)
-        history.append(loss)
-        weights -= learning_rate * grad_pred.T @ phi
-        bias -= learning_rate * grad_pred.sum(axis=0)
+        grad_pred = _loss_grad(phi @ weights.T + bias, targets, positive)  # (N, 4)
+        weights -= _LEARNING_RATE * grad_pred.T @ phi
+        bias -= _LEARNING_RATE * grad_pred.sum(axis=0)
     return AnticipationModel(
-        weights=weights,
-        bias=bias,
-        gap=gap,
-        feature_mean=mean,
-        feature_scale=scale,
-        loss_history=tuple(history),
+        weights=weights, bias=bias, gap=gap, feature_mean=mean, feature_scale=scale
     )
 
 

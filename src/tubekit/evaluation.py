@@ -404,6 +404,8 @@ def run_strategy_study(
         raise ValueError("study needs at least one seed")
     if not strategies:
         raise ValueError("study needs at least one strategy")
+    if not gaps:
+        raise ValueError("study needs at least one gap")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")

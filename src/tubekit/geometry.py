@@ -117,9 +117,6 @@ class BoxDelta:
         return (self.tx, self.ty, self.tw, self.th)
 
 
-ZERO_DELTA = BoxDelta(0.0, 0.0, 0.0, 0.0)
-
-
 def box_from_center(cx: float, cy: float, w: float, h: float) -> BoundingBox:
     """The ``w`` by ``h`` box centered on ``(cx, cy)``."""
     return BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)

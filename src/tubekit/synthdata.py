@@ -53,6 +53,13 @@ _STREAM_DETECTOR = 202
 
 _MIN_FP_SIZE = 8.0
 
+# the strategy study's calibration of ProposalOracle and ConditionedDetector
+_ORACLE_JITTER_SIGMA = 15.0
+_ORACLE_PER_ACTOR = 3
+_ORACLE_CLUTTER = 2
+_DETECTOR_REGRESS_STRENGTH = 0.75
+_DETECTOR_MIN_COVERAGE = 0.40
+
 
 def _check_finite(name: str, value: float) -> None:
     """Reject an infinite emulation setting before it reaches a random draw."""
@@ -335,32 +342,15 @@ class ProposalOracle:
     """Box proposals from jittered ground truth plus uniform clutter.
 
     Emulates a proposal stage's output quality without running one: each
-    visible ground-truth box spawns ``per_actor`` corner-jittered copies
-    (``jitter_sigma`` px), and ``clutter`` background boxes are thrown in
-    uniformly. Per-frame outputs are deterministic in (seed, frame), so each
-    frame is drawn once and kept for later calls. The defaults are the
-    strategy study's calibration.
+    visible ground-truth box spawns ``_ORACLE_PER_ACTOR`` corner-jittered
+    copies (``_ORACLE_JITTER_SIGMA`` px), and ``_ORACLE_CLUTTER`` background
+    boxes are thrown in uniformly. Per-frame outputs are deterministic in
+    (seed, frame), so each frame is drawn once and kept for later calls.
     """
 
-    def __init__(
-        self,
-        scene: Scene,
-        *,
-        jitter_sigma: float = 15.0,
-        per_actor: int = 3,
-        clutter: int = 2,
-        seed: int = 0,
-    ) -> None:
-        if not (jitter_sigma >= 0 and per_actor >= 0 and clutter >= 0):
-            raise ValueError("oracle parameters must be non-negative")
-        _check_jitter(jitter_sigma)
-        _check_integer("per_actor", per_actor)
-        _check_integer("clutter", clutter)
+    def __init__(self, scene: Scene, *, seed: int = 0) -> None:
         _check_count("seed", seed)
         self.scene = scene
-        self.jitter_sigma = jitter_sigma
-        self.per_actor = per_actor
-        self.clutter = clutter
         self.seed = seed
         self._drawn: dict[int, tuple[BoundingBox, ...]] = {}
 
@@ -376,13 +366,13 @@ class ProposalOracle:
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_PROPOSALS])
         out: list[BoundingBox] = []
         for _, box, _ in self.scene.frame_truth(frame_index):
-            for _ in range(self.per_actor):
+            for _ in range(_ORACLE_PER_ACTOR):
                 jittered = _jitter_box(
-                    box, self.jitter_sigma, rng, spec.width, spec.height
+                    box, _ORACLE_JITTER_SIGMA, rng, spec.width, spec.height
                 )
                 if jittered is not None:
                     out.append(jittered)
-        for _ in range(self.clutter):
+        for _ in range(_ORACLE_CLUTTER):
             box = _clutter_box(spec, rng)
             if box is not None:
                 out.append(box)
@@ -402,36 +392,23 @@ class ConditionedDetector:
 
     For each visible ground-truth box the detector looks up the
     best-overlapping proposal (its *coverage*). Coverage below
-    ``min_coverage`` is an automatic miss; otherwise the reported box is the
-    best proposal pulled ``regress_strength`` of the way toward the truth
-    (imitating a regression head that can only refine what the proposals
-    give it), jittered by the noise model, and the score is drawn with its
-    mean scaled by coverage. False positives follow the noise model
-    unchanged. Better proposals therefore mean fewer misses, tighter boxes,
-    and higher scores — the lever the anticipation strategies compete on.
+    ``_DETECTOR_MIN_COVERAGE`` is an automatic miss; otherwise the reported
+    box is the best proposal pulled ``_DETECTOR_REGRESS_STRENGTH`` of the
+    way toward the truth (imitating a regression head that can only refine
+    what the proposals give it), jittered by the noise model, and the score
+    is drawn with its mean scaled by coverage. False positives follow the
+    noise model unchanged. Better proposals therefore mean fewer misses,
+    tighter boxes, and higher scores — the lever the anticipation
+    strategies compete on.
 
     Everything of a frame that does not depend on the proposals (its truth,
     its noise draws and its false positives) is drawn once and kept for
-    later calls on the same frame. The defaults are the strategy study's
-    calibration.
+    later calls on the same frame.
     """
 
-    def __init__(
-        self,
-        scene: Scene,
-        *,
-        regress_strength: float = 0.75,
-        min_coverage: float = 0.40,
-        seed: int = 0,
-    ) -> None:
-        if not 0.0 <= regress_strength <= 1.0:
-            raise ValueError("regress_strength must be in [0, 1]")
-        if not 0.0 <= min_coverage <= 1.0:
-            raise ValueError("min_coverage must be in [0, 1]")
+    def __init__(self, scene: Scene, *, seed: int = 0) -> None:
         _check_count("seed", seed)
         self.scene = scene
-        self.regress_strength = regress_strength
-        self.min_coverage = min_coverage
         self.seed = seed
         self._drawn: dict[int, _DetectorFrame] = {}
 
@@ -452,13 +429,13 @@ class ConditionedDetector:
             overlaps = [iou(gt_box, p) for p in proposals]
             coverage = float(max(overlaps))
             miss_draw, corner_noise, score_noise = draws[row]
-            if coverage < self.min_coverage:
+            if coverage < _DETECTOR_MIN_COVERAGE:
                 continue
             if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
                 continue
             # ties go to the earliest proposal
             prop = proposals[overlaps.index(coverage)]
-            rho = self.regress_strength
+            rho = _DETECTOR_REGRESS_STRENGTH
             blended = BoundingBox(
                 prop.x1 + rho * (gt_box.x1 - prop.x1),
                 prop.y1 + rho * (gt_box.y1 - prop.y1),

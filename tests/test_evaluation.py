@@ -393,7 +393,8 @@ class TestStudyArguments:
 
 
 class TestStudyGapsAndSeeds:
-    """A gap or seed that is not an integer of the right range stops the study before any pass."""
+    """An empty gap list, or a gap or seed that is not an integer of the right
+    range, stops the study before any pass."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -418,10 +419,11 @@ class TestStudyGapsAndSeeds:
             ({"seeds": (True,)}, "^seed must be an integer, got True$"),
             ({"seeds": (0.5,)}, "^seed must be an integer, got 0.5$"),
             ({"seeds": (0, -1)}, "^seed must be non-negative$"),
+            ({"gaps": ()}, "^study needs at least one gap$"),
         ],
         ids=[
             "gap-float", "gap-bool", "gap-numpy-float", "gap-zero", "gap-negative",
-            "seed-bool", "seed-float", "seed-negative",
+            "seed-bool", "seed-float", "seed-negative", "gaps-empty",
         ],
     )
     def test_rejected_before_any_pass(self, passes, kwargs, message):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tubekit.geometry import ZERO_DELTA, BoundingBox, BoxDelta, encode_delta, iou
+from tubekit.geometry import BoundingBox, BoxDelta, encode_delta, iou
 from tubekit.proposals import (
     AnchorConfig,
     ProposalStage,
@@ -17,6 +17,7 @@ from tubekit.proposals import (
     single_stage_refine,
 )
 
+ZERO_DELTA = BoxDelta(0.0, 0.0, 0.0, 0.0)
 IDENTITY_STAGE = ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: 0.5)
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import tubekit.synthdata as synthdata
 from tubekit.anticipation import (
     anticipate,
     augment_proposals,
@@ -28,6 +29,26 @@ from tubekit.synthdata import (
     render_detections,
 )
 from tubekit.trimming import TrimmingParams, avg_class_length, trim_tubes
+
+
+_CALIBRATION = {
+    "jitter_sigma": "_ORACLE_JITTER_SIGMA",
+    "per_actor": "_ORACLE_PER_ACTOR",
+    "clutter": "_ORACLE_CLUTTER",
+    "regress_strength": "_DETECTOR_REGRESS_STRENGTH",
+    "min_coverage": "_DETECTOR_MIN_COVERAGE",
+}
+
+
+@pytest.fixture
+def calibrate(monkeypatch):
+    """Set the emulators' calibration constants for one test, by short name."""
+
+    def set_constants(**values):
+        for name, value in values.items():
+            monkeypatch.setattr(synthdata, _CALIBRATION[name], value)
+
+    return set_constants
 
 
 def simple_spec(**overrides):
@@ -393,16 +414,18 @@ class TestRenderDetections:
 
 
 class TestProposalOracle:
-    def test_counts_and_determinism(self):
+    def test_counts_and_determinism(self, calibrate):
+        calibrate(jitter_sigma=2.0, per_actor=3, clutter=2)
         scene = generate_scene(simple_spec())
-        oracle = ProposalOracle(scene, jitter_sigma=2.0, per_actor=3, clutter=2, seed=5)
+        oracle = ProposalOracle(scene, seed=5)
         first = oracle.propose(4)
         assert len(first) == 5  # 1 actor * 3 + 2 clutter
         assert first == oracle.propose(4)
 
-    def test_mutating_a_returned_list_leaves_later_calls_alone(self):
+    def test_mutating_a_returned_list_leaves_later_calls_alone(self, calibrate):
+        calibrate(jitter_sigma=2.0, per_actor=3, clutter=2)
         scene = generate_scene(simple_spec())
-        oracle = ProposalOracle(scene, jitter_sigma=2.0, per_actor=3, clutter=2, seed=5)
+        oracle = ProposalOracle(scene, seed=5)
         first = oracle.propose(4)
         expected = list(first)
         first.append(BoundingBox(0, 0, 1, 1))
@@ -412,54 +435,32 @@ class TestProposalOracle:
         assert oracle.propose(4) == expected
         assert oracle.propose(4) is not oracle.propose(4)
 
-    def test_zero_jitter_copies_ground_truth(self):
+    def test_zero_jitter_copies_ground_truth(self, calibrate):
+        calibrate(jitter_sigma=0.0, per_actor=2, clutter=0)
         scene = generate_scene(simple_spec())
-        oracle = ProposalOracle(scene, jitter_sigma=0.0, per_actor=2, clutter=0, seed=5)
+        oracle = ProposalOracle(scene, seed=5)
         gt_box = scene.tubes[0].boxes[7]
         assert oracle.propose(7) == [gt_box, gt_box]
 
-    def test_jittered_proposals_stay_near_truth(self):
+    def test_jittered_proposals_stay_near_truth(self, calibrate):
+        calibrate(jitter_sigma=4.0, per_actor=10, clutter=0)
         scene = generate_scene(simple_spec())
-        oracle = ProposalOracle(scene, jitter_sigma=4.0, per_actor=10, clutter=0, seed=5)
+        oracle = ProposalOracle(scene, seed=5)
         gt_box = scene.tubes[0].boxes[0]
         overlaps = [iou(p, gt_box) for p in oracle.propose(0)]
         assert min(overlaps) > 0.2
         assert max(overlaps) < 1.0
 
-    @pytest.mark.parametrize("name", ["jitter_sigma", "per_actor", "clutter"])
-    def test_nan_parameter_rejected(self, name):
+    def test_default_counts_are_three_per_actor_and_two_clutter(self, calibrate):
+        # zero jitter keeps every copy; a clutter box centered on the image
+        # always survives clipping
+        calibrate(jitter_sigma=0.0)
         scene = generate_scene(simple_spec())
-        with pytest.raises(ValueError, match="^oracle parameters must be non-negative$"):
-            ProposalOracle(scene, **{name: float("nan")})
-
-    @pytest.mark.parametrize("name", ["per_actor", "clutter"])
-    @pytest.mark.parametrize("value", [float("inf"), 2.5, 2.0, True, np.float64(3.0)])
-    def test_non_integer_count_rejected(self, name, value):
-        scene = generate_scene(simple_spec())
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
-            ProposalOracle(scene, **{name: value})
-
-    @pytest.mark.parametrize("name", ["per_actor", "clutter"])
-    def test_negative_count_keeps_its_message(self, name):
-        scene = generate_scene(simple_spec())
-        for value in (-1, -2.5):
-            with pytest.raises(ValueError, match="^oracle parameters must be non-negative$"):
-                ProposalOracle(scene, **{name: value})
-
-    def test_numpy_integer_counts_accepted(self):
-        scene = generate_scene(simple_spec())
-        oracle = ProposalOracle(scene, per_actor=np.int64(3), clutter=np.int32(2), seed=5)
-        expected = ProposalOracle(scene, per_actor=3, clutter=2, seed=5).propose(4)
-        assert oracle.propose(4) == expected
-
-    def test_parameter_validation(self):
-        scene = generate_scene(simple_spec())
-        with pytest.raises(ValueError):
-            ProposalOracle(scene, jitter_sigma=-1.0)
-        with pytest.raises(ValueError, match="^jitter_sigma must be finite"):
-            ProposalOracle(scene, jitter_sigma=float("inf"))
-        with pytest.raises(ValueError):
-            ProposalOracle(scene, per_actor=-1)
+        oracle = ProposalOracle(scene, seed=5)
+        gt_box = scene.tubes[0].boxes[6]
+        proposals = oracle.propose(6)
+        assert len(proposals) == 5
+        assert proposals[:3] == [gt_box] * 3
 
 
 class TestConditionedDetector:
@@ -483,20 +484,22 @@ class TestConditionedDetector:
         det = ConditionedDetector(scene, seed=1)
         assert det.detect(3, []) == []
 
-    def test_no_proposals_leaves_only_false_positives_at_zero_coverage_gate(self):
+    def test_no_proposals_leaves_only_false_positives_at_zero_coverage_gate(
+        self, calibrate
+    ):
         # without a proposal nothing covers the truth, whatever the gate
         scene = self.make_scene(NoiseModel(sigma_loc=0.0, miss_rate=0.0, fp_rate=3.0))
-        ungated = ConditionedDetector(scene, min_coverage=0.0, seed=2)
-        gated = ConditionedDetector(scene, seed=2)
         frames = range(scene.spec.num_frames)
+        gated = ConditionedDetector(scene, seed=2)
+        expected = [gated.detect(t, []) for t in frames]
+        calibrate(min_coverage=0.0)
+        ungated = ConditionedDetector(scene, seed=2)
         outputs = [ungated.detect(t, []) for t in frames]
-        assert outputs == [gated.detect(t, []) for t in frames]
+        assert outputs == expected
         assert any(outputs)
 
     def test_frame_without_truth_skips_the_overlap_matrix(self, monkeypatch):
         # an actor entering late leaves early frames with proposals but no truth
-        import tubekit.synthdata as synthdata
-
         spec = simple_spec(
             actors=(
                 ActorSpec(
@@ -525,15 +528,36 @@ class TestConditionedDetector:
         det.detect(12, [proposal])
         assert len(calls) == 1
 
-    def test_low_coverage_is_a_miss(self):
+    def test_low_coverage_is_a_miss(self, calibrate):
+        calibrate(min_coverage=0.45)
         scene = self.make_scene()
-        det = ConditionedDetector(scene, min_coverage=0.45, seed=1)
+        det = ConditionedDetector(scene, seed=1)
         gt_box = scene.tubes[0].boxes[3]
         # a sliver of the actor: IoU well under the gate
         sliver = BoundingBox(gt_box.x1, gt_box.y1, gt_box.x1 + 2, gt_box.y1 + 2)
         assert det.detect(3, [sliver]) == []
 
-    def test_score_scales_with_coverage(self):
+    @pytest.mark.parametrize(
+        "height, bottom",
+        [(7, None), (8, 57.0), (9, 57.25)],
+        ids=["iou-0.35-missed", "iou-0.40-kept", "iou-0.45-kept"],
+    )
+    def test_default_gate_and_pull(self, height, bottom):
+        # the gate keeps coverage of 0.40 and more, and the kept proposal's
+        # bottom moves three quarters of the way to the truth's (60)
+        scene = self.make_scene()
+        det = ConditionedDetector(scene, seed=1)
+        gt_box = scene.tubes[0].boxes[0]  # (40, 40, 60, 60)
+        strip = BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y1 + height)
+        out = det.detect(0, [strip])
+        if bottom is None:
+            assert out == []
+        else:
+            assert [d.box for d in out] == [
+                BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, bottom)
+            ]
+
+    def test_score_scales_with_coverage(self, calibrate):
         noise = NoiseModel(
             sigma_loc=0.0,
             miss_rate=0.0,
@@ -542,7 +566,8 @@ class TestConditionedDetector:
             tp_score_sigma=0.0,
         )
         scene = self.make_scene(noise)
-        det = ConditionedDetector(scene, regress_strength=0.0, min_coverage=0.3, seed=1)
+        calibrate(regress_strength=0.0, min_coverage=0.3)
+        det = ConditionedDetector(scene, seed=1)
         gt_box = scene.tubes[0].boxes[0]  # (40, 40, 60, 60)
         half = BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y1 + 10)  # IoU 0.5
         out = det.detect(0, [half])
@@ -550,9 +575,10 @@ class TestConditionedDetector:
         assert out[0].score == pytest.approx(0.45)
         assert out[0].box == half  # regress_strength 0 keeps the proposal box
 
-    def test_regression_pulls_proposal_toward_truth(self):
+    def test_regression_pulls_proposal_toward_truth(self, calibrate):
+        calibrate(regress_strength=0.5, min_coverage=0.3)
         scene = self.make_scene()
-        det = ConditionedDetector(scene, regress_strength=0.5, min_coverage=0.3, seed=1)
+        det = ConditionedDetector(scene, seed=1)
         gt_box = scene.tubes[0].boxes[0]
         half = BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y1 + 10)
         out = det.detect(0, [half])
@@ -560,9 +586,10 @@ class TestConditionedDetector:
         # halfway between the proposal's bottom (50) and the truth's (60)
         assert out[0].box == BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, 55.0)
 
-    def test_picks_best_covering_proposal(self):
+    def test_picks_best_covering_proposal(self, calibrate):
+        calibrate(regress_strength=0.0, min_coverage=0.3)
         scene = self.make_scene()
-        det = ConditionedDetector(scene, regress_strength=0.0, min_coverage=0.3, seed=1)
+        det = ConditionedDetector(scene, seed=1)
         gt_box = scene.tubes[0].boxes[0]
         good = BoundingBox(gt_box.x1 + 1, gt_box.y1, gt_box.x2 + 1, gt_box.y2)
         bad = BoundingBox(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y1 + 11)
@@ -577,13 +604,20 @@ class TestConditionedDetector:
         gt_box = scene.tubes[0].boxes[3]
         assert det.detect(3, [gt_box]) == det.detect(3, [gt_box])
 
-    def test_reused_instance_matches_fresh_instances(self):
+    def test_reused_instance_matches_fresh_instances(self, calibrate):
         spec = drifting_scene_specs(1, num_frames=12)[0]
         noise = NoiseModel(sigma_loc=2.0, miss_rate=0.2, fp_rate=2.0)
         scene = generate_scene(replace(spec, noise=noise))
+
+        def drawn(seed, **calibration):
+            # the oracle reads its calibration when a frame is drawn
+            calibrate(**calibration)
+            oracle = ProposalOracle(scene, seed=seed)
+            return [oracle.propose(t) for t in range(12)].__getitem__
+
         proposal_sets = [
-            ProposalOracle(scene, jitter_sigma=10.0, seed=1).propose,
-            ProposalOracle(scene, jitter_sigma=25.0, per_actor=2, seed=2).propose,
+            drawn(1, jitter_sigma=10.0),
+            drawn(2, jitter_sigma=25.0, per_actor=2),
             lambda t: [box for _, box, _ in scene.frame_truth(t)],
             lambda t: [],
         ]
@@ -607,13 +641,6 @@ class TestConditionedDetector:
             fresh = ConditionedDetector(scene, seed=4)
             assert hexed(reused.detect(t, proposals)) == hexed(fresh.detect(t, proposals))
 
-    def test_validation(self):
-        scene = self.make_scene()
-        with pytest.raises(ValueError):
-            ConditionedDetector(scene, regress_strength=1.5)
-        with pytest.raises(ValueError):
-            ConditionedDetector(scene, min_coverage=-0.1)
-
 
 def reference_detect(detector, frame_index, proposals):
     """``ConditionedDetector.detect`` as it was written around one ``iou_matrix``
@@ -630,12 +657,12 @@ def reference_detect(detector, frame_index, proposals):
     for row, (class_id, gt_box, motion) in enumerate(truth):
         coverage = float(overlaps[row].max())
         miss_draw, corner_noise, score_noise = draws[row]
-        if coverage < detector.min_coverage:
+        if coverage < synthdata._DETECTOR_MIN_COVERAGE:
             continue
         if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
             continue
         prop = proposals[int(overlaps[row].argmax())]
-        rho = detector.regress_strength
+        rho = synthdata._DETECTOR_REGRESS_STRENGTH
         blended = BoundingBox(
             prop.x1 + rho * (gt_box.x1 - prop.x1),
             prop.y1 + rho * (gt_box.y1 - prop.y1),
@@ -719,7 +746,8 @@ class TestDetectMatchesMatrixReference:
             detected += sum(map(len, frames))
         assert detected > 100
 
-    def test_equal_coverage_takes_the_first_proposal(self):
+    def test_equal_coverage_takes_the_first_proposal(self, calibrate):
+        calibrate(regress_strength=0.5)
         scene = generate_scene(simple_spec())
         gt_box = scene.tubes[0].boxes[0]  # (40, 40, 60, 60)
         left = BoundingBox(38, 40, 58, 60)
@@ -729,7 +757,7 @@ class TestDetectMatchesMatrixReference:
         assert iou(gt_box, left) == iou(gt_box, right) == iou(gt_box, above)
 
         def make():
-            return ConditionedDetector(scene, regress_strength=0.5, seed=1)
+            return ConditionedDetector(scene, seed=1)
 
         picked = []
         for proposals in (
@@ -748,7 +776,8 @@ class TestDetectMatchesMatrixReference:
             picked.append(det.box)
         assert len(set(picked)) == 3
 
-    def test_rows_below_min_coverage(self):
+    def test_rows_below_min_coverage(self, calibrate):
+        calibrate(min_coverage=0.5)
         actors = (
             ActorSpec(class_id=0, entry_frame=0, exit_frame=9, box=BoundingBox(20, 20, 50, 50)),
             ActorSpec(class_id=1, entry_frame=0, exit_frame=9, box=BoundingBox(120, 120, 150, 160)),
@@ -759,7 +788,7 @@ class TestDetectMatchesMatrixReference:
         sliver = BoundingBox(120, 120, 126, 126)
 
         def make():
-            return ConditionedDetector(scene, min_coverage=0.5, seed=4)
+            return ConditionedDetector(scene, seed=4)
 
         for t in range(10):
             dets = self.assert_matches(make, t, [sliver, covering])
@@ -776,6 +805,22 @@ def test_seed_checked_at_construction(cls):
         message = f"^seed must be an integer, got {re.escape(repr(value))}$"
         with pytest.raises(ValueError, match=message):
             cls(scene, seed=value)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (ProposalOracle, "jitter_sigma"),
+        (ProposalOracle, "per_actor"),
+        (ProposalOracle, "clutter"),
+        (ConditionedDetector, "regress_strength"),
+        (ConditionedDetector, "min_coverage"),
+    ],
+)
+def test_calibration_is_not_an_argument(cls, name):
+    scene = generate_scene(simple_spec())
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        cls(scene, **{name: getattr(synthdata, _CALIBRATION[name])})
 
 
 def test_numpy_integer_seed_accepted():
@@ -990,12 +1035,14 @@ class TestNoiseStreamGolden:
             for d in dets
         ]
 
-    def test_channels_match_recorded_digest(self):
+    def test_channels_match_recorded_digest(self, calibrate):
         import hashlib
 
+        # the calibration the digest was recorded with
+        calibrate(jitter_sigma=8.0, per_actor=6, clutter=4, min_coverage=0.45)
         scene = generate_scene(drifting_scene_specs(1)[0])
-        oracle = ProposalOracle(scene, jitter_sigma=8.0, per_actor=6, clutter=4, seed=5)
-        detector = ConditionedDetector(scene, min_coverage=0.45, seed=6)
+        oracle = ProposalOracle(scene, seed=5)
+        detector = ConditionedDetector(scene, seed=6)
         records = []
         for fd in render_detections(scene):
             records.append(("render", fd.frame_index, self._dets(fd.detections)))
