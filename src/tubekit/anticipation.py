@@ -8,7 +8,11 @@ the proposal stage keeps tracking objects that moved.
 The training objective is a smooth L1 regression loss averaged over the
 whole batch but accumulated only on positive samples; because the model is
 linear the objective is convex and plain full-batch gradient descent
-converges without any stochastic machinery.
+converges without any stochastic machinery. The descent holds its
+predictions, targets and gradients as (4, N) arrays, one row per output,
+so each elementwise step walks four long rows rather than N rows of four;
+it sums the bias gradient along each row in sample order, the order of a
+column sum over the (N, 4) layout, so the fit has the bits of that layout.
 
 Two trivial fallback strategies share the same entry point: ``"none"``
 (anticipate nothing) and ``"non-motion"`` (assume zero motion across the
@@ -65,10 +69,11 @@ def smooth_l1(x):
 
 
 def _loss_grad(
-    predictions: np.ndarray, targets: np.ndarray, positive: np.ndarray
+    predictions: np.ndarray, targets: np.ndarray, row_weight: np.ndarray
 ) -> np.ndarray:
-    """:func:`anticipation_loss_grad` of checked arguments."""
-    return positive[:, None] / predictions.shape[0] * smooth_l1_grad(predictions - targets)
+    """The loss gradient, given each sample's weight ``positive / N`` shaped to
+    broadcast against ``predictions`` in either layout, (N, 4) or (4, N)."""
+    return row_weight * smooth_l1_grad(predictions - targets)
 
 
 def _checked_loss_args(
@@ -110,7 +115,8 @@ def anticipation_loss_grad(
 
     Row ``i`` is ``positive_i / N * smooth_l1_grad(pred_i - target_i)``.
     """
-    return _loss_grad(*_checked_loss_args(predictions, targets, positive))
+    predictions, targets, positive = _checked_loss_args(predictions, targets, positive)
+    return _loss_grad(predictions, targets, positive[:, None] / predictions.shape[0])
 
 
 def feature_vector(
@@ -139,6 +145,13 @@ def feature_vector(
     )
 
 
+def _check_finite_arrays(**arrays: np.ndarray) -> None:
+    """Reject the first named array holding a NaN or an infinity."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class TrainingSet:
     """Flattened training rows for the anticipation model."""
@@ -153,6 +166,9 @@ class TrainingSet:
             raise ValueError(f"features must be (N, {FEATURE_DIM})")
         if self.targets.shape != (n, 4) or self.positive.shape != (n,):
             raise ValueError("targets must be (N, 4) and positive (N,)")
+        _check_finite_arrays(features=self.features, targets=self.targets)
+        if self.positive.dtype != np.bool_:
+            raise ValueError(f"positive must be a boolean mask, got dtype {self.positive.dtype}")
 
     @property
     def num_positive(self) -> int:
@@ -227,6 +243,12 @@ class AnticipationModel:
         ):
             raise ValueError(f"feature stats must be ({FEATURE_DIM},)")
         _check_count("gap", self.gap, 1)
+        _check_finite_arrays(
+            weights=self.weights,
+            bias=self.bias,
+            feature_mean=self.feature_mean,
+            feature_scale=self.feature_scale,
+        )
         if np.any(self.feature_scale <= 0):
             raise ValueError("feature scales must be positive")
 
@@ -272,15 +294,18 @@ def train_anticipation_model(
     scale = feats.std(axis=0)
     scale = np.where(scale < 1e-8, 1.0, scale)
     phi = (feats - mean) / scale
-    targets = training_set.targets
-    positive = training_set.positive.astype(np.float64)
+    phi_t = np.ascontiguousarray(phi.T)  # (6, N)
+    targets_t = np.ascontiguousarray(training_set.targets.T)  # (4, N)
+    row_weight = training_set.positive[None, :] / phi.shape[0]  # (1, N)
 
     weights = np.zeros((4, FEATURE_DIM))
     bias = np.zeros(4)
     for _ in range(epochs):
-        grad_pred = _loss_grad(phi @ weights.T + bias, targets, positive)  # (N, 4)
-        weights -= _LEARNING_RATE * grad_pred.T @ phi
-        bias -= _LEARNING_RATE * grad_pred.sum(axis=0)
+        grad_t = _loss_grad(weights @ phi_t + bias[:, None], targets_t, row_weight)
+        weights -= _LEARNING_RATE * grad_t @ phi
+        # the last running sum adds the samples in order, as ``sum(axis=0)``
+        # of the (N, 4) gradient does; ``sum(axis=1)`` would add pairwise
+        bias -= _LEARNING_RATE * np.add.accumulate(grad_t, axis=1)[:, -1]
     return AnticipationModel(
         weights=weights, bias=bias, gap=gap, feature_mean=mean, feature_scale=scale
     )

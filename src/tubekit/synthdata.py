@@ -25,6 +25,7 @@ commentary only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -264,6 +265,19 @@ def _add_corner_noise(box: BoundingBox, e: Sequence[float]) -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2)
 
 
+def _check_frame(scene: Scene, frame_index: int) -> None:
+    """Reject a frame index that is not an integer in ``[0, num_frames)``."""
+    num_frames = scene.spec.num_frames
+    # a built-in int in range passes one test; anything else runs the full checks
+    if type(frame_index) is int and 0 <= frame_index < num_frames:
+        return
+    _check_count("frame_index", frame_index)
+    if frame_index >= num_frames:
+        raise ValueError(
+            f"frame_index must be below the scene's {num_frames} frames, got {frame_index}"
+        )
+
+
 def _check_jitter(sigma: float) -> None:
     """Reject a corner-jitter ``sigma`` that is negative, NaN or infinite."""
     if not (math.isfinite(sigma) and sigma >= 0):
@@ -355,7 +369,13 @@ class ProposalOracle:
         self._drawn: dict[int, tuple[BoundingBox, ...]] = {}
 
     def propose(self, frame_index: int) -> list[BoundingBox]:
-        """The frame's proposals, as a new list on every call."""
+        """The frame's proposals, as a new list of the same box objects on
+        every call.
+
+        Raises:
+            ValueError: when ``frame_index`` is not an integer frame of the scene.
+        """
+        _check_frame(self.scene, frame_index)
         drawn = self._drawn.get(frame_index)
         if drawn is None:
             drawn = self._drawn[frame_index] = self._draw(frame_index)
@@ -377,6 +397,25 @@ class ProposalOracle:
             if box is not None:
                 out.append(box)
         return tuple(out)
+
+
+def _best_overlaps(
+    truth: Sequence[tuple[int, BoundingBox, Motion]],
+    proposals: Sequence[BoundingBox],
+    best: Sequence[tuple[float, int]],
+    start: int,
+) -> list[tuple[float, int]]:
+    """Each row's ``(overlap, index)`` of ``best``, taken over by a proposal from
+    ``proposals[start:]`` only with a strictly higher overlap, so ties go to
+    the earliest proposal."""
+    out = []
+    for (_, gt_box, _), (coverage, index) in zip(truth, best):
+        for k in range(start, len(proposals)):
+            overlap = iou(gt_box, proposals[k])
+            if overlap > coverage:
+                coverage, index = float(overlap), k
+        out.append((coverage, index))
+    return out
 
 
 class _DetectorFrame(NamedTuple):
@@ -403,7 +442,12 @@ class ConditionedDetector:
 
     Everything of a frame that does not depend on the proposals (its truth,
     its noise draws and its false positives) is drawn once and kept for
-    later calls on the same frame.
+    later calls on the same frame. So is each truth row's best overlap with
+    the proposal list of the frame's first call, and the index of the first
+    proposal reaching it: a later call whose list starts with those same box
+    objects (as :meth:`ProposalOracle.propose` returns them, and
+    ``augment_proposals`` keeps them in front) scores only the boxes after
+    them. Any other list is scored in full and is remembered in their place.
     """
 
     def __init__(self, scene: Scene, *, seed: int = 0) -> None:
@@ -411,10 +455,21 @@ class ConditionedDetector:
         self.scene = scene
         self.seed = seed
         self._drawn: dict[int, _DetectorFrame] = {}
+        # per frame: a proposal list and, per truth row, its best overlap
+        # with that list and the index of the first proposal reaching it
+        self._covered: dict[
+            int, tuple[tuple[BoundingBox, ...], list[tuple[float, int]]]
+        ] = {}
 
     def detect(
         self, frame_index: int, proposals: Sequence[BoundingBox]
     ) -> list[Detection]:
+        """The frame's detections given its proposals.
+
+        Raises:
+            ValueError: when ``frame_index`` is not an integer frame of the scene.
+        """
+        _check_frame(self.scene, frame_index)
         spec = self.scene.spec
         noise = spec.noise
         drawn = self._drawn.get(frame_index)
@@ -425,16 +480,16 @@ class ConditionedDetector:
             return list(false_positives)
         sigma = noise.sigma_loc
         dets: list[Detection] = []
-        for row, (class_id, gt_box, motion) in enumerate(truth):
-            overlaps = [iou(gt_box, p) for p in proposals]
-            coverage = float(max(overlaps))
-            miss_draw, corner_noise, score_noise = draws[row]
+        coverages = self._coverage(frame_index, truth, proposals)
+        for (class_id, gt_box, motion), draw, (coverage, index) in zip(
+            truth, draws, coverages
+        ):
+            miss_draw, corner_noise, score_noise = draw
             if coverage < _DETECTOR_MIN_COVERAGE:
                 continue
             if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
                 continue
-            # ties go to the earliest proposal
-            prop = proposals[overlaps.index(coverage)]
+            prop = proposals[index]
             rho = _DETECTOR_REGRESS_STRENGTH
             blended = BoundingBox(
                 prop.x1 + rho * (gt_box.x1 - prop.x1),
@@ -455,6 +510,25 @@ class ConditionedDetector:
             dets.append(Detection(box=box, class_id=class_id, score=score, motion=motion))
         dets.extend(false_positives)
         return dets
+
+    def _coverage(
+        self,
+        frame_index: int,
+        truth: Sequence[tuple[int, BoundingBox, Motion]],
+        proposals: Sequence[BoundingBox],
+    ) -> list[tuple[float, int]]:
+        """Each truth row's best overlap with ``proposals`` and the index of
+        the first proposal reaching it."""
+        covered = self._covered.get(frame_index)
+        if covered is not None:
+            known, best = covered
+            if len(known) <= len(proposals) and all(map(operator.is_, known, proposals)):
+                return _best_overlaps(truth, proposals, best, len(known))
+        # overlaps are never negative, so (0.0, 0) is the best of no proposal,
+        # and a list overlapping nothing regresses from its first box
+        best = _best_overlaps(truth, proposals, [(0.0, 0)] * len(truth), 0)
+        self._covered[frame_index] = (tuple(proposals), best)
+        return best
 
     def _draw(self, frame_index: int) -> _DetectorFrame:
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_DETECTOR])

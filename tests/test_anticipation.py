@@ -284,6 +284,37 @@ def test_training_matches_public_loss_and_grad_loop(monkeypatch):
     assert (model.bias == bias).all()
 
 
+@pytest.mark.parametrize("mask", ["all-positive", "one-positive"])
+def test_training_matches_public_loss_and_grad_loop_past_blas_blocking(mask):
+    """At thousands of rows, past BLAS's blocking of the inner dimension and
+    numpy's pairwise summation, training keeps the bits of the (N, 4) loop."""
+    from tubekit.anticipation import TrainingSet
+
+    rng = np.random.default_rng(5)
+    n = 2500
+    features = rng.normal(0.0, 2.0, size=(n, 6))
+    positive = np.ones(n, dtype=bool)
+    if mask == "one-positive":
+        positive[:] = False
+        positive[n // 3] = True
+    targets = np.where(positive[:, None], rng.normal(0.0, 1.5, size=(n, 4)), 0.0)
+    ts = TrainingSet(features=features, targets=targets, positive=positive)
+
+    epochs, lr = 40, anticipation._LEARNING_RATE
+    phi = (features - features.mean(axis=0)) / features.std(axis=0)
+    mask_values = positive.astype(np.float64)
+    weights = np.zeros((4, 6))
+    bias = np.zeros(4)
+    for _ in range(epochs):
+        grad = anticipation_loss_grad(phi @ weights.T + bias, targets, mask_values)
+        weights -= lr * grad.T @ phi
+        bias -= lr * grad.sum(axis=0)
+
+    model = train_anticipation_model(ts, gap=4, epochs=epochs)
+    assert model.weights.tobytes() == weights.tobytes()
+    assert model.bias.tobytes() == bias.tobytes()
+
+
 def test_trained_model_learns_constant_velocity():
     gap = 8
     velocity = (2.0, 0.0)
@@ -464,6 +495,53 @@ def test_model_validation():
             feature_mean=np.zeros(6),
             feature_scale=np.zeros(6),
         )
+
+
+@pytest.mark.parametrize("name", ["weights", "bias", "feature_mean", "feature_scale"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_refuses_non_finite_arrays(name, bad):
+    arrays = dict(
+        weights=np.zeros((4, 6)),
+        bias=np.zeros(4),
+        feature_mean=np.zeros(6),
+        feature_scale=np.ones(6),
+    )
+    arrays[name][-1] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        AnticipationModel(gap=2, **arrays)
+
+
+def training_arrays(n=5):
+    rng = np.random.default_rng(2)
+    return dict(
+        features=rng.normal(size=(n, 6)),
+        targets=rng.normal(size=(n, 4)),
+        positive=np.arange(n) % 2 == 0,
+    )
+
+
+@pytest.mark.parametrize("name", ["features", "targets"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_training_set_refuses_non_finite_arrays(name, bad):
+    from tubekit.anticipation import TrainingSet
+
+    arrays = training_arrays()
+    arrays[name][1, 2] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        TrainingSet(**arrays)
+
+
+@pytest.mark.parametrize(
+    "mask", [np.array([2, 0, 1, 0, 1]), np.array([1.0, 0.0, 1.0, 0.0, 1.0])]
+)
+def test_training_set_refuses_a_mask_that_is_not_boolean(mask):
+    from tubekit.anticipation import TrainingSet
+
+    arrays = training_arrays()
+    arrays["positive"] = mask
+    message = f"^positive must be a boolean mask, got dtype {mask.dtype}$"
+    with pytest.raises(ValueError, match=message):
+        TrainingSet(**arrays)
 
 
 @pytest.mark.parametrize(

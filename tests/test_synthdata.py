@@ -796,6 +796,115 @@ class TestDetectMatchesMatrixReference:
             assert self.assert_matches(make, t, [sliver]) == []
 
 
+class TestOneDetectorAcrossPasses:
+    """A detector that remembers each frame's coverage answers every call of
+    the study's passes, and of other lists in between, as a fresh one does."""
+
+    def make_scene(self):
+        # squares on the diagonal keep every truth box's x and y corners
+        # equal, so a proposal and its transpose overlap it exactly equally
+        actors = (
+            ActorSpec(
+                class_id=0,
+                entry_frame=0,
+                exit_frame=23,
+                box=BoundingBox(40, 40, 92, 92),
+                velocity=(1.0, 1.0),
+            ),
+            ActorSpec(
+                class_id=1,
+                entry_frame=0,
+                exit_frame=23,
+                box=BoundingBox(150, 150, 202, 202),
+                velocity=(-1.0, -1.0),
+            ),
+        )
+        noise = NoiseModel(sigma_loc=2.0, miss_rate=0.1, fp_rate=1.0)
+        return generate_scene(
+            simple_spec(width=240, height=240, num_frames=24, actors=actors, noise=noise)
+        )
+
+    def test_passes_and_other_lists_match_a_fresh_detector(self, monkeypatch):
+        gap = 4
+        scene = self.make_scene()
+        spec = scene.spec
+        size = dict(image_width=spec.width, image_height=spec.height)
+        rendered = render_detections(scene)
+        model = train_anticipation_model(
+            build_training_set(
+                [
+                    (
+                        [(d.box, d.motion) for d in rendered[t].detections],
+                        [box for _, box, _ in scene.frame_truth(t + gap)],
+                    )
+                    for t in range(spec.num_frames - gap)
+                ],
+                **size,
+            ),
+            gap,
+            epochs=20,
+        )
+        oracle = ProposalOracle(scene, seed=2)
+        detector = ConditionedDetector(scene, seed=3)
+        scored = []
+
+        def counting_iou(a, b):
+            scored.append(b)
+            return iou(a, b)
+
+        def check(t, proposals):
+            scored.clear()
+            got = detector.detect(t, proposals)
+            want = reference_detect(ConditionedDetector(scene, seed=3), t, proposals)
+            assert hexed_detections(got) == hexed_detections(want), t
+            return got
+
+        monkeypatch.setattr(synthdata, "iou", counting_iou)
+        for anticipator in ("none", "non-motion", model):
+            frames = []
+            for t in range(spec.num_frames):
+                drawn = oracle.propose(t)
+                proposals = drawn
+                if anticipator != "none" and t >= gap:
+                    predicted = anticipate(
+                        anticipator,
+                        [(d.box, d.motion or (0.0, 0.0)) for d in frames[t - gap]],
+                        **size,
+                    )
+                    proposals = augment_proposals(drawn, predicted)
+                frames.append(check(t, proposals))
+                # after the first pass only the anticipated boxes are scored
+                rescored = proposals if anticipator == "none" else proposals[len(drawn):]
+                assert scored == rescored * len(scene.frame_truth(t)), (anticipator, t)
+
+        ties_decided = 0
+        for t in range(spec.num_frames):
+            rows = len(scene.frame_truth(t))
+            gt_box = scene.frame_truth(t)[0][1]
+            best = max(oracle.propose(t), key=lambda p: iou(gt_box, p))
+            tie = BoundingBox(best.y1, best.x1, best.y2, best.x2)
+            assert iou(gt_box, tie) == iou(gt_box, best)
+            if tie == best:
+                continue
+            # an anticipated box tying the best oracle overlap: the oracle box wins
+            oracle_first = hexed_detections(
+                check(t, augment_proposals(oracle.propose(t), [tie]))
+            )
+            assert scored == [tie] * rows
+            # a list not starting with the remembered boxes, where the tie wins
+            tie_first_list = [tie] + oracle.propose(t)
+            tie_first = hexed_detections(check(t, tie_first_list))
+            assert scored == tie_first_list * rows
+            # the oracle's list again is scored in full and remembered again
+            check(t, oracle.propose(t))
+            assert scored == oracle.propose(t) * rows
+            again = check(t, augment_proposals(oracle.propose(t), [tie]))
+            assert scored == [tie] * rows
+            assert hexed_detections(again) == oracle_first
+            ties_decided += oracle_first != tie_first
+        assert ties_decided > 0
+
+
 @pytest.mark.parametrize("cls", [ProposalOracle, ConditionedDetector])
 def test_seed_checked_at_construction(cls):
     scene = generate_scene(simple_spec())
@@ -829,6 +938,35 @@ def test_numpy_integer_seed_accepted():
     assert ProposalOracle(scene, seed=np.int64(5)).propose(4) == proposals
     detections = ConditionedDetector(scene, seed=6).detect(4, proposals)
     assert ConditionedDetector(scene, seed=np.uint8(6)).detect(4, proposals) == detections
+
+
+@pytest.mark.parametrize("call", ["propose", "detect"])
+def test_frame_index_checked_before_any_lookup(call):
+    scene = generate_scene(simple_spec(noise=NoiseModel(sigma_loc=2.0, fp_rate=2.0)))
+    oracle = ProposalOracle(scene, seed=5)
+    detector = ConditionedDetector(scene, seed=6)
+    proposals = oracle.propose(1)
+
+    def run(frame_index):
+        if call == "propose":
+            return oracle.propose(frame_index)
+        return detector.detect(frame_index, proposals)
+
+    # frame 1 is kept first, so a lookup before the check would answer True
+    kept = run(1)
+    assert run(np.int64(1)) == kept
+    for value in (1.5, True, np.float64(1.0), None):
+        message = f"^frame_index must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            run(value)
+    with pytest.raises(ValueError, match="^frame_index must be non-negative$"):
+        run(-1)
+    for value in (20, 100, np.int64(20)):
+        message = f"^frame_index must be below the scene's 20 frames, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            run(value)
+    assert isinstance(run(19), list)
+    assert set(oracle._drawn) | set(detector._drawn) <= {1, 19}
 
 
 class TestDriftingFixture:
