@@ -11,21 +11,29 @@ Three schemas, all versioned with a ``format_version`` field:
 Writers are canonical: a file holds exactly the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)`` and a newline (the tests
 compare the two), so identical data produces identical bytes. A list of
-equal-length lists of finite built-in floats, such as a tube's boxes, is
-written with one row template of ``%r`` fields, filled in once for all rows.
-Readers accept the shape the writers produce with one check for a tube's
-boxes, one for its scores and one per detection. Anything else is walked
-field by field, and only that walk reports errors, each naming the offending
-field path.
+records of one shape is written from one record template filled in once for
+all rows: equal-length lists of finite built-in floats, such as a tube's
+boxes, and dicts with the same string keys whose every column holds finite
+built-in floats, built-in ints or float lists of one length, such as a
+frame's detections. Each column is checked once; ``%r`` of a built-in float
+or int is its ``__repr__``. Any other list is written value by value.
+
+Readers accept the shape the writers produce with one check per column: a
+tube's boxes, its scores, and each detection field across the whole file,
+whose detections are built only after every check passes. Anything else is
+walked field by field from the start, and only that walk reports errors, each
+naming the offending field path, so the first error a file reports does not
+depend on the checks before it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import fields
-from itertools import chain, starmap
+from itertools import chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence, TypeVar, Union
@@ -63,14 +71,14 @@ def _construct(path: str, make: Callable[..., T], *args: Any, **kwargs: Any) -> 
         _fail(path, str(exc))
 
 
-_REQUIRED: Any = object()
+_MISSING: Any = object()
 
 
 def _field(
-    obj: dict, key: str, path: str, read: Callable[[Any, str], T], default: Any = _REQUIRED
+    obj: dict, key: str, path: str, read: Callable[[Any, str], T], default: Any = _MISSING
 ) -> T:
     """``read(obj[key], f"{path}.{key}")``; a key without a ``default`` is required."""
-    if key not in obj and default is _REQUIRED:
+    if key not in obj and default is _MISSING:
         _fail(path, f"missing required field '{key}'")
     return read(obj.get(key, default), f"{path}.{key}")
 
@@ -128,18 +136,24 @@ def _finite_floats(values: Sequence) -> bool:
     return set(map(type, values)) == {float} and all(map(math.isfinite, values))
 
 
-def _boxes(value: list, path: str) -> list[BoundingBox]:
-    """The boxes of the array ``value``: lists of four floats are built at once."""
+def _plain_boxes(values: list) -> Optional[list[BoundingBox]]:
+    """The boxes of ``values`` if each is a list of four built-in floats
+    that make a box, else None."""
     if (
-        set(map(type, value)) == {list}
-        and set(map(len, value)) == {4}
-        and set(map(type, chain.from_iterable(value))) == {float}
+        set(map(type, values)) <= {list}
+        and set(map(len, values)) <= {4}
+        and set(map(type, chain.from_iterable(values))) <= {float}
     ):
         try:
-            return list(starmap(BoundingBox, value))
-        except ValueError:  # left to the walk below, which names the box
+            return list(starmap(BoundingBox, values))
+        except ValueError:  # left to the walk, which names the box
             pass
-    return [_box(b, f"{path}[{k}]") for k, b in enumerate(value)]
+    return None
+
+
+def _boxes(value: list, path: str) -> list[BoundingBox]:
+    """The boxes of the array ``value``: lists of four floats are built at once."""
+    return _plain_boxes(value) or [_box(b, f"{path}[{k}]") for k, b in enumerate(value)]
 
 
 def _numbers(value: list, path: str) -> list[float]:
@@ -155,22 +169,71 @@ def _check_version(data: dict, path: str) -> None:
         _fail(f"{path}.format_version", f"unsupported version {version}")
 
 
-def _float_rows(value: list, indent: str) -> Optional[str]:
-    """``value`` as :func:`_encode` writes it, or None if it is not float rows.
+def _column(values: list, indent: str) -> Optional[tuple[str, list]]:
+    """The template of one field of every row and the values that fill it,
+    or None if ``values`` is not a column :func:`_rows` writes.
 
-    Float rows are lists of one length k >= 1 holding only finite built-in
-    floats, such as a tube's boxes. They are written with one row template
-    of k ``%r`` fields, joined once per row; ``%r`` of a built-in float is
-    ``float.__repr__``.
+    Finite built-in floats, or built-in ints (bools excluded), are one
+    ``%r`` field per row: ``%r`` of either is its type's ``__repr__``. Lists
+    of one length k >= 1 holding only finite built-in floats are k ``%r``
+    fields per row, written as an array at ``indent``.
     """
-    if set(map(type, value)) != {list} or len(set(map(len, value))) != 1:
+    kinds = set(map(type, values))
+    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
+        return "%r", values
+    if kinds == {list} and len(set(map(len, values))) == 1:
+        flat = list(chain.from_iterable(values))
+        if _finite_floats(flat):
+            inner = indent + "  "
+            row = f",\n{inner}".join(["%r"] * len(values[0]))
+            return f"[\n{inner}{row}\n{indent}]", flat
+    return None
+
+
+def _rows(value: list, indent: str) -> Optional[str]:
+    """``value`` as :func:`_encode` writes it, or None if it is not rows of one shape.
+
+    Rows of one shape are the lists of one column, such as a tube's boxes,
+    or dicts with the same string keys (at least one) whose every key is a
+    column, such as a frame's detections (see :func:`_column`). Each column
+    is checked once, and all rows are written from one row template with
+    one ``%``.
+    """
+    inner = indent + "  "
+    if type(value[0]) is list:
+        keys, columns, at = None, [value], inner
+    elif (
+        set(map(type, value)) == {dict}
+        and all(map(value[0].keys().__eq__, map(dict.keys, value)))
+        and set(map(type, value[0])) == {str}
+    ):
+        keys = sorted(value[0])
+        columns = [[row[k] for row in value] for k in keys]
+        at = inner + "  "
+    else:
         return None
-    flat = list(chain.from_iterable(value))
-    if not _finite_floats(flat):
+    made = [_column(column, at) for column in columns]
+    if None in made:
         return None
-    inner, row_inner = indent + "  ", indent + "    "
-    row = f"[\n{row_inner}" + f",\n{row_inner}".join(["%r"] * len(value[0])) + f"\n{inner}]"
-    rows = f",\n{inner}".join([row] * len(value)) % tuple(flat)
+    templates, flats = zip(*made)
+    n = len(value)
+    if keys is None:
+        row, fill = templates[0], flats[0]
+    else:
+        items = [
+            encode_basestring_ascii(k).replace("%", "%%") + ": " + t
+            for k, t in zip(keys, templates)
+        ]
+        row = f"{{\n{at}" + f",\n{at}".join(items) + f"\n{inner}}}"
+        # the fill is row-major: each row's fields in template order
+        widths = [len(flat) // n for flat in flats]
+        row_width, offset = sum(widths), 0
+        fill = [None] * (n * row_width)
+        for flat, width in zip(flats, widths):
+            for j in range(width):
+                fill[offset + j :: row_width] = flat[j::width]
+            offset += width
+    rows = f",\n{inner}".join([row] * n) % tuple(fill)
     return f"[\n{inner}{rows}\n{indent}]"
 
 
@@ -200,9 +263,8 @@ def _encode(value: Any, indent: str) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        # the type test keeps other lists, such as a file's frames, off the row path
-        if type(value[0]) is list:
-            rows = _float_rows(value, indent)
+        if type(value[0]) in (list, dict):
+            rows = _rows(value, indent)
             if rows is not None:
                 return rows
         if _finite_floats(value):
@@ -350,35 +412,54 @@ def detections_to_dict(video_id: str, frames: Sequence[FrameDetections]) -> dict
     }
 
 
-_DETECTION_KEYS = {"bbox", "class_id", "score"}
-_MOTION_KEYS = _DETECTION_KEYS | {"motion"}
+def _plain_frames(frames: Any) -> Optional[list[FrameDetections]]:
+    """The frames of ``frames`` if they have the shape the writer gives them, else None.
 
-
-def _plain_detection(det: Any) -> Optional[Detection]:
-    """``det`` if it has exactly the fields and types the writer gives it, else None."""
-    if type(det) is not dict:
+    The frame indices and the detection fields of the whole file are
+    gathered as columns first, without raising; each column is checked
+    once, and only then are the detections built. Any other shape, or a
+    value a constructor refuses, gives None, and the walk in
+    :func:`detections_from_dict` reads (and reports on) the file instead.
+    """
+    if type(frames) is not list or not set(map(type, frames)) <= {dict}:
         return None
-    keys, motion = det.keys(), det.get("motion")
-    if keys == _DETECTION_KEYS or (
-        keys == _MOTION_KEYS
-        and type(motion) is list
-        and len(motion) == 2
-        and _finite_floats(motion)
+    indices = list(map(dict.get, frames, repeat("frame_index")))
+    groups = list(map(dict.get, frames, repeat("detections")))
+    if not (
+        set(map(type, indices)) <= {int}
+        and all(map(operator.lt, [-1, *indices], indices))
+        and set(map(type, groups)) <= {list}
     ):
-        bbox, class_id, score = det["bbox"], det["class_id"], det["score"]
-        if (
-            type(bbox) is list
-            and len(bbox) == 4
-            and _finite_floats(bbox)
-            and type(class_id) is int
-            and type(score) is float
-        ):
-            try:
-                motion = None if motion is None else tuple(motion)
-                return Detection(BoundingBox(*bbox), class_id, score, motion)
-            except ValueError:  # left to _detection, which names the field
-                pass
-    return None
+        return None
+    dets = list(chain.from_iterable(groups))
+    if not set(map(type, dets)) <= {dict}:
+        return None
+    bboxes, class_ids, scores, motions = (
+        list(map(dict.get, dets, repeat(key), repeat(_MISSING)))
+        for key in ("bbox", "class_id", "score", "motion")
+    )
+    boxes = _plain_boxes(bboxes)
+    given = [m for m in motions if m is not _MISSING]
+    if not (
+        boxes is not None
+        and set(map(type, class_ids)) <= {int}
+        and set(map(type, scores)) <= {float}
+        and set(map(type, given)) <= {list}
+        and set(map(len, given)) <= {2}
+        and set(map(type, chain.from_iterable(given))) <= {float}
+        and all(map(math.isfinite, chain.from_iterable(given)))
+    ):
+        return None
+    motions = [None if m is _MISSING else tuple(m) for m in motions]
+    try:  # Detection checks the class id and score ranges
+        built = list(map(Detection, boxes, class_ids, scores, motions))
+    except ValueError:
+        return None
+    in_order = iter(built)
+    return [
+        FrameDetections(index, tuple(islice(in_order, len(group))))
+        for index, group in zip(indices, groups)
+    ]
 
 
 def _detection(value: Any, path: str) -> Detection:
@@ -399,6 +480,9 @@ def _detection(value: Any, path: str) -> Detection:
 def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDetections]]:
     _check_version(data, path)
     video_id = _field(data, "video_id", path, _string)
+    plain = _plain_frames(data.get("frames"))
+    if plain is not None:
+        return video_id, plain
     frames: list[FrameDetections] = []
     previous_index = -1
     for i, frame_raw in enumerate(_field(data, "frames", path, _array)):
@@ -409,7 +493,7 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
             _fail(f"{fpath}.frame_index", "frame indices must be strictly increasing")
         previous_index = index
         dets = [
-            _plain_detection(det) or _detection(det, f"{fpath}.detections[{j}]")
+            _detection(det, f"{fpath}.detections[{j}]")
             for j, det in enumerate(_field(frame, "detections", fpath, _array))
         ]
         frames.append(FrameDetections(frame_index=index, detections=tuple(dets)))

@@ -220,25 +220,44 @@ def decode_delta(source: BoundingBox, delta: BoxDelta) -> BoundingBox:
     return box_from_center(cx, cy, w, h)
 
 
+def _clipped_corners(
+    box: BoundingBox, width: float, height: float
+) -> tuple[float, float, float, float]:
+    """``box``'s corners clamped to ``[0, width] x [0, height]``.
+
+    Each corner is ``min(max(v, 0.0), float(width))`` (or ``height``)
+    written out, with the same ties and result types.
+    """
+    if width <= 0 or height <= 0:
+        raise ValueError("image dimensions must be positive")
+    w, h = float(width), float(height)
+    x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+    x1 = 0.0 if 0.0 > x1 else x1
+    y1 = 0.0 if 0.0 > y1 else y1
+    x2 = 0.0 if 0.0 > x2 else x2
+    y2 = 0.0 if 0.0 > y2 else y2
+    return (
+        w if w < x1 else x1,
+        h if h < y1 else y1,
+        w if w < x2 else x2,
+        h if h < y2 else y2,
+    )
+
+
 def clip(box: BoundingBox, width: float, height: float) -> BoundingBox:
     """Clamp box corners to the image rectangle ``[0, width] x [0, height]``.
 
     A box fully outside becomes a zero-area box on the boundary.
     """
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
-    return BoundingBox(
-        min(max(box.x1, 0.0), float(width)),
-        min(max(box.y1, 0.0), float(height)),
-        min(max(box.x2, 0.0), float(width)),
-        min(max(box.y2, 0.0), float(height)),
-    )
+    return BoundingBox(*_clipped_corners(box, width, height))
 
 
 def clip_visible(box: BoundingBox, width: float, height: float) -> Optional[BoundingBox]:
     """``box`` clipped to the image; None if nothing of it is left."""
-    clipped = clip(box, width, height)
-    return clipped if clipped.area > 0 else None
+    x1, y1, x2, y2 = _clipped_corners(box, width, height)
+    if (x2 - x1) * (y2 - y1) > 0:
+        return BoundingBox(x1, y1, x2, y2)
+    return None
 
 
 def nms(dets: Sequence[tuple[BoundingBox, float]], threshold: float) -> list[int]:

@@ -188,7 +188,12 @@ class Scene:
         return tuple(sorted({t.class_id for t in self.tubes}))
 
     def frame_truth(self, frame_index: int) -> list[tuple[int, BoundingBox, Motion]]:
-        """(class_id, box, motion) for every tube covering the frame."""
+        """(class_id, box, motion) for every tube covering the frame.
+
+        Raises:
+            ValueError: when ``frame_index`` is not an integer frame of the scene.
+        """
+        _check_frame(self, frame_index)
         out = []
         for tube, motions in zip(self.tubes, self.motions):
             if tube.start_frame <= frame_index <= tube.end_frame:
@@ -205,13 +210,22 @@ def _actor_trajectory(
     rng = np.random.default_rng([spec.seed, actor_index, _STREAM_TRAJECTORY])
     cx, cy = actor.box.center
     w, h = actor.box.width, actor.box.height
+    steps = actor.exit_frame - actor.entry_frame
+    # one draw of every step's (x, y) noise, in the order of a scalar draw
+    # per component; a zero sigma draws nothing and adds nothing
+    noise = (
+        rng.normal(0.0, actor.velocity_sigma, size=(steps, 2)).tolist()
+        if actor.velocity_sigma > 0
+        else None
+    )
     visible: list[tuple[int, BoundingBox]] = []
     for frame in range(actor.entry_frame, actor.exit_frame + 1):
         if frame > actor.entry_frame:
             vx, vy = actor.velocity
-            if actor.velocity_sigma > 0:
-                vx += rng.normal(0.0, actor.velocity_sigma)
-                vy += rng.normal(0.0, actor.velocity_sigma)
+            if noise is not None:
+                ex, ey = noise[frame - actor.entry_frame - 1]
+                vx += ex
+                vy += ey
             cx += vx
             cy += vy
         clipped = clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
@@ -260,8 +274,12 @@ def generate_scene(spec: SceneSpec) -> Scene:
 
 def _add_corner_noise(box: BoundingBox, e: Sequence[float]) -> BoundingBox:
     """``box`` with ``e`` added to ``(x1, y1, x2, y2)``, corners re-ordered."""
-    x1, x2 = sorted((box.x1 + e[0], box.x2 + e[2]))
-    y1, y2 = sorted((box.y1 + e[1], box.y2 + e[3]))
+    x1, y1, x2, y2 = box.x1 + e[0], box.y1 + e[1], box.x2 + e[2], box.y2 + e[3]
+    # the swaps of sorted((a, b)), which keeps a first unless b < a
+    if x2 < x1:
+        x1, x2 = x2, x1
+    if y2 < y1:
+        y1, y2 = y2, y1
     return BoundingBox(x1, y1, x2, y2)
 
 
@@ -384,14 +402,17 @@ class ProposalOracle:
     def _draw(self, frame_index: int) -> tuple[BoundingBox, ...]:
         spec = self.scene.spec
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_PROPOSALS])
-        out: list[BoundingBox] = []
-        for _, box, _ in self.scene.frame_truth(frame_index):
-            for _ in range(_ORACLE_PER_ACTOR):
-                jittered = _jitter_box(
-                    box, _ORACLE_JITTER_SIGMA, rng, spec.width, spec.height
-                )
-                if jittered is not None:
-                    out.append(jittered)
+        copies = [
+            box
+            for _, box, _ in self.scene.frame_truth(frame_index)
+            for _ in range(_ORACLE_PER_ACTOR)
+        ]
+        if _ORACLE_JITTER_SIGMA > 0:
+            # one draw for every copy's corners, in the order of a draw per copy
+            noise = rng.normal(0.0, _ORACLE_JITTER_SIGMA, size=(len(copies), 4))
+            copies = list(map(_add_corner_noise, copies, noise.tolist()))
+        clipped = (clip_visible(box, spec.width, spec.height) for box in copies)
+        out = [box for box in clipped if box is not None]
         for _ in range(_ORACLE_CLUTTER):
             box = _clutter_box(spec, rng)
             if box is not None:

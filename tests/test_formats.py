@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import tubekit.formats as formats
 from tubekit.geometry import BoundingBox
 from tubekit.linking import ActionTube, Detection, FrameDetections
 from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec, generate_scene, render_detections
@@ -178,6 +179,47 @@ class TestDetectionsIO:
         data["frames"][0]["detections"][0]["score"] = True
         with pytest.raises(SchemaError):
             detections_from_dict(data)
+
+    def test_non_increasing_index_in_a_float_file(self):
+        box = BoundingBox(1.0, 2.0, 11.0, 12.0)
+        frames = [FrameDetections(t, (Detection(box, 0, 0.5, (1.0, 0.5)),)) for t in range(5)]
+        data = detections_to_dict("v", frames)
+        data["frames"][3]["frame_index"] = 2
+        message = r"^\$\.frames\[3\]\.frame_index: frame indices must be strictly increasing$"
+        with pytest.raises(SchemaError, match=message):
+            detections_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("score", "high", "score: expected a number, got str"),
+            ("score", 1.5, "detection score must be in [0, 1], got 1.5"),
+            ("class_id", -1, "class_id must be non-negative"),
+            ("bbox", [11.0, 2.0, 1.0, 12.0], "bbox: invalid box corners (11.0, 2.0, 1.0, 12.0)"),
+        ],
+        ids=["score-string", "score-range", "class-negative", "bbox-inverted"],
+    )
+    def test_first_error_in_file_order_is_reported(self, field, value, message):
+        box = BoundingBox(1.0, 2.0, 11.0, 12.0)
+        frames = [FrameDetections(t, (Detection(box, 0, 0.5, (1.0, 0.5)),)) for t in range(5)]
+        data = detections_to_dict("v", frames)
+        data["frames"][2]["detections"][0][field] = value
+        data["frames"][3]["frame_index"] = 2  # a later error the walk must not reach
+        with pytest.raises(SchemaError) as caught:
+            detections_from_dict(data)
+        assert str(caught.value).startswith("$.frames[2].detections[0]")
+        assert str(caught.value).endswith(message)
+
+    def test_whole_file_pass_matches_the_walk(self, tmp_path, monkeypatch):
+        spec_doc, dets_doc, _ = _long_documents()
+        write_json(tmp_path / "dets.json", dets_doc)
+        data = read_json(tmp_path / "dets.json")
+        rendered = render_detections(generate_scene(scene_spec_from_dict(spec_doc)))
+        plain = formats._plain_frames(data["frames"])
+        assert plain == rendered
+        assert detections_from_dict(data) == ("long", plain)
+        monkeypatch.setattr(formats, "_plain_frames", lambda frames: None)
+        assert detections_from_dict(data) == ("long", plain)
 
     def test_frames_serialized_in_order(self):
         frames = list(reversed(sample_frames()))
@@ -464,6 +506,55 @@ class TestJsonPlumbing:
         write_json(tmp_path / "out.json", document)
         assert (tmp_path / "out.json").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [
+                {"bbox": [1.0, 2.0, 3.0, 4.0], "class_id": 0, "score": 0.5, "motion": [0.5, -0.0]},
+                {"bbox": [5e-324, 2.5, 1e16, 4.0], "class_id": 12, "score": 0.1, "motion": [1.0, 2.0]},
+            ],
+            [{"a": 1.0}],
+            [{"class_id": 10**30, "score": -0.0}, {"class_id": -3, "score": 1e-05}],
+            [{"bbox": [1.0, 2.0], "score": 0.5, "motion": [1.0, 2.0]}, {"bbox": [1.0, 2.0], "score": 0.5}],
+            [{"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0}],
+            [{"class_id": 0, "score": 0.5}, {"class_id": True, "score": 0.5}],
+            [{"class_id": 0, "score": 0.5}, {"class_id": 1.0, "score": 0.5}],
+            [{"score": 0.5}, {"score": 1}],
+            [{"score": 0.5}, {"score": float("nan")}],
+            [{"score": float("inf")}, {"score": 0.5}],
+            [{"score": 0.5}, {"score": float("-inf")}],
+            [{"score": 0.5}, {"score": np.float64(0.1)}],
+            [{"bbox": [1.0, np.float64(2.0)]}, {"bbox": [3.0, 4.0]}],
+            [{}],
+            [{}, {}],
+            [{"a": {"b": 1.0}}, {"a": {"b": 2.0}}],
+            [{"bbox": [1.0, 2.0]}, {"bbox": (3.0, 4.0)}],
+            [{"bbox": (1.0, 2.0)}, {"bbox": (3.0, 4.0)}],
+            [{"bbox": []}, {"bbox": []}],
+            [{"bbox": [1.0, 2.0]}, {"bbox": [3.0]}],
+            [{"bbox": [1.0, float("nan")]}, {"bbox": [3.0, 4.0]}],
+            [{"bbox": [1.0, 2]}, {"bbox": [3.0, 4.0]}],
+            [{"video_id": "v", "score": 0.5}],
+            [{"100%": 1.0, "%r %s": 2, "%%": [3.0]}],
+            [{"a": 1.0}, [1.0]],
+            [{"a": 1.0}, None],
+        ],
+        ids=[
+            "detections", "one-row", "int-and-float-columns", "motion-on-some-rows",
+            "mixed-key-sets", "bool-class", "int-float-class", "int-float-score", "nan",
+            "inf", "minus-inf", "numpy-float", "numpy-in-list", "empty-dict", "empty-dicts",
+            "nested-dict", "tuple-for-list", "tuples", "empty-lists", "ragged-lists",
+            "nan-in-list", "int-in-list", "string-column", "percent-keys", "dict-and-list",
+            "dict-and-null",
+        ],
+    )
+    def test_records_match_json_dumps(self, tmp_path, monkeypatch, rows):
+        document = {"rows": rows, "nested": {"rows": rows}, "outer": [rows, rows]}
+        expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        monkeypatch.setattr(json, "dumps", _no_fallback)
+        write_json(tmp_path / "out.json", document)
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()
+
     def test_keys_that_are_not_strings_match_json_dumps(self, tmp_path):
         document = {"b": {2: "two", 1: "one"}, "a": {1.5: None, True: 0}}
         write_json(tmp_path / "out.json", document)
@@ -596,6 +687,26 @@ def _mutations(base):
                         ]
 
 
+def _edited(base, edits):
+    data = copy.deepcopy(base)
+    for keys, value in edits:
+        target = data
+        for key in keys[:-1]:
+            target = target[key]
+        if value is _DELETED:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
+    return data
+
+
+def _outcome(parse, data):
+    try:
+        return f"ok {parse(data)!r}"
+    except Exception as exc:  # the exception type is part of the outcome
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _mutation_outcomes():
     documents = (
         ("scene", scene_spec_to_dict(sample_spec()), scene_spec_from_dict),
@@ -604,20 +715,7 @@ def _mutation_outcomes():
     )
     for name, base, parse in documents:
         for label, edits in _mutations(base):
-            data = copy.deepcopy(base)
-            for keys, value in edits:
-                target = data
-                for key in keys[:-1]:
-                    target = target[key]
-                if value is _DELETED:
-                    del target[keys[-1]]
-                else:
-                    target[keys[-1]] = value
-            try:
-                outcome = f"ok {parse(data)!r}"
-            except Exception as exc:  # the exception type is part of the outcome
-                outcome = f"{type(exc).__name__}: {exc}"
-            yield f"{name} {label} -> {outcome}"
+            yield f"{name} {label} -> {_outcome(parse, _edited(base, edits))}"
 
 
 def test_mutated_files_keep_every_outcome():
@@ -626,6 +724,28 @@ def test_mutated_files_keep_every_outcome():
     assert len(lines) == 2430
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == _MUTATION_DIGEST
+
+
+def test_whole_file_pass_keeps_every_outcome_of_the_walk(monkeypatch):
+    """Every mutation of an all-float detection file, the shape the writer
+    produces, reads or fails as the field walk alone reads it."""
+    frames = [
+        FrameDetections(
+            0,
+            (
+                Detection(BoundingBox(1.0, 2.0, 11.0, 12.0), 0, 0.75, (1.0, -0.5)),
+                Detection(BoundingBox(5.0, 5.0, 25.0, 25.0), 1, 0.25),
+            ),
+        ),
+        FrameDetections(2, ()),
+        FrameDetections(5, (Detection(BoundingBox(3.0, 2.0, 13.0, 12.0), 0, 0.5, (0.0, 2.0)),)),
+    ]
+    base = detections_to_dict("v", frames)
+    cases = [_edited(base, edits) for _, edits in _mutations(base)]
+    assert len(cases) == 818
+    outcomes = [_outcome(detections_from_dict, data) for data in cases]
+    monkeypatch.setattr(formats, "_plain_frames", lambda frames: None)
+    assert [_outcome(detections_from_dict, data) for data in cases] == outcomes
 
 
 # One all-float entry per schema: the shape every writer produces

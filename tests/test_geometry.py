@@ -399,6 +399,76 @@ class TestClipVisible:
         assert clip_visible(BoundingBox(10, 2, 14, 8), 10, 10) is None
 
 
+def reference_clip(box, width, height):
+    """``clip`` as one ``min(max(...))`` per corner."""
+    if width <= 0 or height <= 0:
+        raise ValueError("image dimensions must be positive")
+    return BoundingBox(
+        min(max(box.x1, 0.0), float(width)),
+        min(max(box.y1, 0.0), float(height)),
+        min(max(box.x2, 0.0), float(width)),
+        min(max(box.y2, 0.0), float(height)),
+    )
+
+
+def reference_clip_visible(box, width, height):
+    clipped = reference_clip(box, width, height)
+    return clipped if clipped.area > 0 else None
+
+
+def typed_hex(box):
+    """Each corner's type and bits; None stays None."""
+    if box is None:
+        return None
+    return tuple((type(v), float(v).hex()) for v in box.as_tuple())
+
+
+_CLIP_BOXES = [
+    BoundingBox(-0.0, -0.0, 5.0, 5.0),
+    BoundingBox(-0.0, 2.0, -0.0, 3.0),
+    BoundingBox(-5.0, -5.0, 15.0, 15.0),
+    BoundingBox(-5.0, 3.0, 15.0, 12.0),
+    BoundingBox(10.0, 2.0, 14.0, 8.0),
+    BoundingBox(0.0, 0.0, 10.0, 10.0),
+    BoundingBox(3.0, 3.0, 3.0, 3.0),
+    BoundingBox(10.0, 10.0, 10.0, 10.0),
+    BoundingBox(20.0, 20.0, 30.0, 30.0),
+    BoundingBox(-30.0, -30.0, -20.0, -20.0),
+    BoundingBox(-3, 2, 12, 9),
+    BoundingBox(0, 0, 10, 10),
+    BoundingBox(np.float64(-1.5), np.float64(2.0), np.float64(11.0), np.float64(4.0)),
+    BoundingBox(np.int64(-2), np.int64(0), np.int64(10), np.int64(10)),
+]
+
+
+class TestClipMatchesMinMaxFormula:
+    @pytest.mark.parametrize("width, height", [(10, 10), (10.0, 7.5), (np.int64(10), 8)])
+    def test_edge_boxes(self, width, height):
+        for box in _CLIP_BOXES:
+            assert typed_hex(clip(box, width, height)) == typed_hex(
+                reference_clip(box, width, height)
+            ), box
+            assert typed_hex(clip_visible(box, width, height)) == typed_hex(
+                reference_clip_visible(box, width, height)
+            ), box
+
+    def test_random_edge_straddling_boxes(self):
+        rng = np.random.default_rng(4)
+        for _ in range(500):
+            box = random_box(rng, lo=-30.0, hi=110.0, min_size=0.0)
+            assert typed_hex(clip(box, 100, 80)) == typed_hex(reference_clip(box, 100, 80))
+            assert typed_hex(clip_visible(box, 100, 80)) == typed_hex(
+                reference_clip_visible(box, 100, 80)
+            )
+
+    @pytest.mark.parametrize("width, height", [(0, 10), (10, -1), (0.0, 0.0)])
+    def test_bad_dims_raise_the_same_error(self, width, height):
+        box = BoundingBox(0.0, 0.0, 1.0, 1.0)
+        for call in (clip, clip_visible):
+            with pytest.raises(ValueError, match="^image dimensions must be positive$"):
+                call(box, width, height)
+
+
 def brute_force_nms(dets, threshold):
     order = sorted(range(len(dets)), key=lambda i: (-dets[i][1], i))
     kept = []

@@ -11,7 +11,7 @@ from tubekit.anticipation import (
     build_training_set,
     train_anticipation_model,
 )
-from tubekit.geometry import BoundingBox, clip_visible, iou, iou_matrix
+from tubekit.geometry import BoundingBox, box_from_center, clip_visible, iou, iou_matrix
 from tubekit.linking import Detection, extract_tubes
 from tubekit.proposals import AnchorConfig, generate_anchors
 from tubekit.synthdata import (
@@ -200,6 +200,12 @@ class TestSceneGeneration:
         class_id, box, _ = scene.frame_truth(12)[1]
         assert class_id == 1
         assert box == BoundingBox(100, 100, 120, 120)
+
+    @pytest.mark.parametrize("frame_index", [-1, 12, True, 1.5])
+    def test_frame_truth_rejects_frames_outside_the_scene(self, frame_index):
+        scene = generate_scene(drifting_scene_specs(1, num_frames=12)[0])
+        with pytest.raises(ValueError, match="^frame_index must be"):
+            scene.frame_truth(frame_index)
 
     def test_nan_velocity_sigma_rejected(self):
         with pytest.raises(ValueError, match="^velocity_sigma must be non-negative$"):
@@ -1145,6 +1151,121 @@ class TestBuiltInFloats:
             AnchorConfig(stride=8, scales=(24.0,), ratios=(1.0, 3.0)),
         ):
             _assert_float_boxes("generate_anchors", generate_anchors(48, 32, config))
+
+
+def hexed_box(box):
+    """Each corner's type and bits."""
+    return tuple((type(v), float(v).hex()) for v in box.as_tuple())
+
+
+def reference_corner_noise(box, e):
+    """``_add_corner_noise`` with each corner pair ordered by ``sorted``."""
+    x1, x2 = sorted((box.x1 + e[0], box.x2 + e[2]))
+    y1, y2 = sorted((box.y1 + e[1], box.y2 + e[3]))
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def reference_trajectory(spec, actor_index):
+    """``_actor_trajectory`` with two scalar velocity draws per step."""
+    actor = spec.actors[actor_index]
+    rng = np.random.default_rng([spec.seed, actor_index, synthdata._STREAM_TRAJECTORY])
+    cx, cy = actor.box.center
+    w, h = actor.box.width, actor.box.height
+    visible = []
+    for frame in range(actor.entry_frame, actor.exit_frame + 1):
+        if frame > actor.entry_frame:
+            vx, vy = actor.velocity
+            if actor.velocity_sigma > 0:
+                vx += rng.normal(0.0, actor.velocity_sigma)
+                vy += rng.normal(0.0, actor.velocity_sigma)
+            cx += vx
+            cy += vy
+        clipped = clip_visible(box_from_center(cx, cy, w, h), spec.width, spec.height)
+        if clipped is not None:
+            visible.append((frame, clipped))
+        elif visible:
+            break
+    return visible
+
+
+def reference_oracle_draw(oracle, frame_index):
+    """``ProposalOracle._draw`` with one jitter draw per truth-box copy."""
+    spec = oracle.scene.spec
+    rng = np.random.default_rng([oracle.seed, frame_index, synthdata._STREAM_PROPOSALS])
+    out = []
+    for _, box, _ in oracle.scene.frame_truth(frame_index):
+        for _ in range(synthdata._ORACLE_PER_ACTOR):
+            jittered = synthdata._jitter_box(
+                box, synthdata._ORACLE_JITTER_SIGMA, rng, spec.width, spec.height
+            )
+            if jittered is not None:
+                out.append(jittered)
+    for _ in range(synthdata._ORACLE_CLUTTER):
+        box = synthdata._clutter_box(spec, rng)
+        if box is not None:
+            out.append(box)
+    return out
+
+
+class TestBatchedDrawsMatchPerRowDraws:
+    """The batched draws and the swap give the bits of today's per-row formulas."""
+
+    def test_corner_noise(self):
+        rng = np.random.default_rng(8)
+        boxes = [
+            BoundingBox(-0.0, -0.0, 0.0, 0.0),
+            BoundingBox(0.0, 0.0, 0.0, 0.0),
+            BoundingBox(3, 4, 3, 9),
+            BoundingBox(np.float64(1.5), np.float64(-2.0), np.float64(4.0), np.float64(7.5)),
+            BoundingBox(10.0, 20.0, 30.0, 40.0),
+        ]
+        noises = [
+            [-0.0, -0.0, 0.0, 0.0],
+            [0.0, 0.0, -0.0, -0.0],
+            [1.0, 1.0, -1.0, -1.0],
+            [5.0, -3.0, -5.0, 3.0],
+            [0, 0, 0, 0],
+            list(np.array([25.0, -30.0, -25.0, 2.0])),
+            *rng.normal(0.0, 20.0, size=(200, 4)).tolist(),
+        ]
+        for box in boxes:
+            for e in noises:
+                got = _add_corner_noise(box, e)
+                assert hexed_box(got) == hexed_box(reference_corner_noise(box, e)), (box, e)
+
+    def test_trajectories(self):
+        specs = list(drifting_scene_specs(4, num_frames=60))
+        actors = (
+            ActorSpec(0, 0, 79, BoundingBox(40, 40, 60, 60), velocity=(-0.0, 2), velocity_sigma=0.0),
+            ActorSpec(1, 3, 79, BoundingBox(100.5, 90.0, 150.0, 130.25), velocity_sigma=0.05),
+            ActorSpec(0, 10, 70, BoundingBox(150, 10, 190, 50), (4.0, 1.0), velocity_sigma=3.0),
+            ActorSpec(1, 79, 79, BoundingBox(0.0, 0.0, 20.0, 20.0), velocity_sigma=1.0),
+        )
+        specs.append(simple_spec(num_frames=80, actors=actors, seed=11))
+        for spec in specs:
+            for index in range(len(spec.actors)):
+                got = synthdata._actor_trajectory(spec, index)
+                expected = reference_trajectory(spec, index)
+                assert [(f, hexed_box(b)) for f, b in got] == [
+                    (f, hexed_box(b)) for f, b in expected
+                ], (spec.video_id, index)
+
+    @pytest.mark.parametrize(
+        "calibration",
+        [{}, {"jitter_sigma": 0.0}, {"per_actor": 1, "clutter": 0}, {"per_actor": 0}],
+        ids=["default", "no-jitter", "one-copy", "no-copies"],
+    )
+    def test_oracle_proposals(self, calibrate, calibration):
+        calibrate(**calibration)
+        late_actor = ActorSpec(0, 6, 19, BoundingBox(150, 150, 195, 195), (2.0, 2.0))
+        scenes = [generate_scene(s) for s in drifting_scene_specs(4, num_frames=40)]
+        scenes.append(generate_scene(simple_spec(actors=(late_actor,))))
+        for scene in scenes:
+            for seed in (0, 1, 5, 9):
+                oracle = ProposalOracle(scene, seed=seed)
+                for t in range(scene.spec.num_frames):
+                    got = [hexed_box(b) for b in oracle.propose(t)]
+                    assert got == [hexed_box(b) for b in reference_oracle_draw(oracle, t)]
 
 
 class TestNoiseStreamGolden:
