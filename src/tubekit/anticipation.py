@@ -33,11 +33,12 @@ from .geometry import (
     BoxDelta,
     Motion,
     _check_count,
+    boxes_to_array,
     clip,
     decode_delta,
     encode_delta,
 )
-from .proposals import assign_samples
+from .proposals import _assign_frames
 
 FEATURE_DIM = 6
 # 1000 epochs is where the training loss has converged: on the
@@ -185,32 +186,33 @@ def build_training_set(
 ) -> TrainingSet:
     """Turn (detections-now, true-boxes-later) frame pairs into training rows.
 
-    Each detection becomes one row; it is positive when IoU-matched to a
-    future box (the usual thresholding plus a best-candidate override that
-    keeps every future box matched to its highest-IoU detection, so slow
-    overlap decay at long gaps cannot starve training of positives). The
-    regression target for a positive row encodes the matched future box
-    relative to the detection box.
+    Each detection with a positive size becomes one row, in input order; it
+    is positive when IoU-matched to a future box of its pair (the usual
+    thresholding plus a best-candidate override that keeps every future box
+    matched to its highest-IoU detection, so slow overlap decay at long gaps
+    cannot starve training of positives). One pass of
+    ``proposals._assign_frames``, the rule of ``proposals.assign_samples``,
+    labels every pair's detections, degenerate ones included, against that
+    pair's future boxes. The regression target for a positive row encodes
+    the matched future box relative to the detection box.
     """
+    pairs = list(frame_pairs)
+    rows = [(box, motion, future) for detections, future in pairs for box, motion in detections]
+    labels, matched_gt, _ = _assign_frames(
+        boxes_to_array([box for box, _, _ in rows]),
+        [len(detections) for detections, _ in pairs],
+        boxes_to_array([box for _, future in pairs for box in future]),
+        [len(future) for _, future in pairs],
+    )
     feats: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
+    targets: list[tuple[float, float, float, float]] = []
     positive: list[bool] = []
-    for detections, future_boxes in frame_pairs:
-        boxes = [b for b, _ in detections]
-        assignment = assign_samples(boxes, list(future_boxes))
-        for i, (box, motion) in enumerate(detections):
-            if box.width <= 0.0 or box.height <= 0.0:
-                continue
-            feats.append(feature_vector(box, motion, image_width, image_height))
-            if assignment.labels[i] == 1:
-                matched = future_boxes[int(assignment.matched_gt[i])]
-                targets.append(
-                    np.array(encode_delta(box, matched).as_tuple(), dtype=np.float64)
-                )
-                positive.append(True)
-            else:
-                targets.append(np.zeros(4, dtype=np.float64))
-                positive.append(False)
+    for (box, motion, future), label, j in zip(rows, labels.tolist(), matched_gt.tolist()):
+        if box.width <= 0.0 or box.height <= 0.0:
+            continue
+        feats.append(feature_vector(box, motion, image_width, image_height))
+        positive.append(label == 1)
+        targets.append(encode_delta(box, future[j]).as_tuple() if label == 1 else (0.0,) * 4)
     return TrainingSet(
         features=np.array(feats, dtype=np.float64).reshape(-1, FEATURE_DIM),
         targets=np.array(targets, dtype=np.float64).reshape(-1, 4),

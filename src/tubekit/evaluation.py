@@ -73,7 +73,13 @@ def match_tubes(
     Returns:
         Per prediction (in input order) the matched ground-truth index, or
         ``None`` for a false positive.
+
+    Raises:
+        ValueError: when ``delta`` is a bool (built-in or numpy) or outside
+            ``(0, 1]``.
     """
+    if isinstance(delta, (bool, np.bool_)):
+        raise ValueError(f"delta must be a number, got {delta!r}")
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].tube_score)
@@ -208,6 +214,9 @@ _REPLICA_STREAMS = {"train": 1, "eval": 2}
 
 
 def _check_study_deltas(deltas: Sequence[float]) -> None:
+    flags = [d for d in deltas if isinstance(d, (bool, np.bool_))]
+    if flags:
+        raise ValueError(f"study thresholds must be numbers, got {flags}")
     out_of_range = [d for d in deltas if not 0.0 < d <= 1.0]
     if out_of_range:
         raise ValueError(f"study thresholds must be in (0, 1], got {out_of_range}")
@@ -397,6 +406,9 @@ def run_strategy_study(
     All strategies share the same oracle and detector noise streams within a
     seed, so cells differ only in the proposals anticipation adds. Reported
     numbers are per-cell means over seeds.
+
+    Every argument is checked before the first pass; each gap must be below
+    every scene's frame count.
     """
     if not scene_specs:
         raise ValueError("study needs at least one scene spec")
@@ -420,6 +432,12 @@ def run_strategy_study(
         if len(set(values)) != len(values):
             raise ValueError(f"study {name} must not repeat, got {list(values)}")
     _check_study_deltas(deltas)
+    for spec in scene_specs:
+        if max(gaps) >= spec.num_frames:
+            raise ValueError(
+                f"gap {max(gaps)} must be below the {spec.num_frames} frames of "
+                f"scene {spec.video_id!r}"
+            )
 
     cells: list[tuple[str, Optional[int]]] = []
     for strategy in strategies:

@@ -25,6 +25,10 @@ MAX_SCALE_DELTA = 10.0
 # a box's center displacement from the previous frame, (dx, dy)
 Motion = tuple[float, float]
 
+# box pairs per _iou_arrays call where link scoring and sample labelling
+# score a flat list of pairs: bounds the kernel's temporaries
+_EDGE_BLOCK = 4096
+
 
 def _check_integer(name: str, value) -> None:
     """Reject a count, frame number or seed that is not an integer (bools included)."""

@@ -22,11 +22,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import BoundingBox, _check_count, _iou_arrays, boxes_to_array, iou
+from .geometry import _EDGE_BLOCK, BoundingBox, _check_count, _iou_arrays, boxes_to_array, iou
 
 DEFAULT_MAX_TUBES_PER_CLASS = 10
 DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
-_EDGE_BLOCK = 4096  # edges per batch-kernel call in extract_tubes: bounds its temporaries
 
 
 def _check_detection(class_id, score) -> None:

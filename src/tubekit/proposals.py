@@ -20,9 +20,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .geometry import (
+    _EDGE_BLOCK,
     BoundingBox,
     BoxDelta,
+    _iou_arrays,
     box_from_center,
+    boxes_to_array,
     clip_visible,
     decode_delta,
     iou_matrix,
@@ -191,6 +194,55 @@ class SampleAssignment:
             raise ValueError("assignment arrays must share one length")
 
 
+def _assign_frames(
+    candidates: np.ndarray,
+    counts: Sequence[int],
+    ground_truths: np.ndarray,
+    gt_counts: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each candidate's label, matched ground truth and best IoU by the rule of
+    :func:`assign_samples`, for several frames at once.
+
+    ``candidates`` (N, 4) holds the frames' rows one frame after another,
+    ``counts[f]`` of them for frame ``f``, and each is labelled against its
+    own frame's rows of ``ground_truths`` (M, 4), ``gt_counts[f]`` of them; a
+    matched index counts within the frame. Every (candidate, ground truth)
+    pair of a frame is one edge, and the edges of all frames go through the
+    batch IoU kernel in one pass, in blocks of ``_EDGE_BLOCK``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    gt_counts = np.asarray(gt_counts, dtype=np.int64)
+    widths = np.repeat(gt_counts, counts)  # per candidate: its frame's ground truths
+    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
+    src = np.repeat(np.arange(len(widths)), widths)  # each edge's candidate
+    local = np.arange(len(src)) - np.repeat(first_edge, widths)  # its frame's ground truth
+    dst = np.repeat(np.cumsum(gt_counts) - gt_counts, counts)[src] + local  # and that row
+    overlap = np.empty(len(src))
+    for lo in range(0, len(src), _EDGE_BLOCK):
+        a, b = src[lo : lo + _EDGE_BLOCK], dst[lo : lo + _EDGE_BLOCK]
+        pairs = _iou_arrays(candidates[a, None], ground_truths[b, None])
+        overlap[lo : lo + _EDGE_BLOCK] = pairs[:, 0, 0]
+    labels = np.zeros(len(widths), dtype=np.int8)
+    matched_gt = np.full(len(widths), -1, dtype=np.int64)
+    max_iou = np.zeros(len(widths), dtype=np.float64)
+    met = np.flatnonzero(widths)  # candidates of frames with ground truth
+    if len(met):
+        starts = first_edge[met]
+        best = np.maximum.reduceat(overlap, starts)
+        at_best = overlap == np.repeat(best, widths[met])
+        max_iou[met] = best
+        matched_gt[met] = np.minimum.reduceat(np.where(at_best, local, len(src)), starts)
+        labels[met] = np.where(best > POSITIVE_IOU, 1, np.where(best < NEGATIVE_IOU, 0, -1))
+        gt_best = np.zeros(len(ground_truths))
+        np.maximum.at(gt_best, dst, overlap)
+        forcing = (overlap == gt_best[dst]) & (gt_best[dst] > 0.0)
+        forced_by = np.maximum.reduceat(np.where(forcing, local, -1), starts)
+        forced = met[forced_by >= 0]
+        labels[forced] = 1
+        matched_gt[forced] = forced_by[forced_by >= 0]
+    return labels, matched_gt, max_iou
+
+
 def assign_samples(
     candidates: Sequence[BoundingBox],
     ground_truths: Sequence[BoundingBox],
@@ -198,34 +250,24 @@ def assign_samples(
     """Label candidates by IoU against ground truth.
 
     IoU above ``POSITIVE_IOU`` (0.7) is positive, below ``NEGATIVE_IOU``
-    (0.3) negative, anything between is ignored (-1).
+    (0.3) negative, anything between is ignored (-1); each candidate is
+    matched to the first ground truth of its highest IoU.
     Additionally, for every ground-truth box the candidate with the highest
-    IoU is forced positive (ties keep all tied candidates) so that no ground
-    truth goes unmatched even when all overlaps are low. With an empty
-    ground-truth set, every candidate is negative.
+    IoU is forced positive and matched to it (ties keep all tied
+    candidates; a candidate forced by several is matched to the last) so
+    that no ground truth goes unmatched even when all overlaps are low; a
+    ground truth no candidate overlaps forces nothing. With an empty
+    ground-truth set, every candidate is negative and matched to -1.
+
+    This is the pass of :func:`_assign_frames` on one frame;
+    ``anticipation.build_training_set`` runs it once over all its frames.
     """
-    n = len(candidates)
-    if not ground_truths:
-        return SampleAssignment(
-            labels=np.zeros(n, dtype=np.int8),
-            matched_gt=np.full(n, -1, dtype=np.int64),
-            max_iou=np.zeros(n, dtype=np.float64),
-        )
-    ious = iou_matrix(candidates, ground_truths)
-    max_iou = ious.max(axis=1)
-    matched_gt = ious.argmax(axis=1).astype(np.int64)
-    labels = np.full(n, -1, dtype=np.int8)
-    labels[max_iou < NEGATIVE_IOU] = 0
-    labels[max_iou > POSITIVE_IOU] = 1
-    if n:
-        # force each ground truth's best candidate(s) positive
-        gt_best = ious.max(axis=0)
-        for j in range(len(ground_truths)):
-            if gt_best[j] <= 0.0:
-                continue
-            best_rows = np.nonzero(ious[:, j] == gt_best[j])[0]
-            labels[best_rows] = 1
-            matched_gt[best_rows] = j
+    labels, matched_gt, max_iou = _assign_frames(
+        boxes_to_array(candidates),
+        [len(candidates)],
+        boxes_to_array(ground_truths),
+        [len(ground_truths)],
+    )
     return SampleAssignment(labels=labels, matched_gt=matched_gt, max_iou=max_iou)
 
 

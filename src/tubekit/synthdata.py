@@ -464,11 +464,13 @@ class ConditionedDetector:
     Everything of a frame that does not depend on the proposals (its truth,
     its noise draws and its false positives) is drawn once and kept for
     later calls on the same frame. So is each truth row's best overlap with
-    the proposal list of the frame's first call, and the index of the first
-    proposal reaching it: a later call whose list starts with those same box
-    objects (as :meth:`ProposalOracle.propose` returns them, and
-    ``augment_proposals`` keeps them in front) scores only the boxes after
-    them. Any other list is scored in full and is remembered in their place.
+    the proposal list of the frame's first call, the index of the first
+    proposal reaching it, and the detection that row gave (or that it gave
+    none): a later call whose list starts with those same box objects (as
+    :meth:`ProposalOracle.propose` returns them, and ``augment_proposals``
+    keeps them in front) scores only the boxes after them, and returns the
+    kept detection of every row that none of them takes over. Any other list
+    is scored in full and is remembered in their place.
     """
 
     def __init__(self, scene: Scene, *, seed: int = 0) -> None:
@@ -477,9 +479,10 @@ class ConditionedDetector:
         self.seed = seed
         self._drawn: dict[int, _DetectorFrame] = {}
         # per frame: a proposal list and, per truth row, its best overlap
-        # with that list and the index of the first proposal reaching it
+        # with that list and the index of the first proposal reaching it,
+        # and the detection the row gave (None for none)
         self._covered: dict[
-            int, tuple[tuple[BoundingBox, ...], list[tuple[float, int]]]
+            int, tuple[tuple[BoundingBox, ...], list[tuple[float, int]], list]
         ] = {}
 
     def detect(
@@ -491,65 +494,61 @@ class ConditionedDetector:
             ValueError: when ``frame_index`` is not an integer frame of the scene.
         """
         _check_frame(self.scene, frame_index)
-        spec = self.scene.spec
-        noise = spec.noise
         drawn = self._drawn.get(frame_index)
         if drawn is None:
             drawn = self._drawn[frame_index] = self._draw(frame_index)
         truth, draws, false_positives = drawn
         if not (truth and proposals):
             return list(false_positives)
-        sigma = noise.sigma_loc
-        dets: list[Detection] = []
-        coverages = self._coverage(frame_index, truth, proposals)
-        for (class_id, gt_box, motion), draw, (coverage, index) in zip(
-            truth, draws, coverages
-        ):
-            miss_draw, corner_noise, score_noise = draw
-            if coverage < _DETECTOR_MIN_COVERAGE:
-                continue
-            if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
-                continue
-            prop = proposals[index]
-            rho = _DETECTOR_REGRESS_STRENGTH
-            blended = BoundingBox(
-                prop.x1 + rho * (gt_box.x1 - prop.x1),
-                prop.y1 + rho * (gt_box.y1 - prop.y1),
-                prop.x2 + rho * (gt_box.x2 - prop.x2),
-                prop.y2 + rho * (gt_box.y2 - prop.y2),
-            )
-            box = clip_visible(
-                _add_corner_noise(blended, [c * sigma for c in corner_noise]),
-                spec.width,
-                spec.height,
-            )
-            if box is None:
-                continue
-            score = _clip01(
-                noise.tp_score_mean * coverage + score_noise * noise.tp_score_sigma
-            )
-            dets.append(Detection(box=box, class_id=class_id, score=score, motion=motion))
-        dets.extend(false_positives)
-        return dets
+        # a remembered list is never empty, so ``start`` is 0 on a frame not seen
+        known, best, kept = self._covered.get(frame_index, ((), [], []))
+        start = len(known)
+        if start and start <= len(proposals) and all(map(operator.is_, known, proposals)):
+            dets = [
+                det if index < start else self._build(row, draw, coverage, proposals[index])
+                for row, draw, (coverage, index), det in zip(
+                    truth, draws, _best_overlaps(truth, proposals, best, start), kept
+                )
+            ]
+        else:
+            # overlaps are never negative, so (0.0, 0) is the best of no
+            # proposal, and a list overlapping nothing regresses from its first box
+            best = _best_overlaps(truth, proposals, [(0.0, 0)] * len(truth), 0)
+            dets = [
+                self._build(row, draw, coverage, proposals[index])
+                for row, draw, (coverage, index) in zip(truth, draws, best)
+            ]
+            self._covered[frame_index] = (tuple(proposals), best, dets)
+        return [det for det in dets if det is not None] + list(false_positives)
 
-    def _coverage(
-        self,
-        frame_index: int,
-        truth: Sequence[tuple[int, BoundingBox, Motion]],
-        proposals: Sequence[BoundingBox],
-    ) -> list[tuple[float, int]]:
-        """Each truth row's best overlap with ``proposals`` and the index of
-        the first proposal reaching it."""
-        covered = self._covered.get(frame_index)
-        if covered is not None:
-            known, best = covered
-            if len(known) <= len(proposals) and all(map(operator.is_, known, proposals)):
-                return _best_overlaps(truth, proposals, best, len(known))
-        # overlaps are never negative, so (0.0, 0) is the best of no proposal,
-        # and a list overlapping nothing regresses from its first box
-        best = _best_overlaps(truth, proposals, [(0.0, 0)] * len(truth), 0)
-        self._covered[frame_index] = (tuple(proposals), best)
-        return best
+    def _build(self, row, draw, coverage: float, prop: BoundingBox) -> Optional[Detection]:
+        """A truth row's detection regressed from its best proposal ``prop``,
+        given the row's noise draws; None when the row is missed or its box
+        leaves the image."""
+        class_id, gt_box, motion = row
+        miss_draw, corner_noise, score_noise = draw
+        noise = self.scene.spec.noise
+        if coverage < _DETECTOR_MIN_COVERAGE:
+            return None
+        if noise.miss_rate > 0 and miss_draw < noise.miss_rate:
+            return None
+        rho = _DETECTOR_REGRESS_STRENGTH
+        blended = BoundingBox(
+            prop.x1 + rho * (gt_box.x1 - prop.x1),
+            prop.y1 + rho * (gt_box.y1 - prop.y1),
+            prop.x2 + rho * (gt_box.x2 - prop.x2),
+            prop.y2 + rho * (gt_box.y2 - prop.y2),
+        )
+        sigma = noise.sigma_loc
+        box = clip_visible(
+            _add_corner_noise(blended, [c * sigma for c in corner_noise]),
+            self.scene.spec.width,
+            self.scene.spec.height,
+        )
+        if box is None:
+            return None
+        score = _clip01(noise.tp_score_mean * coverage + score_noise * noise.tp_score_sigma)
+        return Detection(box=box, class_id=class_id, score=score, motion=motion)
 
     def _draw(self, frame_index: int) -> _DetectorFrame:
         rng = np.random.default_rng([self.seed, frame_index, _STREAM_DETECTOR])

@@ -22,7 +22,9 @@ from tubekit.anticipation import (
     smooth_l1_grad,
     train_anticipation_model,
 )
-from tubekit.evaluation import StudyConfig
+from tubekit.evaluation import StudyConfig, _replica, run_detection_pass
+from tubekit.proposals import assign_samples
+from tubekit.synthdata import drifting_scene_specs
 
 W, H = 320.0, 240.0
 
@@ -172,6 +174,55 @@ def test_build_training_set_counts_and_targets():
     # positive targets reproduce the exact encoded offset to the matched box
     row = int(np.nonzero(ts.positive)[0][0])
     assert not np.allclose(ts.targets[row], 0.0) or ts.positive[row]
+
+
+def reference_build_training_set(frame_pairs, *, image_width, image_height):
+    """The per-row builder: one assign_samples call per frame pair."""
+    feats, targets, positive = [], [], []
+    for detections, future_boxes in frame_pairs:
+        assignment = assign_samples([b for b, _ in detections], list(future_boxes))
+        for i, (box, motion) in enumerate(detections):
+            if box.width <= 0.0 or box.height <= 0.0:
+                continue
+            feats.append(feature_vector(box, motion, image_width, image_height))
+            if assignment.labels[i] == 1:
+                matched = future_boxes[int(assignment.matched_gt[i])]
+                targets.append(np.array(encode_delta(box, matched).as_tuple(), dtype=np.float64))
+                positive.append(True)
+            else:
+                targets.append(np.zeros(4, dtype=np.float64))
+                positive.append(False)
+    return (
+        np.array(feats, dtype=np.float64).reshape(-1, 6),
+        np.array(targets, dtype=np.float64).reshape(-1, 4),
+        np.array(positive, dtype=bool),
+    )
+
+
+@pytest.mark.parametrize("gap", [1, 8, 29])
+def test_build_training_set_matches_the_per_row_builder(gap):
+    spec = drifting_scene_specs(1, num_frames=30)[0]
+    scene, oracle, detector = _replica(spec, 0, "train")
+    frames = run_detection_pass(scene, oracle, detector)
+    pairs = [
+        (
+            [(d.box, d.motion) for d in frames[t].detections],
+            [box for _, box, _ in scene.frame_truth(t + gap)],
+        )
+        for t in range(spec.num_frames - gap)
+    ]
+    # a frame with no detections, and a degenerate box among a frame's detections
+    pairs.insert(len(pairs) // 2, ([], pairs[0][1]))
+    degenerate = (BoundingBox(30.0, 40.0, 30.0, 90.0), (1.0, 0.0))
+    pairs[0] = (pairs[0][0][:1] + [degenerate] + pairs[0][0][1:], pairs[0][1])
+    size = dict(image_width=spec.width, image_height=spec.height)
+    got = build_training_set(pairs, **size)
+    want = reference_build_training_set(pairs, **size)
+    assert got.num_positive > 0
+    for array, expected in zip((got.features, got.targets, got.positive), want):
+        assert (array.dtype, array.shape, array.tobytes()) == (
+            expected.dtype, expected.shape, expected.tobytes()
+        )
 
 
 def test_build_training_set_empty():

@@ -581,6 +581,16 @@ def test_study_negative_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_study_gap_reaching_the_scene_end_exits_2(tmp_path, capsys):
+    spec_dir = tmp_path / "specs"
+    spec_dir.mkdir()
+    write_json(spec_dir / "scene.json", scene_spec_to_dict(clean_spec(num_frames=12)))
+    out = tmp_path / "s.csv"
+    assert main(["study", str(spec_dir), str(out), "--gaps", "2,12", "--seeds", "0"]) == 2
+    assert capsys.readouterr().err == "error: gap 12 must be below the 12 frames of scene 'clip'\n"
+    assert not out.exists()
+
+
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "cmd_eval", lambda args: ran.append((args.gt, args.pred)) or 0)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,19 @@ class TestMatchTubes:
         with pytest.raises(ValueError):
             match_tubes([], [], 1.0001)
         assert match_tubes([], [], 1.0) == []
+
+
+@pytest.mark.parametrize("flag", [True, np.True_, False, np.False_])
+def test_a_bool_delta_is_refused(flag):
+    tube = straight_tube(0, 10)
+    message = f"^delta must be a number, got {re.escape(repr(flag))}$"
+    with pytest.raises(ValueError, match=message):
+        match_tubes([tube], [tube], flag)
+    for score in (evaluate, mean_ap):
+        with pytest.raises(ValueError, match=message):
+            score({"v": [tube]}, {"v": [tube]}, (flag,))
+    with pytest.raises(ValueError, match=r"^study thresholds must be numbers, got \["):
+        evaluation._check_study_deltas((0.05, 0.1, 0.2, 0.3, flag))
 
 
 def brute_force_ap(scored_flags, num_gt, grid=100_000):
@@ -442,6 +457,38 @@ class TestStudyGapsAndSeeds:
         assert numpy_run.to_csv() == run_strategy_study(
             specs, gaps=(2,), seeds=(0,), config=config
         ).to_csv()
+
+
+    def test_a_bool_threshold_is_rejected_before_any_pass(self, passes):
+        specs = drifting_scene_specs(1, num_frames=12)
+        with pytest.raises(ValueError, match=r"^study thresholds must be numbers, got \[True\]$"):
+            run_strategy_study(specs, deltas=(0.05, 0.1, 0.2, 0.3, True), seeds=(0,))
+        assert passes == []
+
+    @pytest.mark.parametrize("gaps, bad", [((20,), 20), ((2, 25), 25), ((19, 20), 20)])
+    @pytest.mark.parametrize(
+        "strategies", [("none",), ("non-motion",), ("none", "non-motion", "learned")]
+    )
+    def test_a_gap_reaching_a_scene_end_is_rejected_before_any_pass(
+        self, passes, gaps, bad, strategies
+    ):
+        # the second scene is the shorter one
+        specs = [drifting_scene_specs(1, num_frames=30)[0]]
+        specs.append(drifting_scene_specs(2, num_frames=20)[1])
+        message = f"^gap {bad} must be below the 20 frames of scene 'drift-01'$"
+        with pytest.raises(ValueError, match=message):
+            run_strategy_study(specs, strategies=strategies, gaps=gaps, seeds=(0,))
+        assert passes == []
+
+    def test_the_last_gap_below_the_frame_count_runs(self, passes):
+        specs = drifting_scene_specs(1, num_frames=12)
+        report = run_strategy_study(
+            specs, strategies=("none", "non-motion"), gaps=(11,), seeds=(0,)
+        )
+        assert len(passes) == 1 + 2  # the training pass, then none and non-motion
+        assert [(row.strategy, row.gap) for row in report.rows] == [
+            ("none", None), ("non-motion", 11)
+        ]
 
 
 class TestStudyConfig:

@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tubekit.geometry import BoundingBox, BoxDelta, encode_delta, iou
+import tubekit.proposals as proposals
+from tubekit.geometry import BoundingBox, BoxDelta, boxes_to_array, encode_delta, iou, iou_matrix
 from tubekit.proposals import (
     AnchorConfig,
     ProposalStage,
+    _assign_frames,
     assign_samples,
     cascade_refine,
     generate_anchors,
@@ -253,6 +255,121 @@ class TestAssignSamples:
                 if best > 0.0:
                     best_rows = [i for i, v in enumerate(overlaps) if v == best]
                     assert all(out.labels[i] == 1 for i in best_rows)
+
+
+def reference_assign_samples(candidates, ground_truths):
+    """The per-frame labelling: one IoU matrix per frame, then a loop forcing
+    each ground truth's best candidates positive."""
+    n = len(candidates)
+    if not ground_truths:
+        return (
+            np.zeros(n, dtype=np.int8),
+            np.full(n, -1, dtype=np.int64),
+            np.zeros(n, dtype=np.float64),
+        )
+    ious = iou_matrix(candidates, ground_truths)
+    max_iou = ious.max(axis=1)
+    matched_gt = ious.argmax(axis=1).astype(np.int64)
+    labels = np.full(n, -1, dtype=np.int8)
+    labels[max_iou < 0.3] = 0
+    labels[max_iou > 0.7] = 1
+    if n:
+        gt_best = ious.max(axis=0)
+        for j in range(len(ground_truths)):
+            if gt_best[j] <= 0.0:
+                continue
+            best_rows = np.nonzero(ious[:, j] == gt_best[j])[0]
+            labels[best_rows] = 1
+            matched_gt[best_rows] = j
+    return labels, matched_gt, max_iou
+
+
+def grid_box(rng):
+    """A box on a coarse grid, so that equal overlaps and duplicates are common."""
+    x1, y1 = rng.integers(0, 8, size=2) * 5.0
+    w, h = rng.integers(1, 5, size=2) * 5.0
+    return BoundingBox(float(x1), float(y1), float(x1 + w), float(y1 + h))
+
+
+def hexed(arrays):
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestAssignFramesMatchesPerFrameReference:
+    """Labelling every frame in one pass gives each frame's per-frame labels."""
+
+    def assert_matches(self, frames):
+        got = _assign_frames(
+            boxes_to_array([c for cands, _ in frames for c in cands]),
+            [len(cands) for cands, _ in frames],
+            boxes_to_array([g for _, gts in frames for g in gts]),
+            [len(gts) for _, gts in frames],
+        )
+        per_frame = [reference_assign_samples(cands, gts) for cands, gts in frames]
+        per_frame.append(reference_assign_samples([], []))  # the dtypes of no frame
+        want = [np.concatenate([p[k] for p in per_frame]) for k in range(3)]
+        assert hexed(got) == hexed(want)
+        for cands, gts in frames:
+            one = assign_samples(cands, gts)
+            assert hexed([one.labels, one.matched_gt, one.max_iou]) == hexed(
+                reference_assign_samples(cands, gts)
+            )
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_random_frames_of_unequal_sizes(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(proposals, "_EDGE_BLOCK", block)
+        rng = np.random.default_rng(23)
+        for _ in range(40):
+            frames = []
+            for _ in range(int(rng.integers(0, 7))):
+                gts = [grid_box(rng) for _ in range(int(rng.integers(0, 4)))]
+                cands = [grid_box(rng) for _ in range(int(rng.integers(0, 6)))]
+                cands += [gts[int(i)] for i in rng.integers(0, len(gts), size=2)] if gts else []
+                if cands:
+                    cands.append(cands[int(rng.integers(0, len(cands)))])  # a duplicate
+                frames.append(([cands[i] for i in rng.permutation(len(cands))], gts))
+            self.assert_matches(frames)
+
+    def test_duplicate_candidates_are_both_forced(self):
+        gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        half = BoundingBox(0.0, 0.0, 10.0, 5.0)
+        self.assert_matches([([half, BoundingBox(0.0, 0.0, 10.0, 4.0), half], [gt])])
+        assert assign_samples([half, half], [gt]).labels.tolist() == [1, 1]
+
+    def test_a_candidate_tied_best_for_two_ground_truths_takes_the_last(self):
+        # the square overlaps both rectangles 0.5, more than any other candidate
+        square = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        tall, wide = BoundingBox(0.0, 0.0, 10.0, 20.0), BoundingBox(0.0, 0.0, 20.0, 10.0)
+        far = BoundingBox(50.0, 50.0, 60.0, 60.0)
+        frames = [([far, square], [tall, wide]), ([square], [wide, tall])]
+        self.assert_matches(frames)
+        out = assign_samples([far, square], [tall, wide])
+        assert out.labels.tolist() == [0, 1]
+        assert out.matched_gt.tolist() == [0, 1]
+
+    def test_frames_without_ground_truth_or_with_one_candidate(self):
+        box = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        near = BoundingBox(2.0, 0.0, 12.0, 10.0)
+        self.assert_matches(
+            [([box, near], []), ([near], [box]), ([], [box]), ([box], []), ([box], [near, box])]
+        )
+        self.assert_matches([([box], [])])
+        self.assert_matches([])
+
+    def test_overlaps_on_the_thresholds_are_ignored(self):
+        gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
+        cands = [BoundingBox(0.0, 0.0, 10.0, 3.0), BoundingBox(0.0, 0.0, 10.0, 7.0), gt]
+        self.assert_matches([(cands, [gt])])
+        assert assign_samples(cands, [gt]).labels.tolist() == [-1, -1, 1]
+
+    def test_zero_overlap_everywhere(self):
+        cands = [BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(20.0, 0.0, 30.0, 10.0)]
+        gts = [BoundingBox(100.0, 100.0, 110.0, 110.0), BoundingBox(0.0, 50.0, 5.0, 60.0)]
+        self.assert_matches([(cands, gts), (cands[:1], gts[:1])])
+        out = assign_samples(cands, gts)
+        assert out.labels.tolist() == [0, 0]
+        assert out.matched_gt.tolist() == [0, 0]
 
 
 def make_assignment(n_pos, n_neg, n_ignore=0):

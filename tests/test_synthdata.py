@@ -911,6 +911,103 @@ class TestOneDetectorAcrossPasses:
         assert ties_decided > 0
 
 
+    def test_each_remembered_row_is_built_once(self, monkeypatch):
+        gap = 4
+        scene = self.make_scene()
+        spec = scene.spec
+        size = dict(image_width=spec.width, image_height=spec.height)
+        rendered = render_detections(scene)
+        model = train_anticipation_model(
+            build_training_set(
+                [
+                    (
+                        [(d.box, d.motion) for d in rendered[t].detections],
+                        [box for _, box, _ in scene.frame_truth(t + gap)],
+                    )
+                    for t in range(spec.num_frames - gap)
+                ],
+                **size,
+            ),
+            gap,
+            epochs=20,
+        )
+        oracle = ProposalOracle(scene, seed=2)
+        detector = ConditionedDetector(scene, seed=3)
+        for t in range(spec.num_frames):  # draw proposals and noise before counting
+            detector.detect(t, [])
+            oracle.propose(t)
+        built = []
+
+        def counting_clip_visible(box, width, height):
+            built.append(box)
+            return clip_visible(box, width, height)
+
+        monkeypatch.setattr(synthdata, "clip_visible", counting_clip_visible)
+        noise = spec.noise
+        reused = anticipated = 0
+        for anticipator in ("none", "non-motion", model):
+            frames = []
+            for t in range(spec.num_frames):
+                drawn = oracle.propose(t)
+                proposals = drawn
+                if anticipator != "none" and t >= gap:
+                    predicted = anticipate(
+                        anticipator,
+                        [(d.box, d.motion or (0.0, 0.0)) for d in frames[t - gap]],
+                        **size,
+                    )
+                    proposals = augment_proposals(drawn, predicted)
+                built.clear()
+                frames.append(detector.detect(t, proposals))
+                builds = len(built)
+                want = reference_detect(ConditionedDetector(scene, seed=3), t, proposals)
+                assert hexed_detections(frames[-1]) == hexed_detections(want)
+                # rows passing the coverage and miss gates, and whether a
+                # remembered proposal gives each its coverage
+                expected = 0
+                truth, draws, _ = detector._drawn[t]
+                for (_, gt_box, _), (miss_draw, _, _) in zip(truth, draws):
+                    overlaps = [iou(gt_box, p) for p in proposals]
+                    coverage = max(overlaps)
+                    if coverage < synthdata._DETECTOR_MIN_COVERAGE or miss_draw < noise.miss_rate:
+                        continue
+                    if anticipator == "none" or overlaps.index(coverage) >= len(drawn):
+                        expected += 1
+                        anticipated += anticipator != "none"
+                    else:
+                        reused += 1
+                assert builds == expected, (anticipator, t)
+        assert reused > 0 and anticipated > 0
+
+    def test_a_list_not_starting_with_the_remembered_boxes_leaves_nothing_stale(self):
+        scene = self.make_scene()
+        oracle = ProposalOracle(scene, seed=2)
+        detector = ConditionedDetector(scene, seed=3)
+
+        def check(t, proposals):
+            got = hexed_detections(detector.detect(t, proposals))
+            want = reference_detect(ConditionedDetector(scene, seed=3), t, proposals)
+            assert got == hexed_detections(want), t
+            return got
+
+        differed = 0
+        for t in range(scene.spec.num_frames):
+            gt_box = scene.frame_truth(t)[0][1]
+            extra = [BoundingBox(gt_box.x1 + 1.0, gt_box.y1, gt_box.x2 + 1.0, gt_box.y2)]
+            shifted = [
+                BoundingBox(b.x1 + 6.0, b.y1 + 3.0, b.x2 + 6.0, b.y2 + 3.0)
+                for b in oracle.propose(t)
+            ]
+            first = check(t, oracle.propose(t))
+            differed += check(t, shifted) != first
+            check(t, augment_proposals(shifted, extra))
+            assert check(t, oracle.propose(t)) == first
+            check(t, augment_proposals(oracle.propose(t), extra))
+            check(t, oracle.propose(t)[1:])
+            assert check(t, oracle.propose(t)) == first
+        assert differed > 0
+
+
 @pytest.mark.parametrize("cls", [ProposalOracle, ConditionedDetector])
 def test_seed_checked_at_construction(cls):
     scene = generate_scene(simple_spec())
