@@ -5,14 +5,19 @@ descriptor to box-regression offsets targeting the matching object ``gap``
 frames later. Predicted boxes are injected as extra proposal candidates so
 the proposal stage keeps tracking objects that moved.
 
-The training objective is a smooth L1 regression loss averaged over the
-whole batch but accumulated only on positive samples; because the model is
-linear the objective is convex and plain full-batch gradient descent
-converges without any stochastic machinery. The descent holds its
-predictions, targets and gradients as (4, N) arrays, one row per output,
-so each elementwise step walks four long rows rather than N rows of four;
-it sums the bias gradient along each row in sample order, the order of a
-column sum over the (N, 4) layout, so the fit has the bits of that layout.
+The training objective is a smooth L1 (Huber) regression loss averaged over
+the whole batch but accumulated only on positive samples. The model is
+linear and the loss is a sum over the four outputs, so each output's six
+weights and bias are fitted on their own, to the minimum of a convex,
+piecewise quadratic function. Each solver step is a Newton step on the
+rows inside the quadratic zone (Huber, "Robust Estimation of a Location
+Parameter", 1964), which lands on the minimum once that zone stops
+changing, usually after two or three steps. Where the Newton point does not
+lower the loss (no row in the zone, a rank-deficient zone, or a zone that
+changes under the step), the step goes to the iteratively reweighted
+least-squares point instead (Holland & Welsch, "Robust regression using
+iteratively reweighted least-squares", 1977), which lowers the loss
+everywhere but at the minimum. The solve stops when neither point lowers it.
 
 Two trivial fallback strategies share the same entry point: ``"none"``
 (anticipate nothing) and ``"non-motion"`` (assume zero motion across the
@@ -41,13 +46,9 @@ from .geometry import (
 from .proposals import _assign_frames
 
 FEATURE_DIM = 6
-# 1000 epochs is where the training loss has converged: on the
-# ``study-drift`` benchmark's 64 reference seeds (four drifting scenes of 90
-# frames), 1000 and 2000 epochs print the same study CSV, while 800 epochs
-# already change it at two of them
+# the most solver steps per output; a study fit reaches the minimum in a few
+# steps, so the cap bounds degenerate data rather than shaping the answer
 DEFAULT_TRAIN_EPOCHS = 1000
-# the gradient-descent step of every fit; the strategy study's calibration
-_LEARNING_RATE = 0.2
 
 STRATEGY_NONE = "none"
 STRATEGY_NON_MOTION = "non-motion"
@@ -67,14 +68,6 @@ def smooth_l1(x):
     """
     slope = smooth_l1_grad(x)
     return slope * (x - 0.5 * slope)
-
-
-def _loss_grad(
-    predictions: np.ndarray, targets: np.ndarray, row_weight: np.ndarray
-) -> np.ndarray:
-    """The loss gradient, given each sample's weight ``positive / N`` shaped to
-    broadcast against ``predictions`` in either layout, (N, 4) or (4, N)."""
-    return row_weight * smooth_l1_grad(predictions - targets)
 
 
 def _checked_loss_args(
@@ -117,7 +110,7 @@ def anticipation_loss_grad(
     Row ``i`` is ``positive_i / N * smooth_l1_grad(pred_i - target_i)``.
     """
     predictions, targets, positive = _checked_loss_args(predictions, targets, positive)
-    return _loss_grad(predictions, targets, positive[:, None] / predictions.shape[0])
+    return positive[:, None] / predictions.shape[0] * smooth_l1_grad(predictions - targets)
 
 
 def feature_vector(
@@ -270,19 +263,51 @@ class AnticipationModel:
         return clip(decode_delta(box, delta), image_width, image_height)
 
 
+def _fit_output(
+    design: np.ndarray, targets: np.ndarray, positive: np.ndarray, max_steps: int
+) -> np.ndarray:
+    """Parameters minimizing ``sum(positive * smooth_l1(design @ params - targets))``.
+
+    Starting from zero, each step moves to the Newton point, which weighs
+    only the positive rows with residual inside ``(-1, 1)``, or, when that
+    does not lower the loss, to the iteratively reweighted least-squares
+    point, which weighs each positive row by ``1 / max(|residual|, 1)``.
+    ``lstsq`` solves both 7 x 7 normal equations, so a rank-deficient one
+    still gives a step. At most ``max_steps`` steps are taken; the solve
+    stops earlier when neither point lowers the loss.
+    """
+    params = np.zeros(design.shape[1])
+    residual = -targets
+    loss = positive @ smooth_l1(residual)
+    for _ in range(max_steps):
+        grad = (positive * smooth_l1_grad(residual)) @ design
+        magnitude = np.abs(residual)
+        for weight in (positive * (magnitude < 1.0), positive / np.maximum(magnitude, 1.0)):
+            trial = params - np.linalg.lstsq((design.T * weight) @ design, grad)[0]
+            trial_residual = design @ trial - targets
+            trial_loss = positive @ smooth_l1(trial_residual)
+            if trial_loss < loss:
+                break
+        else:
+            break
+        params, residual, loss = trial, trial_residual, trial_loss
+    return params
+
+
 def train_anticipation_model(
     training_set: TrainingSet,
     gap: int,
     *,
     epochs: int = DEFAULT_TRAIN_EPOCHS,
 ) -> AnticipationModel:
-    """Fit the linear predictor by ``epochs`` steps of full-batch gradient
-    descent at the fixed rate ``_LEARNING_RATE``.
+    """Fit the linear predictor to the minimum of :func:`anticipation_loss`.
 
     Features are standardized with statistics from the training set
-    (constant columns get unit scale). Weights start at zero; the problem is
-    convex so no restarts or stochasticity are needed. No loss is recorded:
-    :func:`anticipation_loss` gives it for any predictions.
+    (constant columns get unit scale). Each of the four outputs is solved
+    by :func:`_fit_output` from zero weights in at most ``epochs`` steps;
+    the problem is convex, so no restarts or stochasticity are needed. No
+    loss is recorded: :func:`anticipation_loss` gives it for any
+    predictions.
 
     Raises:
         ValueError: when the training set has no positive rows or ``epochs``
@@ -295,21 +320,18 @@ def train_anticipation_model(
     mean = feats.mean(axis=0)
     scale = feats.std(axis=0)
     scale = np.where(scale < 1e-8, 1.0, scale)
-    phi = (feats - mean) / scale
-    phi_t = np.ascontiguousarray(phi.T)  # (6, N)
-    targets_t = np.ascontiguousarray(training_set.targets.T)  # (4, N)
-    row_weight = training_set.positive[None, :] / phi.shape[0]  # (1, N)
-
-    weights = np.zeros((4, FEATURE_DIM))
-    bias = np.zeros(4)
-    for _ in range(epochs):
-        grad_t = _loss_grad(weights @ phi_t + bias[:, None], targets_t, row_weight)
-        weights -= _LEARNING_RATE * grad_t @ phi
-        # the last running sum adds the samples in order, as ``sum(axis=0)``
-        # of the (N, 4) gradient does; ``sum(axis=1)`` would add pairwise
-        bias -= _LEARNING_RATE * np.add.accumulate(grad_t, axis=1)[:, -1]
+    # standardized features and a bias column, one row per sample: (N, 7)
+    design = np.hstack([(feats - mean) / scale, np.ones((feats.shape[0], 1))])
+    positive = training_set.positive.astype(np.float64)
+    params = np.array(
+        [_fit_output(design, column, positive, epochs) for column in training_set.targets.T]
+    )
     return AnticipationModel(
-        weights=weights, bias=bias, gap=gap, feature_mean=mean, feature_scale=scale
+        weights=params[:, :FEATURE_DIM],
+        bias=params[:, FEATURE_DIM],
+        gap=gap,
+        feature_mean=mean,
+        feature_scale=scale,
     )
 
 

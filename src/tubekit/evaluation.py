@@ -15,6 +15,7 @@ and gap over several seeds, producing a CSV-ready comparison table.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
@@ -58,6 +59,13 @@ def tube_iou(a: ActionTube, b: ActionTube) -> float:
     return (shared / union) * float(np.mean(spatial))
 
 
+def _check_delta_is_number(delta) -> None:
+    """Refuse a threshold that is not a real number, naming it; a bool (built-in
+    or numpy) is not one."""
+    if isinstance(delta, (bool, np.bool_)) or not isinstance(delta, numbers.Real):
+        raise ValueError(f"delta must be a number, got {delta!r}")
+
+
 def match_tubes(
     predictions: Sequence[ActionTube],
     ground_truths: Sequence[ActionTube],
@@ -75,11 +83,10 @@ def match_tubes(
         ``None`` for a false positive.
 
     Raises:
-        ValueError: when ``delta`` is a bool (built-in or numpy) or outside
-            ``(0, 1]``.
+        ValueError: when ``delta`` is not a real number (a bool, built-in or
+            numpy, is not one) or lies outside ``(0, 1]``.
     """
-    if isinstance(delta, (bool, np.bool_)):
-        raise ValueError(f"delta must be a number, got {delta!r}")
+    _check_delta_is_number(delta)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must be in (0, 1], got {delta}")
     order = sorted(range(len(predictions)), key=lambda i: -predictions[i].tube_score)
@@ -217,6 +224,8 @@ def _check_study_deltas(deltas: Sequence[float]) -> None:
     flags = [d for d in deltas if isinstance(d, (bool, np.bool_))]
     if flags:
         raise ValueError(f"study thresholds must be numbers, got {flags}")
+    for d in deltas:
+        _check_delta_is_number(d)
     out_of_range = [d for d in deltas if not 0.0 < d <= 1.0]
     if out_of_range:
         raise ValueError(f"study thresholds must be in (0, 1], got {out_of_range}")

@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-import tubekit.anticipation as anticipation
 from tubekit.geometry import MAX_SCALE_DELTA, BoundingBox, decode_delta, encode_delta, iou
 from tubekit.anticipation import (
     STRATEGY_LEARNED,
@@ -277,7 +276,7 @@ def test_training_rejects_bad_arguments(kwargs, message):
 def test_learning_rate_is_not_an_argument():
     ts = build_training_set(drifting_rows((2.0, 1.0), 8), image_width=W, image_height=H)
     with pytest.raises(TypeError, match="unexpected keyword argument 'learning_rate'"):
-        train_anticipation_model(ts, gap=8, learning_rate=anticipation._LEARNING_RATE)
+        train_anticipation_model(ts, gap=8, learning_rate=0.2)
 
 
 def training_loss(model, training_set):
@@ -287,83 +286,134 @@ def training_loss(model, training_set):
     return anticipation_loss(predictions, training_set.targets, training_set.positive)
 
 
-def test_training_loss_non_increasing():
-    pairs = drifting_rows((2.0, 1.0), 8)
-    ts = build_training_set(pairs, image_width=W, image_height=H)
-    losses = [
-        training_loss(train_anticipation_model(ts, gap=8, epochs=epochs), ts)
-        for epochs in (1, 10, 100, 300, 1000)
-    ]
-    # once converged the loss may wobble by an ulp
-    assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))
-    assert losses[-1] < losses[0]
+def random_training_set(fixture):
+    """Random rows of one of four kinds.
 
-
-def test_training_matches_public_loss_and_grad_loop(monkeypatch):
-    """Training is bit-identical to descending the public loss and gradient."""
+    ``constant-column``: 120 rows, a constant feature column (a zero column
+    in every solver system). ``all-positive`` and ``one-positive``: 2,500
+    rows, every row positive or only one; the one row makes every solver
+    system rank one, and its targets start outside the quadratic zone of
+    smooth L1 in three outputs and inside it in one. ``outside-zone``: 300
+    rows whose positive targets are all at least 1 from zero, so the zero
+    model leaves no row in the quadratic zone and its Newton system empty.
+    """
     from tubekit.anticipation import TrainingSet
 
-    rng = np.random.default_rng(3)
-    n = 120
-    features = rng.normal(0.0, 2.0, size=(n, 6))
-    features[:, 5] = 0.7  # a constant column takes the unit-scale branch
-    positive = rng.uniform(size=n) < 0.6
+    if fixture == "constant-column":
+        rng = np.random.default_rng(3)
+        n = 120
+        features = rng.normal(0.0, 2.0, size=(n, 6))
+        features[:, 5] = 0.7  # a constant column takes the unit-scale branch
+        positive = rng.uniform(size=n) < 0.6
+    elif fixture == "outside-zone":
+        rng = np.random.default_rng(8)
+        n = 300
+        features = rng.normal(0.0, 1.0, size=(n, 6))
+        positive = rng.uniform(size=n) < 0.5
+        magnitude = 1.0 + rng.exponential(1.5, size=(n, 4))
+        targets = np.where(positive[:, None], rng.choice([-1.0, 1.0], size=(n, 4)) * magnitude, 0.0)
+        return TrainingSet(features=features, targets=targets, positive=positive)
+    else:
+        rng = np.random.default_rng(5)
+        n = 2500
+        features = rng.normal(0.0, 2.0, size=(n, 6))
+        positive = np.ones(n, dtype=bool)
+        if fixture == "one-positive":
+            positive[:] = False
+            positive[n // 3] = True
     targets = np.where(positive[:, None], rng.normal(0.0, 1.5, size=(n, 4)), 0.0)
-    ts = TrainingSet(features=features, targets=targets, positive=positive)
-    # weights start at zero, so the first residuals are -targets
-    magnitudes = np.abs(targets[positive])
-    assert 0 < ts.num_positive < n
-    assert (magnitudes < 1.0).any() and (magnitudes > 1.0).any()
+    return TrainingSet(features=features, targets=targets, positive=positive)
 
-    epochs, lr = 60, 0.3
-    monkeypatch.setattr(anticipation, "_LEARNING_RATE", lr)
-    mean = features.mean(axis=0)
+
+FIXTURES = ["constant-column", "all-positive", "one-positive", "outside-zone"]
+
+
+def test_the_random_fixtures_start_where_their_names_say():
+    one = random_training_set("one-positive")
+    starts_outside = np.abs(one.targets[one.positive]) >= 1.0
+    assert one.num_positive == 1 and 0 < starts_outside.sum() < 4
+    outside = random_training_set("outside-zone")
+    assert (np.abs(outside.targets[outside.positive]) >= 1.0).all()
+
+
+def descent_losses(training_set, checkpoints, lr=0.2):
+    """Training loss of full-batch gradient descent on the public loss and
+    gradient, from zero weights at rate ``lr``, after each checkpoint's
+    number of epochs."""
+    features = training_set.features
     scale = features.std(axis=0)
     scale = np.where(scale < 1e-8, 1.0, scale)
-    phi = (features - mean) / scale
-    mask = positive.astype(np.float64)
+    phi = (features - features.mean(axis=0)) / scale
+    targets = training_set.targets
+    mask = training_set.positive.astype(np.float64)
     weights = np.zeros((4, 6))
     bias = np.zeros(4)
-    for _ in range(epochs):
-        pred = phi @ weights.T + bias
-        grad = anticipation_loss_grad(pred, targets, mask)
+    losses = {}
+    for epoch in range(1, max(checkpoints) + 1):
+        grad = anticipation_loss_grad(phi @ weights.T + bias, targets, mask)
         weights -= lr * grad.T @ phi
         bias -= lr * grad.sum(axis=0)
+        if epoch in checkpoints:
+            losses[epoch] = anticipation_loss(phi @ weights.T + bias, targets, mask)
+    return losses
 
-    model = train_anticipation_model(ts, gap=4, epochs=epochs)
-    assert (model.weights == weights).all()
-    assert (model.bias == bias).all()
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_training_gradient_vanishes_at_the_fit(fixture):
+    ts = random_training_set(fixture)
+    model = train_anticipation_model(ts, gap=4)
+    phi = (ts.features - model.feature_mean) / model.feature_scale
+    grad = anticipation_loss_grad(phi @ model.weights.T + model.bias, ts.targets, ts.positive)
+    assert np.abs(grad.T @ phi).max() <= 1e-9
+    assert np.abs(grad.sum(axis=0)).max() <= 1e-9
 
 
-@pytest.mark.parametrize("mask", ["all-positive", "one-positive"])
-def test_training_matches_public_loss_and_grad_loop_past_blas_blocking(mask):
-    """At thousands of rows, past BLAS's blocking of the inner dimension and
-    numpy's pairwise summation, training keeps the bits of the (N, 4) loop."""
-    from tubekit.anticipation import TrainingSet
+def at_most(loss, bound):
+    """``loss <= bound`` up to the rounding of a sum over the rows: the fit
+    and a converged descent can meet the same minimum by different paths."""
+    return loss <= bound + 16 * np.finfo(np.float64).eps * bound
 
-    rng = np.random.default_rng(5)
-    n = 2500
-    features = rng.normal(0.0, 2.0, size=(n, 6))
-    positive = np.ones(n, dtype=bool)
-    if mask == "one-positive":
-        positive[:] = False
-        positive[n // 3] = True
-    targets = np.where(positive[:, None], rng.normal(0.0, 1.5, size=(n, 4)), 0.0)
-    ts = TrainingSet(features=features, targets=targets, positive=positive)
 
-    epochs, lr = 40, anticipation._LEARNING_RATE
-    phi = (features - features.mean(axis=0)) / features.std(axis=0)
-    mask_values = positive.astype(np.float64)
-    weights = np.zeros((4, 6))
-    bias = np.zeros(4)
-    for _ in range(epochs):
-        grad = anticipation_loss_grad(phi @ weights.T + bias, targets, mask_values)
-        weights -= lr * grad.T @ phi
-        bias -= lr * grad.sum(axis=0)
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_training_loss_at_most_descent(fixture):
+    ts = random_training_set(fixture)
+    loss = training_loss(train_anticipation_model(ts, gap=4), ts)
+    for epochs, descent in descent_losses(ts, {1000, 5000}).items():
+        assert at_most(loss, descent), epochs
 
-    model = train_anticipation_model(ts, gap=4, epochs=epochs)
-    assert model.weights.tobytes() == weights.tobytes()
-    assert model.bias.tobytes() == bias.tobytes()
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_training_loss_non_increasing_in_the_step_cap(fixture):
+    ts = random_training_set(fixture)
+    losses = [
+        training_loss(train_anticipation_model(ts, gap=4, epochs=epochs), ts)
+        for epochs in (1, 2, 5, 1000)
+    ]
+    assert all(later <= earlier for earlier, later in zip(losses, losses[1:]))
+    zero = anticipation_loss(np.zeros_like(ts.targets), ts.targets, ts.positive)
+    assert losses[-1] < zero
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+def test_the_step_cap_bounds_the_steps_per_output(monkeypatch, epochs):
+    """A step solves for the Newton point and at most once more for the
+    fallback point, so ``epochs`` steps make at most ``2 * epochs`` solves
+    per output."""
+    ts = random_training_set("constant-column")
+    solves = []
+    lstsq = np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        solves.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    capped = train_anticipation_model(ts, gap=4, epochs=epochs)
+    assert 4 <= len(solves) <= 2 * epochs * 4
+    solves.clear()
+    converged = train_anticipation_model(ts, gap=4)
+    assert len(solves) > 2 * epochs * 4
+    assert training_loss(converged, ts) < training_loss(capped, ts)
 
 
 def test_trained_model_learns_constant_velocity():
