@@ -22,13 +22,11 @@ import sys
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
-import numpy as np
-
 from . import evaluation, formats, linking, synthdata
 from .anticipation import STRATEGIES, STRATEGY_LEARNED, STRATEGY_NONE, STRATEGY_NON_MOTION
-from .geometry import BoundingBox, iou_matrix
+from .geometry import BoundingBox
 from .linking import LinkingParams, extract_tubes
-from .proposals import recall_curve
+from .proposals import best_iou_by_frame, recall_curve
 from .synthdata import cascade_recall_demo, generate_scene, render_detections
 from .trimming import (
     PENALTY_ABSOLUTE,
@@ -207,10 +205,7 @@ def cmd_proposal_recall(args: argparse.Namespace) -> int:
         for tube in gt_by_video[video_id]:
             for offset, box in enumerate(tube.boxes):
                 gt_by_frame.setdefault(tube.start_frame + offset, []).append(box)
-        best = np.concatenate([
-            iou_matrix(props_by_frame.get(t, []), gts).max(axis=0, initial=-np.inf)
-            for t, gts in gt_by_frame.items()
-        ])
+        best = best_iou_by_frame(props_by_frame, gt_by_frame)
         lines.append("delta,recall")
         _emit_recall_rows(None, recall_curve(best, thresholds), lines)
     _write_text("\n".join(lines) + "\n", args.out)

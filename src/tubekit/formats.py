@@ -14,9 +14,11 @@ compare the two), so identical data produces identical bytes. A list of
 records of one shape is written from one record template filled in once for
 all rows: equal-length lists of finite built-in floats, such as a tube's
 boxes, and dicts with the same string keys whose every column holds finite
-built-in floats, built-in ints or float lists of one length, such as a
-frame's detections. Each column is checked once; ``%r`` of a built-in float
-or int is its ``__repr__``. Any other list is written value by value.
+built-in floats, built-in ints, float lists of one length or lists of such
+dicts, such as a frame's detections. A detection file whose detections all
+have one shape is thus one template and one ``%`` fill for all its frames.
+Each column is checked once; ``%r`` of a built-in float or int is its
+``__repr__``. Any other list is written value by value.
 
 Readers accept the shape the writers produce with one check per column: a
 tube's boxes, its scores, and each detection field across the whole file,
@@ -33,7 +35,7 @@ import math
 import operator
 import sys
 from dataclasses import fields
-from itertools import chain, islice, repeat, starmap
+from itertools import accumulate, chain, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, NoReturn, Optional, Sequence, TypeVar, Union
@@ -169,72 +171,114 @@ def _check_version(data: dict, path: str) -> None:
         _fail(f"{path}.format_version", f"unsupported version {version}")
 
 
-def _column(values: list, indent: str) -> Optional[tuple[str, list]]:
-    """The template of one field of every row and the values that fill it,
-    or None if ``values`` is not a column :func:`_rows` writes.
+def _bracketed(items: list[str], indent: str) -> str:
+    """``items`` written as the elements of an array at ``indent``, as ``json.dumps`` does."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+
+
+# one template or width for every row, or a list of one per row
+_Template = Union[str, list[str]]
+_Width = Union[int, list[int]]
+
+
+def _column(values: list, indent: str) -> Optional[tuple[_Template, list, _Width]]:
+    """The template of one field of every row, the values that fill it and
+    how many each row takes, or None if ``values`` is not a column
+    :func:`_records` writes.
 
     Finite built-in floats, or built-in ints (bools excluded), are one
     ``%r`` field per row: ``%r`` of either is its type's ``__repr__``. Lists
     of one length k >= 1 holding only finite built-in floats are k ``%r``
-    fields per row, written as an array at ``indent``.
+    fields per row, written as an array at ``indent``. Such a column has one
+    template and width for all rows. Lists of records of one shape, such as
+    the detections of every frame, have a template and width per row: the
+    record template of :func:`_records`, built once, repeated once per record.
     """
     kinds = set(map(type, values))
     if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
-        return "%r", values
-    if kinds == {list} and len(set(map(len, values))) == 1:
-        flat = list(chain.from_iterable(values))
-        if _finite_floats(flat):
-            inner = indent + "  "
-            row = f",\n{inner}".join(["%r"] * len(values[0]))
-            return f"[\n{inner}{row}\n{indent}]", flat
-    return None
+        return "%r", values, 1
+    if kinds != {list}:
+        return None
+    flat = list(chain.from_iterable(values))
+    if len(set(map(len, values))) == 1 and _finite_floats(flat):
+        width = len(values[0])
+        return _bracketed(["%r"] * width, indent), flat, width
+    made = flat and type(flat[0]) is dict and _records(flat, indent)
+    if not made or type(made[0]) is not str:
+        return None
+    record, fill = made
+    counts = list(map(len, values))
+    by_count = {n: _bracketed([record] * n, indent) for n in set(counts)}
+    width = len(fill) // len(flat)
+    return [by_count[n] for n in counts], fill, [width * n for n in counts]
 
 
-def _rows(value: list, indent: str) -> Optional[str]:
-    """``value`` as :func:`_encode` writes it, or None if it is not rows of one shape.
+def _records(value: list, indent: str) -> Optional[tuple[_Template, list]]:
+    """The row template of the array ``value`` at ``indent`` and the
+    row-major values that fill it, or None if it is not rows of one shape.
 
     Rows of one shape are the lists of one column, such as a tube's boxes,
     or dicts with the same string keys (at least one) whose every key is a
-    column, such as a frame's detections (see :func:`_column`). Each column
-    is checked once, and all rows are written from one row template with
-    one ``%``.
+    column, such as a frame's detections or a file's frames (see
+    :func:`_column`). Each column is checked once. The template is one
+    string for all rows, or one per row if a column's template varies.
     """
     inner = indent + "  "
     if type(value[0]) is list:
-        keys, columns, at = None, [value], inner
-    elif (
+        made = _column(value, inner)
+        return made and made[:2]
+    if not (
         set(map(type, value)) == {dict}
         and all(map(value[0].keys().__eq__, map(dict.keys, value)))
         and set(map(type, value[0])) == {str}
     ):
-        keys = sorted(value[0])
-        columns = [[row[k] for row in value] for k in keys]
-        at = inner + "  "
-    else:
         return None
-    made = [_column(column, at) for column in columns]
+    keys = sorted(value[0])
+    at = inner + "  "
+    made = [_column([row[k] for row in value], at) for k in keys]
     if None in made:
         return None
-    templates, flats = zip(*made)
+    templates, flats, widths = zip(*made)
+    heads = [encode_basestring_ascii(k).replace("%", "%%") + ": " for k in keys]
+
+    def row(parts: Sequence[str]) -> str:
+        return f"{{\n{at}" + f",\n{at}".join(map(operator.add, heads, parts)) + f"\n{inner}}}"
+
     n = len(value)
-    if keys is None:
-        row, fill = templates[0], flats[0]
-    else:
-        items = [
-            encode_basestring_ascii(k).replace("%", "%%") + ": " + t
-            for k, t in zip(keys, templates)
-        ]
-        row = f"{{\n{at}" + f",\n{at}".join(items) + f"\n{inner}}}"
+    if set(map(type, widths)) == {int}:
         # the fill is row-major: each row's fields in template order
-        widths = [len(flat) // n for flat in flats]
         row_width, offset = sum(widths), 0
         fill = [None] * (n * row_width)
         for flat, width in zip(flats, widths):
             for j in range(width):
                 fill[offset + j :: row_width] = flat[j::width]
             offset += width
-    rows = f",\n{inner}".join([row] * n) % tuple(fill)
-    return f"[\n{inner}{rows}\n{indent}]"
+        return row(templates), fill
+    # widths vary by row: each row's slice of every column in turn
+    cuts = [
+        list(accumulate(w if type(w) is list else repeat(w, n), initial=0)) for w in widths
+    ]
+    fill = list(chain.from_iterable(
+        flat[c[i] : c[i + 1]] for i in range(n) for flat, c in zip(flats, cuts)
+    ))
+    per_row = (t if type(t) is list else repeat(t) for t in templates)
+    return list(map(row, zip(*per_row))), fill
+
+
+def _rows(value: list, indent: str) -> Optional[str]:
+    """``value`` as :func:`_encode` writes it, or None if it is not rows of one
+    shape: all rows are written from the templates of :func:`_records` with
+    one ``%``."""
+    made = _records(value, indent)
+    if made is None:
+        return None
+    templates, fill = made
+    if type(templates) is str:
+        templates = [templates] * len(value)
+    return _bracketed(templates, indent) % tuple(fill)
 
 
 def _encode(value: Any, indent: str) -> str:

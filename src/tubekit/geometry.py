@@ -25,8 +25,8 @@ MAX_SCALE_DELTA = 10.0
 # a box's center displacement from the previous frame, (dx, dy)
 Motion = tuple[float, float]
 
-# box pairs per _iou_arrays call where link scoring and sample labelling
-# score a flat list of pairs: bounds the kernel's temporaries
+# box pairs per _iou_arrays call where link scoring and _edge_ious score a
+# flat list of pairs: bounds the kernel's temporaries
 _EDGE_BLOCK = 4096
 
 
@@ -165,6 +165,16 @@ def _iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = area_a[..., :, None] + area_b[..., None, :] - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0)
+    return out
+
+
+def _edge_ious(a: np.ndarray, b: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """IoU of ``a[src[k]]`` with ``b[dst[k]]`` for every edge ``k``, through the
+    batch kernel in blocks of ``_EDGE_BLOCK`` edges."""
+    out = np.empty(len(src))
+    for lo in range(0, len(src), _EDGE_BLOCK):
+        block = slice(lo, lo + _EDGE_BLOCK)
+        out[block] = _iou_arrays(a[src[block], None], b[dst[block], None])[:, 0, 0]
     return out
 
 

@@ -15,7 +15,6 @@ cap is hit.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Iterable, Optional, Sequence
@@ -133,7 +132,7 @@ class ActionTube:
 
     @property
     def tube_score(self) -> float:
-        return statistics.fmean(self.scores)
+        return math.fsum(self.scores) / len(self.scores)
 
 
 def tube_order(tube: ActionTube) -> tuple[int, int, float]:

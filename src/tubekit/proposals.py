@@ -15,15 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import chain
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .geometry import (
-    _EDGE_BLOCK,
     BoundingBox,
     BoxDelta,
-    _iou_arrays,
+    _edge_ious,
     box_from_center,
     boxes_to_array,
     clip_visible,
@@ -194,6 +194,26 @@ class SampleAssignment:
             raise ValueError("assignment arrays must share one length")
 
 
+def _frame_pairs(
+    counts: Sequence[int], other_counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-frame (row, other row) pair as one edge, numbered row by row.
+
+    Rows and other rows are stacked one frame after another, ``counts[f]``
+    and ``other_counts[f]`` of them for frame ``f``. Returns per row its
+    number of edges and its first edge, and per edge its row, its other
+    row's index within the frame and that other row's index in the stack.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    other_counts = np.asarray(other_counts, dtype=np.int64)
+    widths = np.repeat(other_counts, counts)  # per row: its frame's other rows
+    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
+    src = np.repeat(np.arange(len(widths)), widths)  # each edge's row
+    local = np.arange(len(src)) - np.repeat(first_edge, widths)  # its frame's other row
+    dst = np.repeat(np.cumsum(other_counts) - other_counts, counts)[src] + local  # in the stack
+    return widths, first_edge, src, local, dst
+
+
 def _assign_frames(
     candidates: np.ndarray,
     counts: Sequence[int],
@@ -207,21 +227,11 @@ def _assign_frames(
     ``counts[f]`` of them for frame ``f``, and each is labelled against its
     own frame's rows of ``ground_truths`` (M, 4), ``gt_counts[f]`` of them; a
     matched index counts within the frame. Every (candidate, ground truth)
-    pair of a frame is one edge, and the edges of all frames go through the
-    batch IoU kernel in one pass, in blocks of ``_EDGE_BLOCK``.
+    pair of a frame is one edge (see :func:`_frame_pairs`), and the edges of
+    all frames go through the batch IoU kernel in one pass.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    gt_counts = np.asarray(gt_counts, dtype=np.int64)
-    widths = np.repeat(gt_counts, counts)  # per candidate: its frame's ground truths
-    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
-    src = np.repeat(np.arange(len(widths)), widths)  # each edge's candidate
-    local = np.arange(len(src)) - np.repeat(first_edge, widths)  # its frame's ground truth
-    dst = np.repeat(np.cumsum(gt_counts) - gt_counts, counts)[src] + local  # and that row
-    overlap = np.empty(len(src))
-    for lo in range(0, len(src), _EDGE_BLOCK):
-        a, b = src[lo : lo + _EDGE_BLOCK], dst[lo : lo + _EDGE_BLOCK]
-        pairs = _iou_arrays(candidates[a, None], ground_truths[b, None])
-        overlap[lo : lo + _EDGE_BLOCK] = pairs[:, 0, 0]
+    widths, first_edge, src, local, dst = _frame_pairs(counts, gt_counts)
+    overlap = _edge_ious(candidates, ground_truths, src, dst)
     labels = np.zeros(len(widths), dtype=np.int8)
     matched_gt = np.full(len(widths), -1, dtype=np.int64)
     max_iou = np.zeros(len(widths), dtype=np.float64)
@@ -323,6 +333,32 @@ def recall_curve(best_iou: np.ndarray, thresholds: Sequence[float]) -> dict[floa
     if len(set(thresholds)) != len(thresholds) or not all(0 <= t <= 1 for t in thresholds):
         raise ValueError(f"thresholds must be distinct and in [0, 1], got {list(thresholds)}")
     return {float(t): float(np.mean(best_iou >= t)) for t in thresholds}
+
+
+def best_iou_by_frame(
+    proposals_by_frame: Mapping[int, Sequence[BoundingBox]],
+    gts_by_frame: Mapping[int, Sequence[BoundingBox]],
+) -> np.ndarray:
+    """Each ground truth's best IoU against its own frame's proposals, ``-inf``
+    on a frame with none, in the order of ``gts_by_frame``'s frames and boxes.
+
+    Every same-frame pair goes through the batch IoU kernel in one pass (see
+    :func:`_frame_pairs`).
+    """
+    props = [proposals_by_frame.get(f, ()) for f in gts_by_frame]
+    gts = list(gts_by_frame.values())
+    widths, first_edge, src, _, dst = _frame_pairs(list(map(len, gts)), list(map(len, props)))
+    overlap = _edge_ious(
+        boxes_to_array(list(chain.from_iterable(props))),
+        boxes_to_array(list(chain.from_iterable(gts))),
+        dst,
+        src,
+    )
+    best = np.full(len(widths), -np.inf)
+    met = np.flatnonzero(widths)  # ground truths of frames with proposals
+    if len(met):
+        best[met] = np.maximum.reduceat(overlap, first_edge[met])
+    return best
 
 
 def recall_at_iou(

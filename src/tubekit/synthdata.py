@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .geometry import (
     iou,
 )
 from .linking import ActionTube, Detection, FrameDetections
-from .proposals import ProposalStage, cascade_refine, recall_at_iou, single_stage_refine
+from .proposals import ProposalStage, recall_at_iou, refine_stage, single_stage_refine
 
 # stream tags keeping the per-frame rng of each consumer distinct
 _STREAM_TRAJECTORY = 3
@@ -627,6 +627,32 @@ def drifting_scene_specs(
     return specs
 
 
+def _nearest_center(centers: np.ndarray) -> Callable[[float, float], int]:
+    """A function from a point ``(x, y)`` to the index of the row of
+    ``centers`` (N, 2) nearest to it.
+
+    With ``e`` a centre and ``q`` the point, both measured from the first
+    centre, the squared distance is ``|e|^2 - 2 e.q + |q|^2``, so the nearest
+    centre has the least ``|e|^2 - 2 e.q``. Unlike the distances themselves,
+    which round to one value for a point far from every centre, that form
+    keeps the centres apart; scaled by powers of two, which keeps its
+    order, it cannot overflow.
+    """
+    origin = centers[0]
+    offsets = centers - origin
+    top = max(math.frexp(float(np.abs(offsets).max()))[1], 0)
+    offsets *= math.ldexp(1.0, -top)  # every entry in (-1, 1)
+    norms = (offsets * offsets).sum(axis=1)
+
+    def nearest(x: float, y: float) -> int:
+        q = np.array([x, y]) - origin
+        exp = max(top, math.frexp(float(np.abs(q).max()))[1])
+        q *= math.ldexp(-2.0, -exp)
+        return int((norms * math.ldexp(1.0, top - exp) + offsets @ q).argmin())
+
+    return nearest
+
+
 def halving_stage(ground_truths: Sequence[BoundingBox]) -> ProposalStage:
     """Oracle refinement stage that halves a candidate's error.
 
@@ -638,15 +664,12 @@ def halving_stage(ground_truths: Sequence[BoundingBox]) -> ProposalStage:
     """
     if not ground_truths:
         raise ValueError("oracle stage needs at least one ground-truth box")
-    centers = np.array([b.center for b in ground_truths])
-
-    def nearest(box: BoundingBox) -> BoundingBox:
-        cx, cy = box.center
-        d2 = (centers[:, 0] - cx) ** 2 + (centers[:, 1] - cy) ** 2
-        return ground_truths[int(d2.argmin())]
+    gt_array = boxes_to_array(ground_truths)
+    # halves, as no sum of two corners can overflow
+    nearest = _nearest_center(gt_array[:, :2] / 2 + gt_array[:, 2:] / 2)
 
     def regressor(box: BoundingBox):
-        gt = nearest(box)
+        gt = ground_truths[nearest(box.x1 / 2 + box.x2 / 2, box.y1 / 2 + box.y2 / 2)]
         halfway = BoundingBox(
             (box.x1 + gt.x1) / 2,
             (box.y1 + gt.y1) / 2,
@@ -654,8 +677,6 @@ def halving_stage(ground_truths: Sequence[BoundingBox]) -> ProposalStage:
             (box.y2 + gt.y2) / 2,
         )
         return encode_delta(box, halfway)
-
-    gt_array = boxes_to_array(ground_truths)
 
     def scorer(box: BoundingBox) -> float:
         return float(_iou_arrays(boxes_to_array([box]), gt_array).max())
@@ -715,9 +736,8 @@ def cascade_recall_demo(
     one = single_stage_refine(
         anchors, stage, image_width=width, image_height=height, top_n=num_boxes
     )
-    two = cascade_refine(
-        anchors, stage, stage, image_width=width, image_height=height, top_n=num_boxes
-    )
+    # the one-stage result is the cascade's first stage; recall needs no order
+    two = refine_stage([b for b, _ in one], stage, image_width=width, image_height=height)
     return {
         "one_stage": recall_at_iou([b for b, _ in one], gts, thresholds),
         "two_stage": recall_at_iou([b for b, _ in two], gts, thresholds),

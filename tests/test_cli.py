@@ -368,6 +368,15 @@ def test_proposal_recall_cascade_demo(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 10  # default threshold grid
 
 
+@pytest.mark.filterwarnings("error")
+def test_proposal_recall_cascade_demo_with_astronomical_jitter(tmp_path, capsys):
+    out = tmp_path / "demo.csv"
+    argv = ["--cascade-demo", "--num-boxes", "3", "--jitter", "1e200", "--out", str(out)]
+    assert main(["proposal-recall", *argv]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text().startswith("label,delta,recall\none_stage,0.5,")
+
+
 def per_box_recall_csv(dets_path, gt_path, thresholds):
     """File-mode recall as one ``recall_at_iou`` call per ground-truth box (reference)."""
     video_id, frames = load_detections(dets_path)

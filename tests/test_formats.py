@@ -538,6 +538,13 @@ class TestJsonPlumbing:
             [{"100%": 1.0, "%r %s": 2, "%%": [3.0]}],
             [{"a": 1.0}, [1.0]],
             [{"a": 1.0}, None],
+            [{"d": [{"a": 1.0}, {"a": 2.0}], "i": 0}, {"d": [], "i": 1}, {"d": [{"a": 3.0}], "i": 2}],
+            [{"d": [], "i": 0}, {"d": [], "i": 1}],
+            [{"d": [{"a": 1.0}], "i": 0}, {"d": [{"b": 2.0}], "i": 1}],
+            [{"d": [{"a": 1.0}, {"b": 2.0}], "i": 0}],
+            [{"d": [{"a": 1.0}], "i": 0}, {"d": [[1.0]], "i": 1}],
+            [{"d": [{"e": [{"a": 1.0}, {"a": 2.0}]}, {"e": []}]}, {"d": [{"e": [{"a": 3.0}]}]}],
+            [{"d": [{"a": 1.0, "m": [0.5, 1.5]}], "%": 0}, {"d": [{"a": 2.0, "m": [2.5, 3.5]}] * 3, "%": 1}],
         ],
         ids=[
             "detections", "one-row", "int-and-float-columns", "motion-on-some-rows",
@@ -545,7 +552,9 @@ class TestJsonPlumbing:
             "inf", "minus-inf", "numpy-float", "numpy-in-list", "empty-dict", "empty-dicts",
             "nested-dict", "tuple-for-list", "tuples", "empty-lists", "ragged-lists",
             "nan-in-list", "int-in-list", "string-column", "percent-keys", "dict-and-list",
-            "dict-and-null",
+            "dict-and-null", "record-lists", "empty-record-lists", "record-lists-of-two-shapes",
+            "two-shapes-in-one-list", "record-and-list", "nested-record-lists",
+            "record-lists-with-arrays",
         ],
     )
     def test_records_match_json_dumps(self, tmp_path, monkeypatch, rows):
@@ -592,6 +601,103 @@ class TestJsonPlumbing:
 
     def test_schema_error_is_a_value_error(self):
         assert issubclass(SchemaError, ValueError)
+
+
+def _frames_document(counts, motion, seed=0):
+    """A detection file with ``counts[f]`` detections on its f-th frame, and a
+    ``motion`` on "all", "none" or "some" (every other) detections."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for f, n in enumerate(counts):
+        dets = []
+        for k in range(n):
+            x, y = rng.uniform(0.0, 600.0, size=2).tolist()
+            w, h = rng.uniform(0.5, 80.0, size=2).tolist()
+            moves = motion == "all" or (motion == "some" and k % 2 == 0)
+            dets.append(Detection(
+                BoundingBox(x, y, x + w, y + h),
+                k % 3,
+                float(rng.uniform()),
+                tuple(rng.normal(0.0, 2.0, size=2).tolist()) if moves else None,
+            ))
+        frames.append(FrameDetections(3 * f + 1, tuple(dets)))
+    return detections_to_dict("v", frames)
+
+
+# frames of 0, 1 and many detections, alone and mixed
+_FRAME_COUNTS = {
+    "empty-frame": [0],
+    "one-detection": [1],
+    "one-frame": [9],
+    "mixed": [0, 1, 7, 0, 3, 1],
+    "many": np.random.default_rng(5).integers(0, 14, size=80).tolist(),
+}
+
+
+def _set(document, frame, det, key, value, index=None):
+    target = document["frames"][frame]["detections"][det]
+    if index is None:
+        target[key] = value
+    else:
+        target[key][index] = value
+    return document
+
+
+class TestWholeDetectionFile:
+    """A detection file's frames are written from one template with one ``%``
+    when all its detections have one shape, and otherwise frame by frame;
+    either way its bytes are those of ``json.dumps``."""
+
+    @staticmethod
+    def write(tmp_path, monkeypatch, document):
+        expected = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        rows, calls = formats._rows, []
+
+        def counting_rows(value, indent):
+            calls.append(len(value))
+            return rows(value, indent)
+
+        monkeypatch.setattr(json, "dumps", _no_fallback)
+        monkeypatch.setattr(formats, "_rows", counting_rows)
+        write_json(tmp_path / "out.json", document)
+        assert (tmp_path / "out.json").read_bytes() == expected.encode()
+        return calls
+
+    @pytest.mark.parametrize("counts", list(_FRAME_COUNTS.values()), ids=list(_FRAME_COUNTS))
+    @pytest.mark.parametrize("motion", ["all", "none", "some"])
+    def test_bytes_match_json_dumps(self, tmp_path, monkeypatch, counts, motion):
+        document = _frames_document(counts, motion)
+        calls = self.write(tmp_path, monkeypatch, document)
+        one_shape = motion != "some" or max(counts) < 2
+        if one_shape and sum(counts):
+            assert calls == [len(counts)]  # the frames, at once
+        if not one_shape:
+            assert len(calls) > 1  # frame by frame
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: _set(d, 2, 3, "bbox", 300, index=2),
+            lambda d: _set(d, 2, 0, "score", np.float64(0.25)),
+            lambda d: _set(d, 4, 1, "bbox", np.float64(2.5), index=0),
+            lambda d: _set(d, 2, 1, "class_id", 1.0),
+            lambda d: _set(d, 2, 6, "motion", float("nan"), index=1),
+            lambda d: _set(d, 4, 2, "bbox", float("inf"), index=3),
+            lambda d: _set(d, 1, 0, "score", float("-inf")),
+        ],
+        ids=[
+            "int-corner", "numpy-score", "numpy-corner", "float-class",
+            "nan-motion", "inf-corner", "minus-inf-score",
+        ],
+    )
+    def test_a_value_the_template_cannot_take_falls_back(self, tmp_path, monkeypatch, edit):
+        document = edit(_frames_document(_FRAME_COUNTS["mixed"], "all"))
+        calls = self.write(tmp_path, monkeypatch, document)
+        assert len(calls) > 1
+
+    def test_the_rendered_long_file_is_one_template(self, tmp_path, monkeypatch):
+        document = _long_documents()[1]
+        assert self.write(tmp_path, monkeypatch, document) == [600]
 
 
 def _detection_file(class_id=2, score=0.5, frame_index=3):

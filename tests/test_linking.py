@@ -1,8 +1,11 @@
+import ast
 import copy
 import dataclasses
 import itertools
 import pickle
+import statistics
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +202,29 @@ class TestActionTube:
                 scores=(0.5, 0.5),
             )
 
+    def test_tube_score_is_fmean_bit_for_bit(self):
+        # math.fsum over the length is what statistics.fmean computes
+        rng = np.random.default_rng(17)
+        box = BoundingBox(0, 0, 1, 1)
+        for n in [1, 2, 3, 7, 100, 299, 300, *rng.integers(1, 301, size=40).tolist()]:
+            scores = rng.uniform(0.0, 1.0, size=n)
+            scores[rng.random(n) < 0.2] = rng.choice([0.0, 1.0, 0.1, 1e-300])
+            scores = tuple(scores.tolist())
+            tube = ActionTube(class_id=0, start_frame=0, boxes=(box,) * n, scores=scores)
+            assert tube.tube_score.hex() == statistics.fmean(scores).hex()
+
+
+
+def test_no_module_imports_statistics_fractions_or_decimal():
+    imported = set()
+    for path in Path(linking.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert "numpy" in imported
+    assert not imported & {"statistics", "fractions", "decimal"}
 
 def path_score(frames, path, params):
     """Sum of link scores along an explicit path (oracle)."""

@@ -4,13 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import tubekit.proposals as proposals
+import tubekit.geometry as geometry
 from tubekit.geometry import BoundingBox, BoxDelta, boxes_to_array, encode_delta, iou, iou_matrix
 from tubekit.proposals import (
     AnchorConfig,
     ProposalStage,
     _assign_frames,
     assign_samples,
+    best_iou_by_frame,
     cascade_refine,
     generate_anchors,
     recall_at_iou,
@@ -318,7 +319,7 @@ class TestAssignFramesMatchesPerFrameReference:
     @pytest.mark.parametrize("block", [None, 1, 3])
     def test_random_frames_of_unequal_sizes(self, monkeypatch, block):
         if block is not None:
-            monkeypatch.setattr(proposals, "_EDGE_BLOCK", block)
+            monkeypatch.setattr(geometry, "_EDGE_BLOCK", block)
         rng = np.random.default_rng(23)
         for _ in range(40):
             frames = []
@@ -497,3 +498,53 @@ class TestRecall:
         out = recall_at_iou(proposals, gts, thresholds)
         values = [out[t] for t in thresholds]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestBestIouByFrameMatchesPerFrameReference:
+    """Scoring every frame's pairs in one pass gives each ground truth the
+    best overlap of a per-frame ``iou_matrix``."""
+
+    @staticmethod
+    def reference(proposals_by_frame, gts_by_frame):
+        return np.concatenate([
+            iou_matrix(proposals_by_frame.get(f, []), gts).max(axis=0, initial=-np.inf)
+            for f, gts in gts_by_frame.items()
+        ])
+
+    @staticmethod
+    def random_frames(rng, num_frames):
+        proposals_by_frame, gts_by_frame = {}, {}
+        for f in rng.permutation(num_frames).tolist():
+            gts = [grid_box(rng) for _ in range(int(rng.integers(0, 6)))]
+            props = [grid_box(rng) for _ in range(int(rng.integers(0, 40)))]
+            props += gts[:1]  # an exact hit
+            if gts:
+                gts_by_frame[f] = gts
+            if props and f % 7:  # every seventh frame has no proposals
+                proposals_by_frame[f] = props
+        return proposals_by_frame, gts_by_frame
+
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_random_frames(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_EDGE_BLOCK", block)
+        rng = np.random.default_rng(31)
+        props, gts = self.random_frames(rng, 120)
+        pairs = sum(len(props.get(f, ())) * len(g) for f, g in gts.items())
+        assert pairs > 4096  # more than one block at the default size
+        assert set(props) - set(gts), "proposals on a frame without ground truth"
+        assert set(gts) - set(props), "ground truth on a frame without proposals"
+        got = best_iou_by_frame(props, gts)
+        want = self.reference(props, gts)
+        assert hexed([got]) == hexed([want])
+        assert np.isneginf(got).sum() == sum(len(g) for f, g in gts.items() if f not in props)
+
+    def test_no_proposals_at_all(self):
+        gts = {4: [BoundingBox(0, 0, 1, 1)], 2: [BoundingBox(0, 0, 2, 2)] * 2}
+        got = best_iou_by_frame({}, gts)
+        assert hexed([got]) == hexed([self.reference({}, gts)])
+        assert np.isneginf(got).all() and len(got) == 3
+
+    def test_no_ground_truth(self):
+        got = best_iou_by_frame({0: [BoundingBox(0, 0, 1, 1)]}, {})
+        assert got.dtype == np.float64 and got.shape == (0,)

@@ -1,9 +1,12 @@
+import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import tubekit.proposals as proposals
 import tubekit.synthdata as synthdata
 from tubekit.anticipation import (
     anticipate,
@@ -13,8 +16,9 @@ from tubekit.anticipation import (
 )
 from tubekit.geometry import BoundingBox, box_from_center, clip_visible, iou, iou_matrix
 from tubekit.linking import Detection, extract_tubes
-from tubekit.proposals import AnchorConfig, generate_anchors
+from tubekit.proposals import AnchorConfig, cascade_refine, generate_anchors, recall_at_iou
 from tubekit.synthdata import (
+    DEMO_RECALL_THRESHOLDS,
     ActorSpec,
     ConditionedDetector,
     NoiseModel,
@@ -1149,6 +1153,77 @@ class TestCascadeDemo:
             ValueError, match=f"^jitter_sigma must be finite and non-negative, got {sigma}$"
         ):
             cascade_recall_demo(num_boxes=4, jitter_sigma=sigma)
+
+
+class TestCascadeDemoRefinesStageOneOnce:
+    def test_each_stage_sees_every_box_once(self, monkeypatch):
+        sizes, captured = [], {}
+        refine, halving = proposals.refine_stage, synthdata.halving_stage
+
+        def counting_refine(candidates, stage, **kwargs):
+            sizes.append(len(candidates))
+            captured.setdefault("first", (list(candidates), stage, kwargs))
+            return refine(candidates, stage, **kwargs)
+
+        def capturing_halving(ground_truths):
+            captured["gts"] = list(ground_truths)
+            return halving(ground_truths)
+
+        monkeypatch.setattr(proposals, "refine_stage", counting_refine)
+        monkeypatch.setattr(synthdata, "refine_stage", counting_refine)
+        monkeypatch.setattr(synthdata, "halving_stage", capturing_halving)
+        curves = cascade_recall_demo(num_boxes=150, seed=0)
+        assert sizes == [150, 150]
+        monkeypatch.undo()
+        # the two-stage curve is the full cascade's, run from the anchors
+        anchors, stage, image = captured["first"]
+        cascade = cascade_refine(anchors, stage, stage, top_n=150, **image)
+        want = recall_at_iou([b for b, _ in cascade], captured["gts"], DEMO_RECALL_THRESHOLDS)
+        assert {t: r.hex() for t, r in curves["two_stage"].items()} == {
+            t: r.hex() for t, r in want.items()
+        }
+
+
+def exact_nearest(centers, x, y):
+    """The first index of the least squared distance, in exact arithmetic."""
+    d2 = [
+        (Fraction(cx) - Fraction(x)) ** 2 + (Fraction(cy) - Fraction(y)) ** 2
+        for cx, cy in centers.tolist()
+    ]
+    return d2.index(min(d2))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNearestCenter:
+    """The halving stage regresses toward the truly nearest centre, with no
+    overflow, wherever the box is."""
+
+    GRID = np.array([[(i % 4 + 0.5) * 400.0, (i // 4 + 0.5) * 400.0] for i in range(12)])
+
+    @pytest.mark.parametrize("distance", [1.0, 50.0, 1e3, 1e20, 1e154, 1e200, 1e300, 1.5e308])
+    def test_matches_exact_arithmetic(self, distance):
+        rng = np.random.default_rng(int(math.log10(distance)))
+        for centers in (self.GRID, self.GRID + 1e12, self.GRID * 1e-6):
+            nearest = synthdata._nearest_center(centers)
+            middle = centers.mean(axis=0)
+            for angle in rng.uniform(0.0, 2 * math.pi, size=60).tolist():
+                x = float(middle[0] + distance * math.cos(angle))
+                y = float(middle[1] + distance * math.sin(angle))
+                assert nearest(x, y) == exact_nearest(centers, x, y), (x, y)
+
+    def test_far_boxes_do_not_all_pick_the_first(self):
+        nearest = synthdata._nearest_center(self.GRID)
+        picks = {nearest(1e200 * math.cos(a), 1e200 * math.sin(a)) for a in np.linspace(0, 6, 24)}
+        assert len(picks) > 2
+
+    def test_one_center_and_equal_centers(self):
+        assert synthdata._nearest_center(np.array([[5.0, 5.0]]))(1e300, -1e300) == 0
+        assert synthdata._nearest_center(np.zeros((3, 2)))(1e-300, 4.0) == 0
+
+    def test_demo_with_astronomical_jitter_runs_clean(self):
+        curves = cascade_recall_demo(num_boxes=3, jitter_sigma=1e200, seed=0)
+        for curve in curves.values():
+            assert all(0.0 <= r <= 1.0 for r in curve.values())
 
 
 class TestHalvingScorer:
