@@ -184,10 +184,10 @@ def build_training_set(
     thresholding plus a best-candidate override that keeps every future box
     matched to its highest-IoU detection, so slow overlap decay at long gaps
     cannot starve training of positives). One pass of
-    ``proposals._assign_frames``, the rule of ``proposals.assign_samples``,
-    labels every pair's detections, degenerate ones included, against that
-    pair's future boxes. The regression target for a positive row encodes
-    the matched future box relative to the detection box.
+    ``proposals._assign_frames``, which states the rule, labels every pair's
+    detections, degenerate ones included, against that pair's future boxes.
+    The regression target for a positive row encodes the matched future box
+    relative to the detection box.
     """
     pairs = list(frame_pairs)
     rows = [(box, motion, future) for detections, future in pairs for box, motion in detections]

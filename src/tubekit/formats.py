@@ -4,7 +4,8 @@ Three schemas, all versioned with a ``format_version`` field:
 
 * scene spec — input to ``simulate``; mirrors :class:`~.synthdata.SceneSpec`.
 * detection file — per-frame scored boxes (``bbox``, ``class_id``,
-  ``score``, optional ``motion``), frame indices strictly increasing.
+  ``score``, optional ``motion``), frame indices non-negative and strictly
+  increasing.
 * tube file — flat list of tubes (``video_id``, ``class_id``, ``start``,
   ``end``, ``tube_score``, per-frame ``boxes`` and ``scores``).
 
@@ -42,7 +43,7 @@ from typing import Any, Callable, NoReturn, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
-from .geometry import BoundingBox
+from .geometry import BoundingBox, _check_count
 from .linking import ActionTube, Detection, FrameDetections, tube_order
 from .synthdata import ActorSpec, NoiseModel, SceneSpec
 
@@ -533,6 +534,7 @@ def detections_from_dict(data: dict, path: str = "$") -> tuple[str, list[FrameDe
         fpath = f"{path}.frames[{i}]"
         frame = _object(frame_raw, fpath)
         index = _field(frame, "frame_index", fpath, _integer)
+        _construct(f"{fpath}.frame_index", _check_count, "frame_index", index)
         if index <= previous_index:
             _fail(f"{fpath}.frame_index", "frame indices must be strictly increasing")
         previous_index = index

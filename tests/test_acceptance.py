@@ -35,7 +35,6 @@ from tubekit.linking import (
     tube_link_scores,
     viterbi_link,
 )
-from tubekit.proposals import SampleAssignment, sample_minibatch
 from tubekit.synthdata import (
     ActorSpec,
     NoiseModel,
@@ -227,33 +226,7 @@ def test_loss_gradient_matches_finite_differences(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 5. Mini-batch protocol
-
-
-def test_minibatch_protocol_over_1000_draws(capsys):
-    rng = np.random.default_rng(5005)
-    for _ in range(1000):
-        n_pos = int(rng.integers(1, 400))
-        n_neg = int(rng.integers(1, 400))
-        labels = np.array([1] * n_pos + [0] * n_neg, dtype=np.int8)
-        assignment = SampleAssignment(
-            labels=labels,
-            matched_gt=np.zeros(len(labels), dtype=np.int64),
-            max_iou=np.zeros(len(labels), dtype=np.float64),
-        )
-        batch = sample_minibatch(assignment, rng)
-        assert batch.size > 0
-        assert batch.size <= 128
-        assert 0.8 <= batch.ratio <= 1.2
-    report(
-        capsys,
-        "1000 mini-batch draws all respect size <= 128 and positive:negative "
-        "ratio in [0.8, 1.2]"
-    )
-
-
-# ---------------------------------------------------------------------------
-# 6. Cascade localization gain
+# 5. Cascade localization gain
 
 
 def test_cascade_recall_gain_at_tight_overlap(capsys):
@@ -273,7 +246,7 @@ def test_cascade_recall_gain_at_tight_overlap(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 7. Noiseless end-to-end run
+# 6. Noiseless end-to-end run
 
 
 def test_noiseless_end_to_end_perfect_map(tmp_path, capsys):
@@ -343,7 +316,7 @@ def test_noiseless_end_to_end_perfect_map(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# 8. Anticipation strategy ordering
+# 7. Anticipation strategy ordering
 
 
 def test_anticipation_strategy_ordering_on_drifting_fixture(capsys):
@@ -371,7 +344,7 @@ def test_anticipation_strategy_ordering_on_drifting_fixture(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 9. Metric invariants
+# 8. Metric invariants
 
 
 def test_metric_invariants(capsys):
@@ -446,7 +419,7 @@ def test_metric_invariants(capsys):
 
 
 # ---------------------------------------------------------------------------
-# 10. CLI determinism
+# 9. CLI determinism
 
 
 def test_cli_commands_are_byte_deterministic(tmp_path, capsys):

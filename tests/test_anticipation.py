@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from tubekit.geometry import MAX_SCALE_DELTA, BoundingBox, decode_delta, encode_delta, iou
+from tubekit.geometry import (
+    MAX_SCALE_DELTA,
+    BoundingBox,
+    boxes_to_array,
+    decode_delta,
+    encode_delta,
+    iou,
+)
 from tubekit.anticipation import (
     STRATEGY_LEARNED,
     STRATEGY_NON_MOTION,
@@ -22,7 +29,7 @@ from tubekit.anticipation import (
     train_anticipation_model,
 )
 from tubekit.evaluation import StudyConfig, _replica, run_detection_pass
-from tubekit.proposals import assign_samples
+from tubekit.proposals import _assign_frames
 from tubekit.synthdata import drifting_scene_specs
 
 W, H = 320.0, 240.0
@@ -175,17 +182,27 @@ def test_build_training_set_counts_and_targets():
     assert not np.allclose(ts.targets[row], 0.0) or ts.positive[row]
 
 
+def assign_one_frame(candidates, ground_truths):
+    """``_assign_frames`` on one frame: (labels, matched_gt, max_iou)."""
+    return _assign_frames(
+        boxes_to_array(candidates),
+        [len(candidates)],
+        boxes_to_array(ground_truths),
+        [len(ground_truths)],
+    )
+
+
 def reference_build_training_set(frame_pairs, *, image_width, image_height):
-    """The per-row builder: one assign_samples call per frame pair."""
+    """The per-row builder: one frame pair labelled at a time."""
     feats, targets, positive = [], [], []
     for detections, future_boxes in frame_pairs:
-        assignment = assign_samples([b for b, _ in detections], list(future_boxes))
+        labels, matched_gt, _ = assign_one_frame([b for b, _ in detections], list(future_boxes))
         for i, (box, motion) in enumerate(detections):
             if box.width <= 0.0 or box.height <= 0.0:
                 continue
             feats.append(feature_vector(box, motion, image_width, image_height))
-            if assignment.labels[i] == 1:
-                matched = future_boxes[int(assignment.matched_gt[i])]
+            if labels[i] == 1:
+                matched = future_boxes[int(matched_gt[i])]
                 targets.append(np.array(encode_delta(box, matched).as_tuple(), dtype=np.float64))
                 positive.append(True)
             else:

@@ -189,6 +189,16 @@ class TestDetectionsIO:
         with pytest.raises(SchemaError, match=message):
             detections_from_dict(data)
 
+    @pytest.mark.parametrize("first", [0, 4])
+    def test_negative_index_is_reported_as_negative(self, first):
+        box = BoundingBox(1.0, 2.0, 11.0, 12.0)
+        frames = [FrameDetections(t, (Detection(box, 0, 0.5, (1.0, 0.5)),)) for t in range(5)]
+        data = detections_to_dict("v", frames)
+        data["frames"][first]["frame_index"] = -3
+        message = rf"^\$\.frames\[{first}\]\.frame_index: frame_index must be non-negative$"
+        with pytest.raises(SchemaError, match=message):
+            detections_from_dict(data)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [
@@ -756,8 +766,8 @@ _MUTATION_VALUES = (
 _DELETED = object()
 # sha256 of all outcome lines of _mutation_outcomes: a changed error message,
 # path, check order, exception type or parsed value changes it. Recorded after
-# scene specs began to reject a width or height of 10**400
-_MUTATION_DIGEST = "05f44e2527d8fefcb485a511af6f80010968c8e2943d3ef43d592b2d5a5f84e4"
+# a negative frame index began to be reported as negative, not as out of order
+_MUTATION_DIGEST = "2a7b95f914eb6d5c5abe5a9138a2eaee2563e1c9668d7125716e9f51b9bbb751"
 
 
 def _containers(node, path=()):

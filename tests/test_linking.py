@@ -226,6 +226,24 @@ def test_no_module_imports_statistics_fractions_or_decimal():
     assert "numpy" in imported
     assert not imported & {"statistics", "fractions", "decimal"}
 
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(Path(linking.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # the package namespace imports what it re-exports
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
 def path_score(frames, path, params):
     """Sum of link scores along an explicit path (oracle)."""
     if len(frames) == 1:

@@ -1,109 +1,20 @@
-import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 import tubekit.geometry as geometry
 from tubekit.geometry import BoundingBox, BoxDelta, boxes_to_array, encode_delta, iou, iou_matrix
 from tubekit.proposals import (
-    AnchorConfig,
     ProposalStage,
     _assign_frames,
-    assign_samples,
     best_iou_by_frame,
     cascade_refine,
-    generate_anchors,
     recall_at_iou,
     refine_stage,
-    sample_minibatch,
     single_stage_refine,
 )
 
 ZERO_DELTA = BoxDelta(0.0, 0.0, 0.0, 0.0)
 IDENTITY_STAGE = ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: 0.5)
-
-
-def test_anchor_grid_count():
-    config = AnchorConfig(stride=16, scales=(128.0, 256.0, 512.0), ratios=(0.5, 1.0, 2.0))
-    anchors = generate_anchors(64, 64, config)
-    assert len(anchors) == 4 * 4 * 9  # 144
-
-
-def test_anchor_grid_ceil_division():
-    config = AnchorConfig(stride=16, scales=(32.0,), ratios=(1.0,))
-    # 65 px needs 5 cells of stride 16
-    assert len(generate_anchors(65, 16, config)) == 5
-
-
-def test_first_anchor_center_and_shape():
-    config = AnchorConfig(stride=16, scales=(128.0,), ratios=(1.0,))
-    first = generate_anchors(64, 64, config)[0]
-    assert first.center == (8.0, 8.0)
-    assert first.width == pytest.approx(128.0)
-    assert first.height == pytest.approx(128.0)
-    # unclipped: extends outside the image
-    assert first.x1 < 0
-
-
-def test_anchor_aspect_ratios():
-    config = AnchorConfig(stride=16, scales=(100.0,), ratios=(0.25, 4.0))
-    quarter, quadruple = generate_anchors(16, 16, config)[:2]
-    # h = s * sqrt(r), w = s / sqrt(r)
-    assert quarter.height == pytest.approx(50.0)
-    assert quarter.width == pytest.approx(200.0)
-    assert quadruple.height == pytest.approx(200.0)
-    assert quadruple.width == pytest.approx(50.0)
-    # area is scale**2 for every ratio
-    assert quarter.area == pytest.approx(100.0**2)
-
-
-def test_anchor_ordering_scales_outer_ratios_inner():
-    config = AnchorConfig(stride=16, scales=(64.0, 128.0), ratios=(1.0, 2.0))
-    anchors = generate_anchors(16, 16, config)
-    heights = [a.height for a in anchors[:4]]
-    expected = [
-        64.0,
-        64.0 * math.sqrt(2.0),
-        128.0,
-        128.0 * math.sqrt(2.0),
-    ]
-    np.testing.assert_allclose(heights, expected)
-
-
-@pytest.mark.parametrize(
-    "config",
-    [
-        AnchorConfig(stride=16, scales=(128.0, 256.0, 512.0), ratios=(0.5, 1.0, 2.0)),
-        AnchorConfig(stride=7, scales=(30, 45.5), ratios=(0.3, 1, 3, 7.25)),
-        AnchorConfig(stride=32, scales=(1e-3, 1e6), ratios=(1e-4, 0.7, 1e4)),
-    ],
-)
-def test_anchor_corners_match_the_numpy_sqrt_formula(config):
-    width, height = 70, 45
-    expected = []
-    for iy in range(-(-height // config.stride)):
-        cy = (iy + 0.5) * config.stride
-        for ix in range(-(-width // config.stride)):
-            cx = (ix + 0.5) * config.stride
-            for scale in config.scales:
-                for ratio in config.ratios:
-                    h = scale * np.sqrt(ratio)
-                    w = scale / np.sqrt(ratio)
-                    expected.append((cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2))
-    got = [a.as_tuple() for a in generate_anchors(width, height, config)]
-    assert [tuple(v.hex() for v in box) for box in got] == [
-        tuple(float(v).hex() for v in box) for box in expected
-    ]
-
-
-def test_anchor_config_validation():
-    with pytest.raises(ValueError):
-        AnchorConfig(stride=0)
-    with pytest.raises(ValueError):
-        AnchorConfig(scales=())
-    with pytest.raises(ValueError):
-        AnchorConfig(ratios=(1.0, -2.0))
 
 
 def test_refine_stage_clips_and_drops():
@@ -195,7 +106,17 @@ def test_each_stage_halves_the_corner_error():
     assert err(twice[0][0]) == pytest.approx(2.0, abs=1e-9)
 
 
-class TestAssignSamples:
+def assign_one_frame(candidates, ground_truths):
+    """``_assign_frames`` on one frame: (labels, matched_gt, max_iou)."""
+    return _assign_frames(
+        boxes_to_array(candidates),
+        [len(candidates)],
+        boxes_to_array(ground_truths),
+        [len(ground_truths)],
+    )
+
+
+class TestAssignOneFrame:
     def test_thresholds(self):
         gt = [BoundingBox(0, 0, 10, 10)]
         candidates = [
@@ -203,36 +124,36 @@ class TestAssignSamples:
             BoundingBox(0, 0, 10, 5),  # IoU 0.5 -> ignored
             BoundingBox(50, 50, 60, 60),  # IoU 0.0 -> negative
         ]
-        out = assign_samples(candidates, gt)
-        assert out.labels.tolist() == [1, -1, 0]
-        assert out.matched_gt[0] == 0
-        assert out.max_iou[2] == 0.0
+        labels, matched_gt, max_iou = assign_one_frame(candidates, gt)
+        assert labels.tolist() == [1, -1, 0]
+        assert matched_gt[0] == 0
+        assert max_iou[2] == 0.0
 
     def test_best_candidate_override(self):
         # nobody clears 0.7, but the best available candidate per gt is
         # promoted anyway
         gt = [BoundingBox(0, 0, 10, 10)]
         candidates = [BoundingBox(0, 0, 10, 5), BoundingBox(0, 0, 10, 4)]
-        out = assign_samples(candidates, gt)
-        assert out.labels.tolist() == [1, -1]
-        assert out.matched_gt[0] == 0
+        labels, matched_gt, _ = assign_one_frame(candidates, gt)
+        assert labels.tolist() == [1, -1]
+        assert matched_gt[0] == 0
 
     def test_override_keeps_ties(self):
         gt = [BoundingBox(0, 0, 10, 10)]
         half = BoundingBox(0, 0, 10, 5)
-        out = assign_samples([half, half], gt)
-        assert out.labels.tolist() == [1, 1]
+        labels = assign_one_frame([half, half], gt)[0]
+        assert labels.tolist() == [1, 1]
 
     def test_override_skips_untouched_gt(self):
         gt = [BoundingBox(100, 100, 110, 110)]
-        out = assign_samples([BoundingBox(0, 0, 10, 10)], gt)
+        labels = assign_one_frame([BoundingBox(0, 0, 10, 10)], gt)[0]
         # zero overlap everywhere: nothing to promote
-        assert out.labels.tolist() == [0]
+        assert labels.tolist() == [0]
 
     def test_empty_ground_truth(self):
-        out = assign_samples([BoundingBox(0, 0, 10, 10)], [])
-        assert out.labels.tolist() == [0]
-        assert out.matched_gt.tolist() == [-1]
+        labels, matched_gt, _ = assign_one_frame([BoundingBox(0, 0, 10, 10)], [])
+        assert labels.tolist() == [0]
+        assert matched_gt.tolist() == [-1]
 
     def test_every_visible_gt_gets_a_positive(self):
         rng = np.random.default_rng(17)
@@ -249,13 +170,13 @@ class TestAssignSamples:
                 y1 = min(g.y1 + jit[1], g.y2 + jit[3])
                 y2 = max(g.y1 + jit[1], g.y2 + jit[3])
                 candidates.append(BoundingBox(x1, y1, x2, y2))
-            out = assign_samples(candidates, gts)
+            labels = assign_one_frame(candidates, gts)[0]
             for j, g in enumerate(gts):
                 overlaps = [iou(c, g) for c in candidates]
                 best = max(overlaps)
                 if best > 0.0:
                     best_rows = [i for i, v in enumerate(overlaps) if v == best]
-                    assert all(out.labels[i] == 1 for i in best_rows)
+                    assert all(labels[i] == 1 for i in best_rows)
 
 
 def reference_assign_samples(candidates, ground_truths):
@@ -311,8 +232,7 @@ class TestAssignFramesMatchesPerFrameReference:
         want = [np.concatenate([p[k] for p in per_frame]) for k in range(3)]
         assert hexed(got) == hexed(want)
         for cands, gts in frames:
-            one = assign_samples(cands, gts)
-            assert hexed([one.labels, one.matched_gt, one.max_iou]) == hexed(
+            assert hexed(assign_one_frame(cands, gts)) == hexed(
                 reference_assign_samples(cands, gts)
             )
 
@@ -336,7 +256,7 @@ class TestAssignFramesMatchesPerFrameReference:
         gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
         half = BoundingBox(0.0, 0.0, 10.0, 5.0)
         self.assert_matches([([half, BoundingBox(0.0, 0.0, 10.0, 4.0), half], [gt])])
-        assert assign_samples([half, half], [gt]).labels.tolist() == [1, 1]
+        assert assign_one_frame([half, half], [gt])[0].tolist() == [1, 1]
 
     def test_a_candidate_tied_best_for_two_ground_truths_takes_the_last(self):
         # the square overlaps both rectangles 0.5, more than any other candidate
@@ -345,9 +265,9 @@ class TestAssignFramesMatchesPerFrameReference:
         far = BoundingBox(50.0, 50.0, 60.0, 60.0)
         frames = [([far, square], [tall, wide]), ([square], [wide, tall])]
         self.assert_matches(frames)
-        out = assign_samples([far, square], [tall, wide])
-        assert out.labels.tolist() == [0, 1]
-        assert out.matched_gt.tolist() == [0, 1]
+        labels, matched_gt, _ = assign_one_frame([far, square], [tall, wide])
+        assert labels.tolist() == [0, 1]
+        assert matched_gt.tolist() == [0, 1]
 
     def test_frames_without_ground_truth_or_with_one_candidate(self):
         box = BoundingBox(0.0, 0.0, 10.0, 10.0)
@@ -362,103 +282,15 @@ class TestAssignFramesMatchesPerFrameReference:
         gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
         cands = [BoundingBox(0.0, 0.0, 10.0, 3.0), BoundingBox(0.0, 0.0, 10.0, 7.0), gt]
         self.assert_matches([(cands, [gt])])
-        assert assign_samples(cands, [gt]).labels.tolist() == [-1, -1, 1]
+        assert assign_one_frame(cands, [gt])[0].tolist() == [-1, -1, 1]
 
     def test_zero_overlap_everywhere(self):
         cands = [BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(20.0, 0.0, 30.0, 10.0)]
         gts = [BoundingBox(100.0, 100.0, 110.0, 110.0), BoundingBox(0.0, 50.0, 5.0, 60.0)]
         self.assert_matches([(cands, gts), (cands[:1], gts[:1])])
-        out = assign_samples(cands, gts)
-        assert out.labels.tolist() == [0, 0]
-        assert out.matched_gt.tolist() == [0, 0]
-
-
-def make_assignment(n_pos, n_neg, n_ignore=0):
-    labels = np.array([1] * n_pos + [0] * n_neg + [-1] * n_ignore, dtype=np.int8)
-    n = len(labels)
-    from tubekit.proposals import SampleAssignment
-
-    return SampleAssignment(
-        labels=labels,
-        matched_gt=np.zeros(n, dtype=np.int64),
-        max_iou=np.zeros(n, dtype=np.float64),
-    )
-
-
-class TestMiniBatch:
-    def test_plentiful_pools_split_evenly(self):
-        rng = np.random.default_rng(0)
-        batch = sample_minibatch(make_assignment(200, 200), rng)
-        assert len(batch.positives) == 64
-        assert len(batch.negatives) == 64
-        assert batch.size == 128
-        assert batch.ratio == 1.0
-
-    def test_scarce_positives_shrink_negatives(self):
-        rng = np.random.default_rng(0)
-        batch = sample_minibatch(make_assignment(10, 1000), rng)
-        assert len(batch.positives) == 10
-        assert len(batch.negatives) == 10
-
-    def test_empty_pool_gives_empty_batch(self):
-        rng = np.random.default_rng(0)
-        assert sample_minibatch(make_assignment(0, 50), rng).size == 0
-        assert sample_minibatch(make_assignment(50, 0), rng).size == 0
-        assert sample_minibatch(make_assignment(0, 0, 10), rng).size == 0
-
-    def test_indices_sorted_unique_and_from_right_pools(self):
-        rng = np.random.default_rng(9)
-        assignment = make_assignment(40, 300, 25)
-        batch = sample_minibatch(assignment, rng)
-        for idx_list in (batch.positives, batch.negatives):
-            assert list(idx_list) == sorted(set(int(i) for i in idx_list))
-        assert all(assignment.labels[i] == 1 for i in batch.positives)
-        assert all(assignment.labels[i] == 0 for i in batch.negatives)
-
-    def test_ratio_window_respected_over_many_draws(self):
-        rng = np.random.default_rng(1234)
-        for _ in range(300):
-            n_pos = int(rng.integers(0, 400))
-            n_neg = int(rng.integers(0, 400))
-            batch = sample_minibatch(make_assignment(n_pos, n_neg), rng)
-            assert batch.size <= 128
-            if batch.size:
-                assert 0.8 <= batch.ratio <= 1.2
-
-    def test_matches_the_parametrised_draw_at_the_fixed_protocol(self):
-        # the draw as it was when size and ratio window were arguments,
-        # evaluated at the values that are now fixed
-        def reference(assignment, rng, max_size=128, ratio_low=0.8, ratio_high=1.2):
-            pos_pool = np.nonzero(assignment.labels == 1)[0]
-            neg_pool = np.nonzero(assignment.labels == 0)[0]
-            empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-            if len(pos_pool) == 0 or len(neg_pool) == 0:
-                return empty
-            target_ratio = min(max(1.0, ratio_low), ratio_high)
-            n_pos = min(len(pos_pool), max_size // 2)
-            n_neg = min(len(neg_pool), max_size - n_pos, max(1, round(n_pos / target_ratio)))
-            n_pos = min(n_pos, int(np.floor(ratio_high * n_neg)))
-            if n_pos == 0:
-                return empty
-            if not ratio_low <= n_pos / n_neg <= ratio_high:
-                return empty
-            pos = rng.choice(pos_pool, size=n_pos, replace=False)
-            neg = rng.choice(neg_pool, size=n_neg, replace=False)
-            return np.sort(pos), np.sort(neg)
-
-        shuffle = np.random.default_rng(5)
-        for seed in (0, 1, 2):
-            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            for n_pos in range(91):
-                for n_neg in range(91):
-                    assignment = make_assignment(n_pos, n_neg, (n_pos + n_neg) % 7)
-                    assignment = replace(assignment, labels=shuffle.permutation(assignment.labels))
-                    batch = sample_minibatch(assignment, rng)
-                    positives, negatives = reference(assignment, reference_rng)
-                    assert np.array_equal(batch.positives, positives)
-                    assert np.array_equal(batch.negatives, negatives)
-            # both generators advanced through the same draws
-            assert rng.integers(2**62) == reference_rng.integers(2**62)
+        labels, matched_gt, _ = assign_one_frame(cands, gts)
+        assert labels.tolist() == [0, 0]
+        assert matched_gt.tolist() == [0, 0]
 
 
 class TestRecall:

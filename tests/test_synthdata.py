@@ -16,7 +16,7 @@ from tubekit.anticipation import (
 )
 from tubekit.geometry import BoundingBox, box_from_center, clip_visible, iou, iou_matrix
 from tubekit.linking import Detection, extract_tubes
-from tubekit.proposals import AnchorConfig, cascade_refine, generate_anchors, recall_at_iou
+from tubekit.proposals import cascade_refine, recall_at_iou
 from tubekit.synthdata import (
     DEMO_RECALL_THRESHOLDS,
     ActorSpec,
@@ -1316,13 +1316,6 @@ class TestBuiltInFloats:
         for label, batch in (("extract_tubes", tubes), ("trim_tubes", trimmed)):
             _assert_float_boxes(label, [b for tube in batch for b in tube.boxes])
             _assert_built_in_floats(label, [s for tube in batch for s in tube.scores])
-
-    def test_anchors(self):
-        for config in (
-            AnchorConfig(stride=16, scales=(32, 64), ratios=(0.5, 1, 2)),
-            AnchorConfig(stride=8, scales=(24.0,), ratios=(1.0, 3.0)),
-        ):
-            _assert_float_boxes("generate_anchors", generate_anchors(48, 32, config))
 
 
 def hexed_box(box):
