@@ -199,6 +199,14 @@ class TestDetectionsIO:
         with pytest.raises(SchemaError, match=message):
             detections_from_dict(data)
 
+    def test_minus_one_first_index_is_reported_as_negative(self):
+        # -1 is also where the walk's ordering check starts from
+        data = detections_to_dict("v", sample_frames())
+        data["frames"][0]["frame_index"] = -1
+        message = r"^\$\.frames\[0\]\.frame_index: frame_index must be non-negative$"
+        with pytest.raises(SchemaError, match=message):
+            detections_from_dict(data)
+
     @pytest.mark.parametrize(
         "field, value, message",
         [

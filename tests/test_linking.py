@@ -227,22 +227,48 @@ def test_no_module_imports_statistics_fractions_or_decimal():
     assert not imported & {"statistics", "fractions", "decimal"}
 
 
+def unused_imports(source):
+    """``"line name"`` for each name ``source`` imports but never reads as a bare name."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{node.lineno} {name}")
+    return unused
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        ("import math\n", ["1 math"]),
+        ("import math\nx = math.pi\n", []),
+        ("import numpy as np\nimport math\nx = np.pi\n", ["2 math"]),
+        ("from .geometry import iou, nms\nx = iou\n", ["1 nms"]),
+        ("from .geometry import iou as overlap\nx = iou\n", ["1 overlap"]),
+        ("import os.path\nx = os.path.join\n", []),
+        ("from __future__ import annotations\n", []),
+        ("from typing import Sequence\ndef f(x: Sequence) -> None: ...\n", []),
+        ("def f():\n    import math\n    return 1\n", ["2 math"]),
+    ],
+)
+def test_unused_import_scan(source, expected):
+    assert unused_imports(source) == expected
+
+
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
     for path in sorted(Path(linking.__file__).parent.glob("*.py")):
         if path.name == "__init__.py":
             continue  # the package namespace imports what it re-exports
-        tree = ast.parse(path.read_text())
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for alias in node.names:
-                    name = alias.asname or alias.name.split(".")[0]
-                    if name not in used:
-                        unused.append(f"{path.name}:{node.lineno} {name}")
+        unused += [f"{path.name}:{found}" for found in unused_imports(path.read_text())]
     assert unused == []
+
 
 def path_score(frames, path, params):
     """Sum of link scores along an explicit path (oracle)."""

@@ -4,11 +4,13 @@ import pytest
 import tubekit.geometry as geometry
 from tubekit.geometry import BoundingBox, BoxDelta, boxes_to_array, encode_delta, iou, iou_matrix
 from tubekit.proposals import (
+    NMS_THRESHOLD,
     ProposalStage,
     _assign_frames,
     best_iou_by_frame,
     cascade_refine,
     recall_at_iou,
+    recall_curve,
     refine_stage,
     single_stage_refine,
 )
@@ -41,6 +43,82 @@ def test_refine_stage_rejects_bad_score():
     stage = ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: 1.5)
     with pytest.raises(ValueError):
         refine_stage([BoundingBox(0, 0, 10, 10)], stage, image_width=20, image_height=20)
+
+
+@pytest.mark.parametrize("score", [float("nan"), -0.1, float.fromhex("0x1.0000000000001p+0")])
+def test_refine_stage_names_the_bad_score(score):
+    stage = ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: score)
+    message = rf"^scorer returned {score}, expected a value in \[0, 1\]$"
+    with pytest.raises(ValueError, match=message):
+        refine_stage([BoundingBox(0, 0, 10, 10)], stage, image_width=20, image_height=20)
+
+
+@pytest.mark.parametrize("score", [0.0, 1.0])
+def test_refine_stage_accepts_the_closed_interval(score):
+    stage = ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: score)
+    out = refine_stage([BoundingBox(0, 0, 10, 10)], stage, image_width=20, image_height=20)
+    assert out == [(BoundingBox(0, 0, 10, 10), score)]
+
+
+def scored_by(scores):
+    """An identity stage scoring each box by its entry in ``scores``."""
+    return ProposalStage(regressor=lambda b: ZERO_DELTA, scorer=lambda b: scores[b])
+
+
+@pytest.mark.parametrize("height, kept", [(7, 2), (8, 1)])
+def test_single_stage_suppresses_only_above_the_nms_threshold(height, kept):
+    # IoU with the first box is height / 10: 0.7 is NMS_THRESHOLD itself
+    top, low = BoundingBox(0, 0, 10, 10), BoundingBox(0, 0, 10, height)
+    assert iou(top, low) == height / 10
+    assert (iou(top, low) > NMS_THRESHOLD) == (kept == 1)
+    stage = scored_by({top: 0.9, low: 0.8})
+    out = single_stage_refine([low, top], stage, image_width=20, image_height=20)
+    assert out == [(top, 0.9), (low, 0.8)][:kept]
+
+
+def test_single_stage_keeps_the_top_n_in_score_order():
+    boxes = [BoundingBox(20 * k, 0, 20 * k + 10, 10) for k in range(6)]
+    scores = [0.3, 0.9, 0.5, 0.9, 0.1, 0.7]  # disjoint boxes: NMS keeps all
+    stage = scored_by(dict(zip(boxes, scores)))
+    out = single_stage_refine(boxes, stage, image_width=200, image_height=20, top_n=4)
+    # ties keep input order
+    assert out == [(boxes[1], 0.9), (boxes[3], 0.9), (boxes[5], 0.7), (boxes[2], 0.5)]
+
+
+def test_cascade_second_stage_refines_only_the_first_stage_survivors():
+    boxes = [BoundingBox(20 * k, 0, 20 * k + 10, 10) for k in range(5)]
+    boxes.append(BoundingBox(0, 0, 10, 9))  # IoU 0.9 with boxes[0], scored lower
+    stage_a = scored_by(dict(zip(boxes, [0.2, 0.6, 0.4, 0.8, 0.1, 0.15])))
+    seen = []
+
+    def regressor(box):
+        seen.append(box)
+        return ZERO_DELTA
+
+    stage_b = ProposalStage(regressor=regressor, scorer=lambda b: 0.5)
+    cascade_refine(boxes, stage_a, stage_b, image_width=200, image_height=20, top_n=3)
+    assert seen == [boxes[3], boxes[1], boxes[2]]
+    seen.clear()
+    cascade_refine(boxes, stage_a, stage_b, image_width=200, image_height=20)
+    assert seen == [boxes[3], boxes[1], boxes[2], boxes[0], boxes[4]]
+
+
+def test_cascade_sorts_by_the_second_stage_score_keeping_ties_in_first_stage_order():
+    boxes = [BoundingBox(20 * k, 0, 20 * k + 10, 10) for k in range(4)]
+    stage_a = scored_by(dict(zip(boxes, [0.9, 0.8, 0.7, 0.6])))
+    stage_b = scored_by(dict(zip(boxes, [0.1, 0.5, 0.3, 0.5])))
+    out = cascade_refine(boxes, stage_a, stage_b, image_width=200, image_height=20)
+    assert out == [(boxes[1], 0.5), (boxes[3], 0.5), (boxes[2], 0.3), (boxes[0], 0.1)]
+
+
+def test_cascade_drops_a_box_the_second_stage_pushes_off_the_image():
+    boxes = [BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10)]
+    stage_a = scored_by(dict(zip(boxes, [0.9, 0.8])))
+    # a shift of 5 widths moves the first box to x >= 50, off a 40 px image
+    push = {boxes[0]: BoxDelta(5.0, 0.0, 0.0, 0.0), boxes[1]: ZERO_DELTA}
+    stage_b = ProposalStage(regressor=lambda b: push[b], scorer=lambda b: 0.4)
+    out = cascade_refine(boxes, stage_a, stage_b, image_width=40, image_height=10)
+    assert out == [(boxes[1], 0.4)]
 
 
 def test_cascade_with_identity_second_stage_matches_single():
@@ -330,6 +408,19 @@ class TestRecall:
         out = recall_at_iou(proposals, gts, thresholds)
         values = [out[t] for t in thresholds]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+class TestRecallCurve:
+    def test_minus_inf_never_counts(self):
+        best = np.array([-np.inf, 0.0, 0.5, 1.0])
+        out = recall_curve(best, [0, 0.5, 1])
+        assert out == {0.0: 0.75, 0.5: 0.5, 1.0: 0.25}
+        assert all(type(key) is float and type(value) is float for key, value in out.items())
+
+    @pytest.mark.parametrize("thresholds", [[0.5, 0.5], [-0.1], [1.5], [float("nan")]])
+    def test_rejects_repeated_or_out_of_range_thresholds(self, thresholds):
+        with pytest.raises(ValueError, match="^thresholds must be distinct and in \\[0, 1\\]"):
+            recall_curve(np.array([0.5]), thresholds)
 
 
 class TestBestIouByFrameMatchesPerFrameReference:
