@@ -131,7 +131,15 @@ def _box(value: Any, path: str) -> BoundingBox:
     if len(arr) != 4:
         _fail(path, f"expected [x1, y1, x2, y2], got {len(arr)} values")
     coords = [_number(v, f"{path}[{i}]") for i, v in enumerate(arr)]
-    return _construct(path, BoundingBox, *coords)
+    box = _construct(path, BoundingBox, *coords)
+    if not _finite_area(*coords):
+        _fail(path, "box area (x2 - x1) * (y2 - y1) must be finite")
+    return box
+
+
+def _finite_area(x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Whether the box's area is finite: both IoU kernels need it to agree."""
+    return math.isfinite((x2 - x1) * (y2 - y1))
 
 
 def _finite_floats(values: Sequence) -> bool:
@@ -141,11 +149,12 @@ def _finite_floats(values: Sequence) -> bool:
 
 def _plain_boxes(values: list) -> Optional[list[BoundingBox]]:
     """The boxes of ``values`` if each is a list of four built-in floats
-    that make a box, else None."""
+    that make a box of finite area, else None."""
     if (
         set(map(type, values)) <= {list}
         and set(map(len, values)) <= {4}
         and set(map(type, chain.from_iterable(values))) <= {float}
+        and all(starmap(_finite_area, values))
     ):
         try:
             return list(starmap(BoundingBox, values))
@@ -199,7 +208,7 @@ def _column(values: list, indent: str) -> Optional[tuple[_Template, list, _Width
     record template of :func:`_records`, built once, repeated once per record.
     """
     kinds = set(map(type, values))
-    if kinds == {int} or (kinds == {float} and all(map(math.isfinite, values))):
+    if kinds == {int} or _finite_floats(values):
         return "%r", values, 1
     if kinds != {list}:
         return None

@@ -25,8 +25,7 @@ MAX_SCALE_DELTA = 10.0
 # a box's center displacement from the previous frame, (dx, dy)
 Motion = tuple[float, float]
 
-# box pairs per _iou_arrays call where link scoring and _edge_ious score a
-# flat list of pairs: bounds the kernel's temporaries
+# box pairs per _iou_arrays call in _group_pairs: bounds the kernel's temporaries
 _EDGE_BLOCK = 4096
 
 
@@ -168,14 +167,29 @@ def _iou_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _edge_ious(a: np.ndarray, b: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """IoU of ``a[src[k]]`` with ``b[dst[k]]`` for every edge ``k``, through the
-    batch kernel in blocks of ``_EDGE_BLOCK`` edges."""
-    out = np.empty(len(src))
+def _group_pairs(
+    rows: np.ndarray, counts: Sequence[int], others: np.ndarray, other_counts: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-group (row, other row) pair, numbered row by row, with its IoU.
+
+    ``rows`` (N, 4) and ``others`` (M, 4) are stacked one group after
+    another, ``counts[g]`` and ``other_counts[g]`` of them for group ``g``.
+    Returns per row its number of pairs and its first pair, and per pair its
+    row, its other row's index within the group and in the stack, and its
+    IoU. The pairs go through the batch kernel in blocks of ``_EDGE_BLOCK``.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    other_counts = np.asarray(other_counts, dtype=np.int64)
+    widths = np.repeat(other_counts, counts)  # per row: its group's other rows
+    first = np.cumsum(widths) - widths  # pairs are numbered row by row
+    src = np.repeat(np.arange(len(widths)), widths)  # each pair's row
+    local = np.arange(len(src)) - np.repeat(first, widths)  # its group's other row
+    dst = np.repeat(np.cumsum(other_counts) - other_counts, counts)[src] + local  # in the stack
+    overlap = np.empty(len(src))
     for lo in range(0, len(src), _EDGE_BLOCK):
         block = slice(lo, lo + _EDGE_BLOCK)
-        out[block] = _iou_arrays(a[src[block], None], b[dst[block], None])[:, 0, 0]
-    return out
+        overlap[block] = _iou_arrays(rows[src[block], None], others[dst[block], None])[:, 0, 0]
+    return widths, first, src, local, dst, overlap
 
 
 def iou_matrix(boxes_a: Sequence[BoundingBox], boxes_b: Sequence[BoundingBox]) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import _EDGE_BLOCK, BoundingBox, _check_count, _iou_arrays, boxes_to_array, iou
+from .geometry import BoundingBox, _check_count, _group_pairs, boxes_to_array, iou
 
 DEFAULT_MAX_TUBES_PER_CLASS = 10
 DEFAULT_MIN_MEAN_LINK_SCORE = 0.1
@@ -229,27 +229,22 @@ def viterbi_link(
 def _link_rows(remaining: dict[int, list[Detection]], beta: float) -> dict[int, list[list[float]]]:
     """``rows[f][i][j]``: the link score of ``remaining[f][i]`` to ``remaining[f + 1][j]``.
 
-    Each consecutive-frame pair is scored once, through the batch IoU kernel
-    in blocks of edges.
+    Each consecutive-frame pair is scored once, in one pass (see
+    :func:`geometry._group_pairs`).
     """
     frames = sorted(remaining)
     dets = [det for f in frames for det in remaining[f]]
-    widths, nexts = [], []  # per detection: the next frame's size and its start in ``dets``
-    for f in frames:
-        n = len(remaining[f])
-        widths += [len(remaining.get(f + 1, ()))] * n
-        nexts += [len(nexts) + n] * n
+    counts = [len(remaining[f]) for f in frames]
     boxes = boxes_to_array([det.box for det in dets])
     scores = np.array([det.score for det in dets], dtype=np.float64)
-    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
-    src = np.repeat(np.arange(len(dets)), widths)  # each edge's detection on frame f
-    dst = np.repeat(np.array(nexts) - first_edge, widths) + np.arange(len(src))  # and on f + 1
-    flat: list[float] = []
-    for lo in range(0, len(src), _EDGE_BLOCK):
-        a, b = src[lo : lo + _EDGE_BLOCK], dst[lo : lo + _EDGE_BLOCK]
-        overlap = _iou_arrays(boxes[a, None], boxes[b, None])[:, 0, 0]
-        flat += _link_score(scores[a], scores[b], overlap, beta).tolist()
-    rows = iter([flat[i : i + w] for i, w in zip(first_edge.tolist(), widths)])
+    # the detections on a frame after one of the class, in frame order: frame
+    # f's other rows are frame f + 1's detections
+    follows = np.repeat([f - 1 in remaining for f in frames], counts)
+    widths, first, src, _, dst, overlap = _group_pairs(
+        boxes, counts, boxes[follows], [len(remaining.get(f + 1, ())) for f in frames]
+    )
+    flat = _link_score(scores[src], scores[follows][dst], overlap, beta).tolist()
+    rows = iter([flat[i : i + w] for i, w in zip(first.tolist(), widths.tolist())])
     return {f: [next(rows) for _ in remaining[f]] for f in frames}
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .geometry import (
     BoundingBox,
     BoxDelta,
-    _edge_ious,
+    _group_pairs,
     boxes_to_array,
     clip_visible,
     decode_delta,
@@ -122,26 +122,6 @@ def cascade_refine(
     return second
 
 
-def _frame_pairs(
-    counts: Sequence[int], other_counts: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every same-frame (row, other row) pair as one edge, numbered row by row.
-
-    Rows and other rows are stacked one frame after another, ``counts[f]``
-    and ``other_counts[f]`` of them for frame ``f``. Returns per row its
-    number of edges and its first edge, and per edge its row, its other
-    row's index within the frame and that other row's index in the stack.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    other_counts = np.asarray(other_counts, dtype=np.int64)
-    widths = np.repeat(other_counts, counts)  # per row: its frame's other rows
-    first_edge = np.cumsum(widths) - widths  # edges are numbered row by row
-    src = np.repeat(np.arange(len(widths)), widths)  # each edge's row
-    local = np.arange(len(src)) - np.repeat(first_edge, widths)  # its frame's other row
-    dst = np.repeat(np.cumsum(other_counts) - other_counts, counts)[src] + local  # in the stack
-    return widths, first_edge, src, local, dst
-
-
 def _assign_frames(
     candidates: np.ndarray,
     counts: Sequence[int],
@@ -164,12 +144,13 @@ def _assign_frames(
     ``candidates`` (N, 4) holds the frames' rows one frame after another,
     ``counts[f]`` of them for frame ``f``, and each is labelled against its
     own frame's rows of ``ground_truths`` (M, 4), ``gt_counts[f]`` of them; a
-    matched index counts within the frame. Every (candidate, ground truth)
-    pair of a frame is one edge (see :func:`_frame_pairs`), and the edges of
-    all frames go through the batch IoU kernel in one pass.
+    matched index counts within the frame. The (candidate, ground truth)
+    pairs of all frames are scored in one pass (see
+    :func:`geometry._group_pairs`).
     """
-    widths, first_edge, src, local, dst = _frame_pairs(counts, gt_counts)
-    overlap = _edge_ious(candidates, ground_truths, src, dst)
+    widths, first_edge, src, local, dst, overlap = _group_pairs(
+        candidates, counts, ground_truths, gt_counts
+    )
     labels = np.zeros(len(widths), dtype=np.int8)
     matched_gt = np.full(len(widths), -1, dtype=np.int64)
     max_iou = np.zeros(len(widths), dtype=np.float64)
@@ -208,17 +189,16 @@ def best_iou_by_frame(
     """Each ground truth's best IoU against its own frame's proposals, ``-inf``
     on a frame with none, in the order of ``gts_by_frame``'s frames and boxes.
 
-    Every same-frame pair goes through the batch IoU kernel in one pass (see
-    :func:`_frame_pairs`).
+    Every same-frame pair is scored in one pass (see
+    :func:`geometry._group_pairs`).
     """
     props = [proposals_by_frame.get(f, ()) for f in gts_by_frame]
     gts = list(gts_by_frame.values())
-    widths, first_edge, src, _, dst = _frame_pairs(list(map(len, gts)), list(map(len, props)))
-    overlap = _edge_ious(
-        boxes_to_array(list(chain.from_iterable(props))),
+    widths, first_edge, _, _, _, overlap = _group_pairs(
         boxes_to_array(list(chain.from_iterable(gts))),
-        dst,
-        src,
+        list(map(len, gts)),
+        boxes_to_array(list(chain.from_iterable(props))),
+        list(map(len, props)),
     )
     best = np.full(len(widths), -np.inf)
     met = np.flatnonzero(widths)  # ground truths of frames with proposals

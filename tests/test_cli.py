@@ -213,6 +213,50 @@ def test_link_unreadable_json_exits_2_naming_the_file(tmp_path, capsys, content,
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "first, second, bad",
+    [
+        ([0.0, 0.0, 1e308, 1e308], [-1e308, -1e308, 1e308, 1e308], 0),
+        ([0.0, 0.0, 10.0, 10.0], [-1e308, -1e308, 1e308, 1e308], 1),
+        ([0.0, 0.0, 10.0, 10.0], [0.0, 0.0, 1e300, 1e300], 1),
+    ],
+    ids=["both-frames", "second-frame", "finite-sides"],
+)
+def test_link_refuses_a_box_whose_area_overflows(tmp_path, capsys, first, second, bad):
+    # the two IoU kernels disagree on such boxes (NaN against 0.0), so the
+    # reader stops them before linking warns or writes a tube
+    frames = [
+        {"frame_index": t, "detections": [{"bbox": box, "class_id": 0, "score": 0.9}]}
+        for t, box in enumerate((first, second))
+    ]
+    path = tmp_path / "dets.json"
+    write_json(path, {"format_version": 1, "video_id": "v", "frames": frames})
+    assert main(["link", str(path), str(tmp_path / "tubes.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.frames[{bad}].detections[0].bbox: "
+        "box area (x2 - x1) * (y2 - y1) must be finite\n"
+    )
+    assert not (tmp_path / "tubes.json").exists()
+
+
+def test_trim_refuses_a_tube_box_whose_area_overflows(tmp_path, capsys):
+    tube = {
+        "video_id": "v",
+        "class_id": 0,
+        "start": 0,
+        "end": 1,
+        "tube_score": 0.9,
+        "boxes": [[0.0, 0.0, 10.0, 10.0], [-1e308, -1e308, 1e308, 1e308]],
+        "scores": [0.9, 0.9],
+    }
+    path = tmp_path / "tubes.json"
+    write_json(path, {"format_version": 1, "tubes": [tube]})
+    assert main(["trim", str(path), str(tmp_path / "out.json"), "--avg-len", "0:1"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.tubes[0].boxes[1]: box area (x2 - x1) * (y2 - y1) must be finite\n"
+    )
+
+
 def test_link_rejects_bad_beta(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     main(["simulate", str(spec_file), str(out)])

@@ -8,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tubekit import geometry
 from tubekit.geometry import (
     MAX_SCALE_DELTA,
     BoundingBox,
     BoxDelta,
+    _group_pairs,
     _iou_arrays,
     boxes_to_array,
     clip,
@@ -307,6 +309,58 @@ class TestIoU:
     def test_matrix_empty(self):
         assert iou_matrix([], [BoundingBox(0, 0, 1, 1)]).shape == (0, 1)
         assert iou_matrix([BoundingBox(0, 0, 1, 1)], []).shape == (1, 0)
+
+
+def reference_group_pairs(groups, other_groups):
+    """``_group_pairs``' six arrays, as lists, from one ``iou_matrix`` per group (oracle)."""
+    widths, first, src, local, dst, overlap = [], [], [], [], [], []
+    row = offset = 0
+    for rows, others in zip(groups, other_groups):
+        matrix = iou_matrix(rows, others)
+        for i in range(len(rows)):
+            widths.append(len(others))
+            first.append(len(src))
+            for j in range(len(others)):
+                src.append(row)
+                local.append(j)
+                dst.append(offset + j)
+                overlap.append(float(matrix[i, j]))
+            row += 1
+        offset += len(others)
+    return widths, first, src, local, dst, overlap
+
+
+class TestGroupPairs:
+    @pytest.mark.parametrize("block", [None, 1, 3])
+    def test_matches_per_group_iou_matrix(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(geometry, "_EDGE_BLOCK", block)
+        rng = np.random.default_rng(43)
+        no_rows = no_others = 0
+        for _ in range(40):
+            sizes = rng.integers(0, 5, size=(int(rng.integers(0, 6)), 2)).tolist()
+            groups = [[random_box(rng) for _ in range(n)] for n, _ in sizes]
+            # an odd count of other rows ends with an exact copy of the group's first row
+            other_groups = [
+                [random_box(rng) for _ in range(m)] + g[:1] * (m % 2)
+                for g, (_, m) in zip(groups, sizes)
+            ]
+            no_rows += sum(not g for g in groups)
+            no_others += sum(not g for g in other_groups)
+            got = _group_pairs(
+                boxes_to_array([b for g in groups for b in g]),
+                [len(g) for g in groups],
+                boxes_to_array([b for g in other_groups for b in g]),
+                [len(g) for g in other_groups],
+            )
+            want = reference_group_pairs(groups, other_groups)
+            assert [a.tolist() for a in got] == list(want)
+            assert [a.dtype for a in got[:5]] == [np.int64] * 5
+        assert no_rows > 5 and no_others > 5
+
+    def test_no_groups(self):
+        got = _group_pairs(np.zeros((0, 4)), [], np.zeros((0, 4)), [])
+        assert [a.tolist() for a in got] == [[]] * 6
 
 
 class TestEncodeDecode:

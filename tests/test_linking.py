@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tubekit import linking
+from tubekit import geometry, linking
 from tubekit.geometry import BoundingBox
 from tubekit.linking import (
     ActionTube,
@@ -268,6 +268,19 @@ def test_no_module_imports_a_name_it_never_uses():
             continue  # the package namespace imports what it re-exports
         unused += [f"{path.name}:{found}" for found in unused_imports(path.read_text())]
     assert unused == []
+
+
+def test_only_geometry_names_the_pair_block_size():
+    # the pairs of a group are numbered and scored in blocks in one place
+    named = []
+    for path in sorted(Path(linking.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names += [alias.name for alias in node.names]
+            if "_EDGE_BLOCK" in names:
+                named.append(f"{path.name}:{node.lineno}")
+    assert named and {n.split(":")[0] for n in named} == {"geometry.py"}
 
 
 def path_score(frames, path, params):
@@ -724,7 +737,7 @@ class TestExtractTubes:
         # every consecutive-frame pair of a class goes through the batch
         # kernel exactly once, however often its run is solved again
         scalar_calls, kernel_edges, offered = [], [], []
-        kernel, best_path = linking._iou_arrays, linking._best_path
+        kernel, best_path = geometry._iou_arrays, linking._best_path
 
         def counting_kernel(a, b):
             out = kernel(a, b)
@@ -736,7 +749,7 @@ class TestExtractTubes:
             return best_path(frames, row)
 
         monkeypatch.setattr(linking, "iou", lambda a, b: scalar_calls.append((a, b)))
-        monkeypatch.setattr(linking, "_iou_arrays", counting_kernel)
+        monkeypatch.setattr(geometry, "_iou_arrays", counting_kernel)
         monkeypatch.setattr(linking, "_best_path", counting_best_path)
         video = crowded_video(np.random.default_rng(3), per_frame=4)
         tubes = extract_tubes(video, min_mean_link_score=-float("inf"))
@@ -749,6 +762,28 @@ class TestExtractTubes:
         assert scalar_calls == []
         assert sum(kernel_edges) == pairs
         assert sum(offered) > pairs  # re-solves offer pairs again
+
+    def test_block_size_does_not_change_gapped_tubes(self, monkeypatch):
+        # every class misses frames inside its span, so the detections of
+        # frame f + 1 are gathered from the middle of the class's stack, and
+        # small blocks split the pairs of one frame
+        video = [
+            frame(fd.frame_index, *(d for d in fd.detections if (fd.frame_index + d.class_id) % 4))
+            for fd in crowded_video(np.random.default_rng(7), num_frames=16, per_frame=12)
+        ]
+        for c in range(3):
+            present = {fd.frame_index for fd in video for d in fd.detections if d.class_id == c}
+            assert len(reference_runs(present)) >= 3
+        params = LinkingParams()
+        expected = [
+            (t.class_id, t.start_frame, t.boxes, t.scores)
+            for t in reference_extract(video, params, min_mean_link_score=-float("inf"))
+        ]
+        for block in (1, 5, None):
+            if block is not None:
+                monkeypatch.setattr(geometry, "_EDGE_BLOCK", block)
+            tubes = extract_tubes(video, params, min_mean_link_score=-float("inf"))
+            assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == expected
 
     def test_one_wide_frame_keeps_memory_small(self):
         # 60 frames of one class, one of them 300 detections wide: scoring the
