@@ -378,17 +378,6 @@ def anticipate(
 def augment_proposals(
     proposals: Sequence[BoundingBox], anticipated: Sequence[BoundingBox]
 ) -> list[BoundingBox]:
-    """Append anticipated boxes to a proposal set, skipping exact duplicates.
-
-    Existing proposals are kept untouched and in order; an anticipated box
-    is added only if its corner tuple is not already present.
-    """
-    out = list(proposals)
-    seen = {box.as_tuple() for box in proposals}
-    for box in anticipated:
-        key = box.as_tuple()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(box)
-    return out
+    """The proposals, untouched and in order, followed by the anticipated boxes;
+    a duplicate is inert, as the detector takes a later box only on a higher overlap."""
+    return [*proposals, *anticipated]

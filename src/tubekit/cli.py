@@ -119,6 +119,8 @@ def cmd_link(args: argparse.Namespace) -> int:
 
 
 def cmd_trim(args: argparse.Namespace) -> int:
+    if args.avg_len is not None and args.train_gt is not None:
+        raise formats.SchemaError("--avg-len and --train-gt cannot both be given")
     tubes_by_video = formats.load_tubes(args.tubes)
     if args.avg_len is not None:
         lengths = _parse_avg_len(args.avg_len)
@@ -177,6 +179,8 @@ def _emit_recall_rows(
 
 
 def cmd_proposal_recall(args: argparse.Namespace) -> int:
+    if args.cascade_demo and (args.proposals is not None or args.gt is not None):
+        raise formats.SchemaError("PROPOSALS and GT cannot be given with --cascade-demo")
     thresholds = _parse_list(args.thresholds, "--thresholds", float)
     lines: list[str] = []
     if args.cascade_demo:

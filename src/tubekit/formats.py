@@ -51,6 +51,9 @@ FORMAT_VERSION = 1
 
 _NOISE_FIELDS = tuple(f.name for f in fields(NoiseModel))
 
+# the largest magnitude of a file box's corners and area (see ``_bounded``)
+_HALF_MAX = sys.float_info.max / 2
+
 T = TypeVar("T")
 
 
@@ -132,14 +135,24 @@ def _box(value: Any, path: str) -> BoundingBox:
         _fail(path, f"expected [x1, y1, x2, y2], got {len(arr)} values")
     coords = [_number(v, f"{path}[{i}]") for i, v in enumerate(arr)]
     box = _construct(path, BoundingBox, *coords)
-    if not _finite_area(*coords):
-        _fail(path, "box area (x2 - x1) * (y2 - y1) must be finite")
+    if not _bounded(*coords):
+        if not math.isfinite(box.area):
+            _fail(path, "box area (x2 - x1) * (y2 - y1) must be finite")
+        _fail(path, f"box corners and area must not exceed {_HALF_MAX!r} in magnitude")
     return box
 
 
-def _finite_area(x1: float, y1: float, x2: float, y2: float) -> bool:
-    """Whether the box's area is finite: both IoU kernels need it to agree."""
-    return math.isfinite((x2 - x1) * (y2 - y1))
+def _bounded(x1: float, y1: float, x2: float, y2: float) -> bool:
+    """Whether a box in order has corners within ``±_HALF_MAX`` and an area of at
+    most ``_HALF_MAX``: then no sum or difference of the IoU kernels overflows,
+    and both kernels score it against any such box alike."""
+    return (
+        -_HALF_MAX <= x1
+        and -_HALF_MAX <= y1
+        and x2 <= _HALF_MAX
+        and y2 <= _HALF_MAX
+        and (x2 - x1) * (y2 - y1) <= _HALF_MAX
+    )
 
 
 def _finite_floats(values: Sequence) -> bool:
@@ -149,12 +162,12 @@ def _finite_floats(values: Sequence) -> bool:
 
 def _plain_boxes(values: list) -> Optional[list[BoundingBox]]:
     """The boxes of ``values`` if each is a list of four built-in floats
-    that make a box of finite area, else None."""
+    that make a bounded box, else None."""
     if (
         set(map(type, values)) <= {list}
         and set(map(len, values)) <= {4}
         and set(map(type, chain.from_iterable(values))) <= {float}
-        and all(starmap(_finite_area, values))
+        and all(starmap(_bounded, values))
     ):
         try:
             return list(starmap(BoundingBox, values))

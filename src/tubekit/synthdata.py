@@ -500,24 +500,19 @@ class ConditionedDetector:
         truth, draws, false_positives = drawn
         if not (truth and proposals):
             return list(false_positives)
-        # a remembered list is never empty, so ``start`` is 0 on a frame not seen
-        known, best, kept = self._covered.get(frame_index, ((), [], []))
+        # overlaps are never negative, so (0.0, 0) is the best of no proposal,
+        # and a list overlapping nothing regresses from its first box
+        fresh = ((), [(0.0, 0)] * len(truth), [None] * len(truth))
+        known, best, kept = self._covered.get(frame_index, fresh)
+        if not (len(known) <= len(proposals) and all(map(operator.is_, known, proposals))):
+            known, best, kept = fresh
         start = len(known)
-        if start and start <= len(proposals) and all(map(operator.is_, known, proposals)):
-            dets = [
-                det if index < start else self._build(row, draw, coverage, proposals[index])
-                for row, draw, (coverage, index), det in zip(
-                    truth, draws, _best_overlaps(truth, proposals, best, start), kept
-                )
-            ]
-        else:
-            # overlaps are never negative, so (0.0, 0) is the best of no
-            # proposal, and a list overlapping nothing regresses from its first box
-            best = _best_overlaps(truth, proposals, [(0.0, 0)] * len(truth), 0)
-            dets = [
-                self._build(row, draw, coverage, proposals[index])
-                for row, draw, (coverage, index) in zip(truth, draws, best)
-            ]
+        best = _best_overlaps(truth, proposals, best, start)
+        dets = [
+            det if index < start else self._build(row, draw, coverage, proposals[index])
+            for row, draw, (coverage, index), det in zip(truth, draws, best, kept)
+        ]
+        if not start:
             self._covered[frame_index] = (tuple(proposals), best, dets)
         return [det for det in dets if det is not None] + list(false_positives)
 

@@ -1,4 +1,5 @@
 import inspect
+import operator
 import re
 
 import numpy as np
@@ -215,18 +216,22 @@ def reference_build_training_set(frame_pairs, *, image_width, image_height):
     )
 
 
-@pytest.mark.parametrize("gap", [1, 8, 29])
-def test_build_training_set_matches_the_per_row_builder(gap):
-    spec = drifting_scene_specs(1, num_frames=30)[0]
-    scene, oracle, detector = _replica(spec, 0, "train")
-    frames = run_detection_pass(scene, oracle, detector)
-    pairs = [
+def detection_pairs(scene, frames, gap):
+    """(detections at t, true boxes at t + gap) for every frame t of a pass."""
+    return [
         (
             [(d.box, d.motion) for d in frames[t].detections],
             [box for _, box, _ in scene.frame_truth(t + gap)],
         )
-        for t in range(spec.num_frames - gap)
+        for t in range(scene.spec.num_frames - gap)
     ]
+
+
+@pytest.mark.parametrize("gap", [1, 8, 29])
+def test_build_training_set_matches_the_per_row_builder(gap):
+    spec = drifting_scene_specs(1, num_frames=30)[0]
+    scene, oracle, detector = _replica(spec, 0, "train")
+    pairs = detection_pairs(scene, run_detection_pass(scene, oracle, detector), gap)
     # a frame with no detections, and a degenerate box among a frame's detections
     pairs.insert(len(pairs) // 2, ([], pairs[0][1]))
     degenerate = (BoundingBox(30.0, 40.0, 30.0, 90.0), (1.0, 0.0))
@@ -579,21 +584,57 @@ def test_anticipate_strategy_names_are_distinct():
     assert len({STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED}) == 3
 
 
-def test_augment_proposals_dedups_exact_corners():
-    rng = np.random.default_rng(2)
-    proposals = []
-    for _ in range(300):
-        x1, y1 = rng.uniform(0, 200, size=2)
-        proposals.append(BoundingBox(x1, y1, x1 + 10, y1 + 10))
-    novel = [BoundingBox(500 + i, 0, 520 + i, 20) for i in range(5)]
-    merged = augment_proposals(proposals, novel)
-    assert len(merged) == 305
-    assert merged[:300] == proposals
-    assert merged[300:] == novel
+def test_augment_proposals_appends_everything_in_order():
+    proposals = [BoundingBox(float(i), 0.0, i + 10.0, 10.0) for i in range(3)]
+    novel = [BoundingBox(500.0, 0.0, 520.0, 20.0)]
+    anticipated = [proposals[0], novel[0], novel[0]]
+    merged = augment_proposals(proposals, anticipated)
+    assert merged == proposals + anticipated
+    assert all(map(operator.is_, merged, proposals + anticipated))
 
-    # exact duplicates (of the pool or of earlier anticipated boxes) are skipped
-    merged = augment_proposals(proposals, [proposals[0], novel[0], novel[0]])
-    assert len(merged) == 301
+
+def hexed(dets):
+    return [
+        (
+            tuple(map(float.hex, d.box.as_tuple())),
+            d.class_id,
+            d.score.hex(),
+            d.motion and tuple(map(float.hex, d.motion)),
+        )
+        for d in dets
+    ]
+
+
+@pytest.mark.parametrize("anticipator", [STRATEGY_NONE, STRATEGY_NON_MOTION, STRATEGY_LEARNED])
+def test_duplicate_proposals_leave_every_detection_unchanged(anticipator):
+    # the detector takes a later proposal only on a strictly higher overlap,
+    # and an equal box would build the same detection, so appending copies of
+    # oracle and anticipated boxes changes nothing on any frame
+    gap = 4
+    spec = drifting_scene_specs(1, num_frames=30)[0]
+    size = dict(image_width=spec.width, image_height=spec.height)
+    if anticipator == STRATEGY_LEARNED:
+        scene, oracle, detector = _replica(spec, 0, "train")
+        pairs = detection_pairs(scene, run_detection_pass(scene, oracle, detector), gap)
+        anticipator = train_anticipation_model(build_training_set(pairs, **size), gap)
+    scene, oracle, detector = _replica(spec, 0, "eval")
+    frames = run_detection_pass(scene, oracle, detector, anticipator, gap)
+    for t, frame in enumerate(frames):
+        proposals = oracle.propose(t)
+        if anticipator != STRATEGY_NONE and t >= gap:
+            predicted = anticipate(
+                anticipator, [(d.box, d.motion) for d in frames[t - gap].detections], **size
+            )
+            assert predicted
+            proposals = augment_proposals(proposals, predicted)
+        doubled = augment_proposals(
+            proposals, [BoundingBox(*box.as_tuple()) for box in reversed(proposals)]
+        )
+        # the pass's detector remembers ``proposals`` and scores only the copies;
+        # a fresh one scores the whole list
+        assert hexed(detector.detect(t, doubled)) == hexed(frame.detections), t
+        fresh = _replica(spec, 0, "eval")[2]
+        assert hexed(fresh.detect(t, doubled)) == hexed(frame.detections), t
 
 
 def test_model_validation():

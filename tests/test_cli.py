@@ -257,6 +257,62 @@ def test_trim_refuses_a_tube_box_whose_area_overflows(tmp_path, capsys):
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "first, second, bad",
+    [
+        ([0.0, 0.0, 1e154, 1e154], [0.0, 0.0, 1e154, 1e154], 0),
+        ([-1e308, 0.0, -0.9e308, 1.0], [0.9e308, 0.0, 1e308, 1.0], 0),
+        ([0.0, 0.0, 10.0, 10.0], [0.9e308, 0.0, 1e308, 1.0], 1),
+    ],
+    ids=["union-overflows", "corner-gap-overflows", "second-frame"],
+)
+def test_link_refuses_a_box_beyond_half_the_float_range(tmp_path, capsys, first, second, bad):
+    # each box's area is finite, but two of them overflow a sum or a
+    # difference of the IoU kernels
+    frames = [
+        {"frame_index": t, "detections": [{"bbox": box, "class_id": 0, "score": 0.9}]}
+        for t, box in enumerate((first, second))
+    ]
+    path = tmp_path / "dets.json"
+    write_json(path, {"format_version": 1, "video_id": "v", "frames": frames})
+    assert main(["link", str(path), str(tmp_path / "tubes.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}.frames[{bad}].detections[0].bbox: "
+        "box corners and area must not exceed 8.988465674311579e+307 in magnitude\n"
+    )
+    assert not (tmp_path / "tubes.json").exists()
+
+
+def test_trim_refuses_both_length_sources(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    main(["link", str(out / "dets.json"), str(out / "tubes.json")])
+    capsys.readouterr()
+    trimmed = tmp_path / "trimmed.json"
+    argv = ["trim", str(out / "tubes.json"), str(trimmed), "--avg-len", "0:5,1:5"]
+    assert main([*argv, "--train-gt", str(out / "gt.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --avg-len and --train-gt cannot both be given\n"
+    assert captured.out == ""
+    assert not trimmed.exists()
+
+
+@pytest.mark.parametrize("files", [2, 1], ids=["proposals-and-gt", "proposals-only"])
+def test_proposal_recall_refuses_files_with_the_cascade_demo(tmp_path, spec_file, capsys, files):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    capsys.readouterr()
+    csv = tmp_path / "demo.csv"
+    inputs = [str(out / "dets.json"), str(out / "gt.json")][:files]
+    argv = ["proposal-recall", *inputs, "--cascade-demo", "--num-boxes", "4", "--out", str(csv)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: PROPOSALS and GT cannot be given with --cascade-demo\n"
+    assert captured.out == ""
+    assert not csv.exists()
+
+
 def test_link_rejects_bad_beta(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     main(["simulate", str(spec_file), str(out)])

@@ -2,12 +2,13 @@ import copy
 import dataclasses
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import tubekit.formats as formats
-from tubekit.geometry import BoundingBox
+from tubekit.geometry import BoundingBox, iou, iou_matrix
 from tubekit.linking import ActionTube, Detection, FrameDetections
 from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec, generate_scene, render_detections
 from tubekit.formats import (
@@ -918,3 +919,57 @@ def test_variant_parses_to_the_float_document(schema, field, value):
 def test_variants_keep_their_parsed_values():
     parsed = [repr(_parse_variant(*variant)) for variant in _VARIANTS]
     assert hashlib.sha256("\n".join(parsed).encode()).hexdigest() == _VARIANTS_DIGEST
+
+
+HALF_MAX = sys.float_info.max / 2
+
+
+@pytest.mark.filterwarnings("error")
+def test_boxes_at_the_bound_are_read_and_scored_alike_by_both_kernels(tmp_path):
+    # corners at +-HALF_MAX and areas of HALF_MAX: every sum and difference of
+    # the kernels stays within the float range
+    h = HALF_MAX
+    boxes = [
+        [-h, 0.0, h, 0.5],
+        [-h, 0.0, h, 0.5],
+        [0.0, 0.0, h, 0.5],
+        [-h, -1.0, -h / 2, 0.0],
+        [h / 2, 0.0, h, 1.0],
+        [0.0, -h, 0.5, h],
+        [-h, -h, -h, h],
+    ]
+    frames = [
+        {"frame_index": 0, "detections": [{"bbox": b, "class_id": 0, "score": 0.5} for b in boxes]}
+    ]
+    path = tmp_path / "dets.json"
+    write_json(path, {"format_version": 1, "video_id": "v", "frames": frames})
+    read = [d.box for d in load_detections(path)[1][0].detections]
+    assert [list(b.as_tuple()) for b in read] == boxes
+    batch = iou_matrix(read, read)
+    scalar = [[iou(a, b) for b in read] for a in read]
+    assert batch.tolist() == scalar
+    assert scalar[0][1] == 1.0 and scalar[0][2] == pytest.approx(0.5) and scalar[3][4] == 0.0
+
+
+@pytest.mark.parametrize(
+    "box",
+    [
+        [-np.nextafter(HALF_MAX, np.inf), 0.0, 0.0, 0.5],
+        [0.0, -np.nextafter(HALF_MAX, np.inf), 0.5, 0.0],
+        [0.0, 0.0, np.nextafter(HALF_MAX, np.inf), 0.5],
+        [0.0, 0.0, 0.5, np.nextafter(HALF_MAX, np.inf)],
+        [-HALF_MAX, 0.0, HALF_MAX, np.nextafter(0.5, 1.0)],
+    ],
+    ids=["x1", "y1", "x2", "y2", "area"],
+)
+def test_a_box_just_past_the_bound_is_refused(tmp_path, box):
+    tube = {
+        "video_id": "v", "class_id": 0, "start": 0, "end": 0, "tube_score": 0.5,
+        "boxes": [[float(v) for v in box]], "scores": [0.5],
+    }
+    path = tmp_path / "tubes.json"
+    write_json(path, {"format_version": 1, "tubes": [tube]})
+    message = "box corners and area must not exceed 8.988465674311579e+307 in magnitude"
+    with pytest.raises(SchemaError) as refused:
+        load_tubes(path)
+    assert str(refused.value) == f"{path}.tubes[0].boxes[0]: {message}"

@@ -270,6 +270,73 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def private_definitions(tree):
+    """``(line, name)`` for each name with one leading underscore that the
+    module ``tree`` defines at its top level."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            names = [
+                n.id
+                for t in targets
+                if t
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            ]
+        found += [(node.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+    return found
+
+
+def unread_private_names(sources):
+    """``"module:line name"`` for each top-level private name defined in one of
+    ``sources`` (module name -> source) that none of them reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for line, name in private_definitions(tree)
+        if name not in read
+    ]
+
+
+@pytest.mark.parametrize(
+    "sources, expected",
+    [
+        ({"a": "def _f():\n    pass\n"}, ["a:1 _f"]),
+        ({"a": "def _f():\n    pass\nx = _f()\n"}, []),
+        ({"a": "class _C:\n    pass\n_LIMIT: int = 3\n"}, ["a:1 _C", "a:3 _LIMIT"]),
+        ({"a": "_a, _b = 1, 2\nx = _a\n"}, ["a:1 _b"]),
+        ({"a": "_x = 1\n_x = 2\n"}, ["a:1 _x", "a:2 _x"]),
+        ({"a": "_t = {}\n_t[0] = 1\n"}, []),
+        ({"a": "__all__ = []\ndef f():\n    _local = 1\n"}, []),
+        ({"a": "_f = 1\n", "b": "from .a import _f\nx = _f\n"}, []),
+        ({"a": "_f = 1\n", "b": "from . import a\nx = a._f\n"}, []),
+        ({"a": "_f = 1\n", "b": "from .a import _f\n"}, ["a:1 _f"]),
+    ],
+)
+def test_unread_private_name_scan(sources, expected):
+    assert unread_private_names(sources) == expected
+
+
+def test_every_private_module_name_is_read():
+    sources = {
+        path.stem: path.read_text()
+        for path in sorted(Path(linking.__file__).parent.glob("*.py"))
+    }
+    assert any(private_definitions(ast.parse(source)) for source in sources.values())
+    assert unread_private_names(sources) == []
+
+
 def test_only_geometry_names_the_pair_block_size():
     # the pairs of a group are numbered and scored in blocks in one place
     named = []
