@@ -179,15 +179,23 @@ def _emit_recall_rows(
 
 
 def cmd_proposal_recall(args: argparse.Namespace) -> int:
+    # (flag, cascade_recall_demo keyword, value or None when not given)
+    demo_flags = (
+        ("--num-boxes", "num_boxes", args.num_boxes),
+        ("--jitter", "jitter_sigma", args.jitter),
+        ("--seed", "seed", args.seed),
+    )
     if args.cascade_demo and (args.proposals is not None or args.gt is not None):
         raise formats.SchemaError("PROPOSALS and GT cannot be given with --cascade-demo")
+    if not args.cascade_demo:
+        for flag, _, value in demo_flags:
+            if value is not None:
+                raise formats.SchemaError(f"{flag} is only read with --cascade-demo")
     thresholds = _parse_list(args.thresholds, "--thresholds", float)
     lines: list[str] = []
     if args.cascade_demo:
-        curves = cascade_recall_demo(
-            num_boxes=args.num_boxes, jitter_sigma=args.jitter, seed=args.seed,
-            thresholds=thresholds,
-        )
+        given = {name: value for _, name, value in demo_flags if value is not None}
+        curves = cascade_recall_demo(**given, thresholds=thresholds)
         lines.append("label,delta,recall")
         for label in ("one_stage", "two_stage"):
             _emit_recall_rows(label, curves[label], lines)
@@ -306,12 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated IoU thresholds (default %(default)s)")
     p.add_argument("--cascade-demo", action="store_true",
                    help="compare one- vs two-stage oracle refinement instead")
-    p.add_argument("--num-boxes", type=int, default=synthdata.DEMO_NUM_BOXES,
-                   help="boxes for the cascade demo (default %(default)s)")
-    p.add_argument("--jitter", type=float, default=synthdata.DEMO_JITTER_SIGMA,
-                   help="anchor corner jitter for the demo (default %(default)s)")
-    p.add_argument("--seed", type=int, default=synthdata.DEMO_SEED,
-                   help="demo rng seed (default %(default)s)")
+    # the demo flags default to None, so that a file-mode run can refuse them
+    p.add_argument("--num-boxes", type=int, default=None,
+                   help=f"boxes for the cascade demo (default {synthdata.DEMO_NUM_BOXES})")
+    p.add_argument("--jitter", type=float, default=None,
+                   help=f"anchor corner jitter for the demo (default {synthdata.DEMO_JITTER_SIGMA})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"demo rng seed (default {synthdata.DEMO_SEED})")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("study", help="anticipation strategy comparison study")

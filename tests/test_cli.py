@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tubekit import cli
+from tubekit import cli, synthdata
 from tubekit.cli import main
 from tubekit.formats import (
     load_detections,
@@ -439,6 +439,35 @@ def test_proposal_recall_files_mode(tmp_path, spec_file, capsys):
 def test_proposal_recall_requires_files_without_demo(capsys):
     assert main(["proposal-recall"]) == 2
     assert "cascade-demo" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--num-boxes=4", "--jitter=2.5", "--seed=3"])
+def test_proposal_recall_refuses_demo_flags_without_the_demo(tmp_path, spec_file, capsys, flag):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    capsys.readouterr()
+    csv = tmp_path / "recall.csv"
+    argv = ["proposal-recall", str(out / "dets.json"), str(out / "gt.json"), flag, "--out", str(csv)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag.split('=')[0]} is only read with --cascade-demo\n"
+    assert captured.out == ""
+    assert not csv.exists()
+
+
+def test_proposal_recall_demo_flags_default_to_the_library_defaults(tmp_path, capsys):
+    implicit, explicit = tmp_path / "implicit.csv", tmp_path / "explicit.csv"
+    assert main(["proposal-recall", "--cascade-demo", "--out", str(implicit)]) == 0
+    argv = ["--num-boxes", str(synthdata.DEMO_NUM_BOXES), "--jitter", str(synthdata.DEMO_JITTER_SIGMA),
+            "--seed", str(synthdata.DEMO_SEED), "--out", str(explicit)]
+    assert main(["proposal-recall", "--cascade-demo", *argv]) == 0
+    assert implicit.read_bytes() == explicit.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["proposal-recall", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    for default in (synthdata.DEMO_NUM_BOXES, synthdata.DEMO_JITTER_SIGMA, synthdata.DEMO_SEED):
+        assert f"(default {default})" in help_text
 
 
 @pytest.mark.parametrize("jitter", ["-1", "nan", "inf"])

@@ -23,6 +23,7 @@ from tubekit.linking import (
     tube_order,
     viterbi_link,
 )
+from tubekit.synthdata import drifting_scene_specs, generate_scene, render_detections
 
 
 def det(x1, y1, x2, y2, score, class_id=0):
@@ -576,9 +577,10 @@ def reference_extract(video, params, max_tubes_per_class=10, min_mean_link_score
 def incremental_solves(video, params, max_tubes_per_class, min_mean_link_score):
     """What an incremental extraction solves, and why each class stopped.
 
-    Per class the initial runs are solved; after each tube only the run it
-    came from is split, and its non-empty sub-runs are solved. A solve is
-    recorded as the ids of each frame's remaining detections.
+    Per class the initial runs are solved; after each tube but the class's
+    last allowed one, only the run it came from is split, and its non-empty
+    sub-runs are solved. A solve is recorded as the ids of each frame's
+    remaining detections.
     """
     solves, exits = [], set()
     for class_id in sorted({d.class_id for fd in video for d in fd.detections}):
@@ -597,7 +599,7 @@ def incremental_solves(video, params, max_tubes_per_class, min_mean_link_score):
                 pool.append((mean, run, path))
 
         solve(remaining)
-        for _ in range(max_tubes_per_class):
+        for emitted in range(1, max_tubes_per_class + 1):
             if not pool:
                 exits.add("empty")
                 break
@@ -609,10 +611,40 @@ def incremental_solves(video, params, max_tubes_per_class, min_mean_link_score):
             pool.remove(best)
             for f, j in zip(run, path):
                 remaining[f].pop(j)
-            solve([f for f in run if remaining[f]])
+            if emitted < max_tubes_per_class:
+                solve([f for f in run if remaining[f]])
         else:
             exits.add("cap")
     return solves, exits
+
+
+def spy_on_solves(monkeypatch, record):
+    """Call ``record(frames)`` before every solve, on either storage, with the
+    remaining detections of each frame of the run."""
+    best_path, best_block_path = linking._best_path, linking._best_block_path
+
+    def rows_spy(frames, row):
+        record(frames)
+        return best_path(frames, row)
+
+    def blocks_spy(frames, blocks, offsets):
+        record([
+            [d for d, offset in zip(frame, frame_offsets) if offset == 0.0]
+            for frame, frame_offsets in zip(frames, offsets)
+        ])
+        return best_block_path(frames, blocks, offsets)
+
+    monkeypatch.setattr(linking, "_best_path", rows_spy)
+    monkeypatch.setattr(linking, "_best_block_path", blocks_spy)
+
+
+def by_class_and_frame(video):
+    """``{class id: {frame index: that frame's detections of the class}}``."""
+    out = {}
+    for fd in video:
+        for d in fd.detections:
+            out.setdefault(d.class_id, {}).setdefault(fd.frame_index, []).append(d)
+    return out
 
 
 def reference_runs(frame_indices):
@@ -746,7 +778,7 @@ class TestExtractTubes:
             assert value == linking_score(a, b, params)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_cached_extraction_matches_uncached_reference(self, seed):
+    def test_cached_extraction_matches_uncached_reference(self, link_storage, seed):
         # the extraction keeps each class's link scores between solves; the
         # reference re-scores every run in every round. At beta 1 the score
         # term is multiplied by 0.0, so no score may stand in for a removed
@@ -770,19 +802,17 @@ class TestExtractTubes:
         "cap, floor, stop",
         [(2, -float("inf"), "cap"), (100, 0.5, "floor"), (100, -float("inf"), "empty")],
     )
-    def test_only_split_runs_are_solved_again(self, monkeypatch, seed, cap, floor, stop):
+    def test_only_split_runs_are_solved_again(
+        self, monkeypatch, link_storage, seed, cap, floor, stop
+    ):
         video = crowded_video(np.random.default_rng(seed), num_frames=11, per_frame=6)
         params = LinkingParams()
         # the model solves through viterbi_link, so it runs before the spy
         expected, exits = incremental_solves(video, params, cap, floor)
         solves = []
-        best_path = linking._best_path
-
-        def recording_best_path(frames, row):
-            solves.append(tuple(tuple(map(id, frame)) for frame in frames))
-            return best_path(frames, row)
-
-        monkeypatch.setattr(linking, "_best_path", recording_best_path)
+        spy_on_solves(monkeypatch, lambda frames: solves.append(
+            tuple(tuple(map(id, frame)) for frame in frames)
+        ))
         extract_tubes(video, params, max_tubes_per_class=cap, min_mean_link_score=floor)
         assert stop in exits
         assert sorted(solves) == sorted(expected)
@@ -800,24 +830,22 @@ class TestExtractTubes:
                 extract_tubes(video, max_tubes_per_class=cap)
         assert len(extract_tubes(video, max_tubes_per_class=np.int64(1))) == 1
 
-    def test_each_pair_is_scored_once(self, monkeypatch):
+    def test_each_pair_is_scored_once(self, monkeypatch, link_storage):
         # every consecutive-frame pair of a class goes through the batch
         # kernel exactly once, however often its run is solved again
         scalar_calls, kernel_edges, offered = [], [], []
-        kernel, best_path = geometry._iou_arrays, linking._best_path
+        kernel = geometry._iou_arrays
 
         def counting_kernel(a, b):
             out = kernel(a, b)
             kernel_edges.append(out.size)
             return out
 
-        def counting_best_path(frames, row):
-            offered.extend(len(f) * len(g) for f, g in zip(frames, frames[1:]))
-            return best_path(frames, row)
-
         monkeypatch.setattr(linking, "iou", lambda a, b: scalar_calls.append((a, b)))
         monkeypatch.setattr(geometry, "_iou_arrays", counting_kernel)
-        monkeypatch.setattr(linking, "_best_path", counting_best_path)
+        spy_on_solves(monkeypatch, lambda frames: offered.extend(
+            len(f) * len(g) for f, g in zip(frames, frames[1:])
+        ))
         video = crowded_video(np.random.default_rng(3), per_frame=4)
         tubes = extract_tubes(video, min_mean_link_score=-float("inf"))
         assert len(tubes) > 3
@@ -829,6 +857,36 @@ class TestExtractTubes:
         assert scalar_calls == []
         assert sum(kernel_edges) == pairs
         assert sum(offered) > pairs  # re-solves offer pairs again
+
+    def test_dense_and_sparse_classes_in_one_video(self, monkeypatch):
+        # class 0 is dense enough for link-score arrays and class 1 sparse
+        # enough for row lists; together they match the uncached reference
+        rng = np.random.default_rng(11)
+        video = [
+            frame(
+                t,
+                *(quantised_detection(rng, class_id=0) for _ in range(13)),
+                *(quantised_detection(rng, class_id=1) for _ in range(1 + t % 3)),
+            )
+            for t in range(10)
+            if t != 6
+        ]
+        storages = {}
+        for name in ("_LinkRows", "_LinkBlocks"):
+            def record(remaining, *scores, storage=getattr(linking, name), name=name):
+                storages[next(iter(remaining.values()))[0].class_id] = name
+                return storage(remaining, *scores)
+
+            monkeypatch.setattr(linking, name, record)
+        for beta in (0.0, 0.5, 1.0):
+            params = LinkingParams(beta=beta)
+            for floor, cap in ((0.1, 10), (-float("inf"), 20)):
+                tubes = extract_tubes(video, params, max_tubes_per_class=cap, min_mean_link_score=floor)
+                expected = reference_extract(video, params, cap, floor)
+                assert [(t.class_id, t.start_frame, t.boxes, t.scores) for t in tubes] == [
+                    (t.class_id, t.start_frame, t.boxes, t.scores) for t in expected
+                ]
+                assert storages == {0: "_LinkBlocks", 1: "_LinkRows"}
 
     def test_block_size_does_not_change_gapped_tubes(self, monkeypatch):
         # every class misses frames inside its span, so the detections of
@@ -869,3 +927,18 @@ class TestExtractTubes:
             tracemalloc.stop()
         assert tubes
         assert peak < 5_000_000
+
+
+def test_fixtures_fall_on_both_sides_of_the_array_threshold():
+    # the drifting scenes' classes solve on row lists, a crowded video with
+    # about 13 detections per class and frame on link-score arrays
+    a = det(0, 0, 1, 1, 0.5)
+    assert linking._links_per_frame_pair({0: [a, a], 1: [a, a, a], 3: [a]}) == 6.0
+    assert linking._links_per_frame_pair({0: [a], 2: [a]}) == 0.0
+    for spec in drifting_scene_specs(4):
+        for remaining in by_class_and_frame(render_detections(generate_scene(spec))).values():
+            assert linking._links_per_frame_pair(remaining) < linking._ARRAY_MIN_LINKS
+    crowded = by_class_and_frame(crowded_video(np.random.default_rng(0), per_frame=39))
+    assert len(crowded) == 3
+    for remaining in crowded.values():
+        assert linking._links_per_frame_pair(remaining) >= linking._ARRAY_MIN_LINKS

@@ -81,7 +81,7 @@ def test_the_fixture_has_misses_and_clutter():
     assert all(linked())
 
 
-def test_extract_tubes_commutes_with_shuffling_each_frame():
+def test_extract_tubes_commutes_with_shuffling_each_frame(link_storage):
     rng = np.random.default_rng(0)
 
     def shuffled(dets):
@@ -95,7 +95,7 @@ def test_extract_tubes_commutes_with_shuffling_each_frame():
     assert moved == len(fixture())
 
 
-def test_extract_tubes_commutes_with_permuting_class_ids():
+def test_extract_tubes_commutes_with_permuting_class_ids(link_storage):
     permutation = {0: 1, 1: 0}
     inverse = {new: old for old, new in permutation.items()}
 
@@ -112,7 +112,7 @@ def test_extract_tubes_commutes_with_permuting_class_ids():
 
 
 @pytest.mark.parametrize("scale", SCALES)
-def test_extract_tubes_commutes_with_a_power_of_two_scale(scale):
+def test_extract_tubes_commutes_with_a_power_of_two_scale(link_storage, scale):
     def scaled(dets):
         return [
             dataclasses.replace(
