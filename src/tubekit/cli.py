@@ -65,26 +65,20 @@ def _write_text(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _class_length(entry: str) -> tuple[int, float]:
+    class_id, length = entry.split(":")
+    return int(class_id), float(length)
+
+
+_class_length.__name__ = "class:length"  # as _parse_list's refusal names it
+
+
 def _parse_avg_len(text: str) -> dict[int, float]:
     table: dict[int, float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ":" not in part:
-            raise formats.SchemaError(
-                f"--avg-len: expected 'class:length' entries, got {part!r}"
-            )
-        cls_text, len_text = part.split(":", 1)
-        try:
-            class_id, length = int(cls_text), float(len_text)
-        except ValueError:
-            raise formats.SchemaError(f"--avg-len: cannot parse entry {part!r}")
+    for class_id, length in _parse_list(text, "--avg-len", _class_length):
         if class_id in table:
             raise formats.SchemaError(f"--avg-len: class {class_id} appears twice")
         table[class_id] = length
-    if not table:
-        raise formats.SchemaError("--avg-len: empty table")
     return table
 
 

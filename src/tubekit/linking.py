@@ -234,35 +234,35 @@ def viterbi_link(
     return _best_path(frames, row)
 
 
-def _link_scores(
-    remaining: dict[int, list[Detection]], beta: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every consecutive-frame link score of a class, flat: frame by frame in
-    order, and within frame ``f`` row by row, ``remaining[f][i]`` to each
-    detection of ``remaining[f + 1]``. Also returns, per detection in that
-    order, the number of its links and the position of its first.
+def _link_blocks(remaining: dict[int, list[Detection]], beta: float) -> dict[int, np.ndarray]:
+    """Every consecutive-frame link score of a class, in frame order, as
+    views of one flat array: ``blocks[f][i, j]`` links ``remaining[f][i]``
+    to ``remaining[f + 1][j]``, and a frame with no successor has 0 columns.
 
     Each pair is scored once, in one pass (see :func:`geometry._group_pairs`).
     """
     frames = sorted(remaining)
     dets = [det for f in frames for det in remaining[f]]
     counts = [len(remaining[f]) for f in frames]
+    widths = [len(remaining.get(f + 1, ())) for f in frames]
     boxes = boxes_to_array([det.box for det in dets])
     scores = np.array([det.score for det in dets], dtype=np.float64)
     # the detections on a frame after one of the class, in frame order: frame
     # f's other rows are frame f + 1's detections
     follows = np.repeat([f - 1 in remaining for f in frames], counts)
-    widths, first, src, _, dst, overlap = _group_pairs(
-        boxes, counts, boxes[follows], [len(remaining.get(f + 1, ())) for f in frames]
-    )
-    return _link_score(scores[src], scores[follows][dst], overlap, beta), widths, first
+    _, _, src, _, dst, overlap = _group_pairs(boxes, counts, boxes[follows], widths)
+    flat = _link_score(scores[src], scores[follows][dst], overlap, beta)
+    blocks, pos = {}, 0
+    for f, n, w in zip(frames, counts, widths):
+        blocks[f] = flat[pos : pos + n * w].reshape(n, w)
+        pos += n * w
+    return blocks
 
 
-def _links_per_frame_pair(remaining: dict[int, list[Detection]]) -> float:
-    """A class's links per linked frame pair: the sum of ``n_f * n_(f+1)`` over
-    its frames ``f`` that have a successor, over the number of such frames
-    (0 when none has)."""
-    links = [len(dets) * len(remaining[f + 1]) for f, dets in remaining.items() if f + 1 in remaining]
+def _links_per_frame_pair(blocks: dict[int, np.ndarray]) -> float:
+    """A class's links per linked frame pair: the mean size of its
+    :func:`_link_blocks` blocks that have a column (0 when none has)."""
+    links = [block.size for block in blocks.values() if block.size]
     return sum(links) / len(links) if links else 0.0
 
 
@@ -273,17 +273,9 @@ class _LinkRows:
     taken detection leaves its frame's list, its row and its column.
     """
 
-    def __init__(
-        self,
-        remaining: dict[int, list[Detection]],
-        flat: np.ndarray,
-        widths: np.ndarray,
-        first: np.ndarray,
-    ) -> None:
+    def __init__(self, remaining: dict[int, list[Detection]], blocks: dict[int, np.ndarray]) -> None:
         self.remaining = remaining
-        scores = flat.tolist()
-        rows = iter([scores[i : i + w] for i, w in zip(first.tolist(), widths.tolist())])
-        self.rows = {f: [next(rows) for _ in remaining[f]] for f in sorted(remaining)}
+        self.rows = {f: block.tolist() for f, block in blocks.items()}
 
     def solve(self, run: list[int]) -> tuple[list[int], float]:
         rows = self.rows
@@ -301,26 +293,20 @@ class _LinkRows:
 
 
 class _LinkBlocks:
-    """A class's link scores as 2-D views of the flat array, solved by
+    """A class's link scores as the :func:`_link_blocks` arrays, solved by
     :func:`_best_block_path`.
 
-    ``blocks[f][i, j]`` links ``remaining[f][i]`` to ``remaining[f + 1][j]``.
     A taken detection keeps its place: its row becomes -inf, and so does its
     entry of its frame's offset vector, which holds 0.0 for each remaining
     detection. Only link scores are masked, never detection scores: at beta 1
     the score term is 0.0 * score, and 0.0 * -inf is NaN.
     """
 
-    def __init__(self, remaining: dict[int, list[Detection]], flat: np.ndarray) -> None:
+    def __init__(self, remaining: dict[int, list[Detection]], blocks: dict[int, np.ndarray]) -> None:
         self.remaining = remaining
+        self.blocks = blocks
         self.left = {f: len(dets) for f, dets in remaining.items()}  # detections not yet taken
         self.offsets = {f: np.zeros(len(dets)) for f, dets in remaining.items()}
-        self.blocks: dict[int, np.ndarray] = {}
-        pos = 0
-        for f in sorted(remaining):
-            n, width = len(remaining[f]), len(remaining.get(f + 1, ()))
-            self.blocks[f] = flat[pos : pos + n * width].reshape(n, width)
-            pos += n * width
 
     def solve(self, run: list[int]) -> tuple[list[int], float]:
         return _best_block_path(
@@ -420,11 +406,9 @@ def extract_tubes(
 
     tubes: list[ActionTube] = []
     for class_id, remaining in sorted(by_class.items()):
-        flat, widths, first = _link_scores(remaining, params.beta)
-        if _links_per_frame_pair(remaining) < _ARRAY_MIN_LINKS:
-            links: _LinkRows | _LinkBlocks = _LinkRows(remaining, flat, widths, first)
-        else:
-            links = _LinkBlocks(remaining, flat)
+        blocks = _link_blocks(remaining, params.beta)
+        storage = _LinkRows if _links_per_frame_pair(blocks) < _ARRAY_MIN_LINKS else _LinkBlocks
+        links: _LinkRows | _LinkBlocks = storage(remaining, blocks)
 
         def solve(run: list[int]) -> tuple[float, int, list[int], list[int]]:
             path, total = links.solve(run)

@@ -670,6 +670,28 @@ def test_model_refuses_non_finite_arrays(name, bad):
         AnticipationModel(gap=2, **arrays)
 
 
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("weights", (4, 5), "weights must be (4, 6)"),
+        ("bias", (3,), "bias must be (4,)"),
+        ("feature_mean", (5,), "feature stats must be (6,)"),
+        ("feature_scale", (6, 1), "feature stats must be (6,)"),
+    ],
+)
+def test_model_refuses_misshapen_arrays(name, shape, message):
+    arrays = dict(
+        weights=np.zeros((4, 6)),
+        bias=np.zeros(4),
+        feature_mean=np.zeros(6),
+        feature_scale=np.ones(6),
+    )
+    arrays[name] = np.ones(shape)
+    with pytest.raises(ValueError) as info:
+        AnticipationModel(gap=2, **arrays)
+    assert str(info.value) == message
+
+
 def training_arrays(n=5):
     rng = np.random.default_rng(2)
     return dict(
@@ -688,6 +710,25 @@ def test_training_set_refuses_non_finite_arrays(name, bad):
     arrays[name][1, 2] = bad
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         TrainingSet(**arrays)
+
+
+@pytest.mark.parametrize(
+    "name, shape, message",
+    [
+        ("features", (5, 5), "features must be (N, 6)"),
+        ("targets", (5, 3), "targets must be (N, 4) and positive (N,)"),
+        ("targets", (4, 4), "targets must be (N, 4) and positive (N,)"),
+        ("positive", (4,), "targets must be (N, 4) and positive (N,)"),
+    ],
+)
+def test_training_set_refuses_misshapen_arrays(name, shape, message):
+    from tubekit.anticipation import TrainingSet
+
+    arrays = training_arrays()
+    arrays[name] = np.zeros(shape, dtype=arrays[name].dtype)
+    with pytest.raises(ValueError) as info:
+        TrainingSet(**arrays)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

@@ -436,6 +436,19 @@ def test_proposal_recall_files_mode(tmp_path, spec_file, capsys):
     assert values == [1.0, 1.0, 1.0]
 
 
+def test_proposal_recall_ground_truth_without_the_video_exits_2(tmp_path, spec_file, capsys):
+    out, other = tmp_path / "out", tmp_path / "other"
+    main(["simulate", str(spec_file), str(out)])
+    other_spec = tmp_path / "other.json"
+    write_json(other_spec, scene_spec_to_dict(clean_spec(video_id="elsewhere")))
+    main(["simulate", str(other_spec), str(other)])
+    capsys.readouterr()
+    assert main(["proposal-recall", str(out / "dets.json"), str(other / "gt.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ground truth has no tubes for video 'clip'\n"
+
+
 def test_proposal_recall_requires_files_without_demo(capsys):
     assert main(["proposal-recall"]) == 2
     assert "cascade-demo" in capsys.readouterr().err
@@ -739,6 +752,16 @@ def test_parser_is_built_once_and_commands_are_looked_up_per_call(monkeypatch):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_runtime_failure_exits_1(monkeypatch, capsys):
+    def fail(args):
+        raise RuntimeError("solver diverged")
+
+    monkeypatch.setattr(cli, "cmd_link", fail)
+    assert main(["link", "dets.json", "tubes.json"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: solver diverged\n")
+
+
 def test_trim_non_finite_avg_len_exits_2(tmp_path, spec_file, capsys):
     out = tmp_path / "out"
     main(["simulate", str(spec_file), str(out)])
@@ -787,6 +810,50 @@ def test_trim_repeated_avg_len_class_exits_2(tmp_path, spec_file, capsys):
     assert code == 2
     assert capsys.readouterr().err == "error: --avg-len: class 0 appears twice\n"
     assert not trimmed.exists()
+
+
+@pytest.fixture
+def linked(tmp_path, spec_file):
+    """The linked tubes of the clean scene, in ``out/tubes.json``."""
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    main(["link", str(out / "dets.json"), str(out / "tubes.json")])
+    return out / "tubes.json"
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ("0:5,1", "--avg-len: expected comma-separated class:length values, got '0:5,1'"),
+        ("a:5", "--avg-len: expected comma-separated class:length values, got 'a:5'"),
+        ("0:5:3,1:4", "--avg-len: expected comma-separated class:length values, got '0:5:3,1:4'"),
+        (",", "--avg-len: empty list"),
+    ],
+)
+def test_trim_malformed_avg_len_exits_2(tmp_path, linked, capsys, table, message):
+    capsys.readouterr()
+    trimmed = tmp_path / "trimmed.json"
+    assert main(["trim", str(linked), str(trimmed), f"--avg-len={table}"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not trimmed.exists()
+
+
+def test_trim_avg_len_skips_blank_entries(tmp_path, linked, capsys):
+    trimmed = tmp_path / "trimmed.json"
+    assert main(["trim", str(linked), str(trimmed), "--avg-len", "0:5,,1:5"]) == 0
+    assert main(["trim", str(linked), str(tmp_path / "plain.json"), "--avg-len", "0:5,1:5"]) == 0
+    assert trimmed.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_eval_unparsable_delta_exits_2(tmp_path, spec_file, capsys):
+    out = tmp_path / "out"
+    main(["simulate", str(spec_file), str(out)])
+    capsys.readouterr()
+    code = main(["eval", str(out / "gt.json"), str(out / "gt.json"), "--deltas", "a"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --deltas: expected comma-separated float values, got 'a'\n"
 
 
 def _assert_unwritable_reported(path, capsys):

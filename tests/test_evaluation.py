@@ -449,16 +449,24 @@ class TestStudyGapsAndSeeds:
             ({"seeds": (0.5,)}, "^seed must be an integer, got 0.5$"),
             ({"seeds": (0, -1)}, "^seed must be non-negative$"),
             ({"gaps": ()}, "^study needs at least one gap$"),
+            ({"seeds": ()}, "^study needs at least one seed$"),
+            ({"strategies": ("none", "psychic")}, "^unknown strategy 'psychic'$"),
         ],
         ids=[
             "gap-float", "gap-bool", "gap-numpy-float", "gap-zero", "gap-negative",
-            "seed-bool", "seed-float", "seed-negative", "gaps-empty",
+            "seed-bool", "seed-float", "seed-negative", "gaps-empty", "seeds-empty",
+            "strategy-unknown",
         ],
     )
     def test_rejected_before_any_pass(self, passes, kwargs, message):
         specs = drifting_scene_specs(1, num_frames=12)
         with pytest.raises(ValueError, match=message):
             run_strategy_study(specs, **{"seeds": (0,), **kwargs})
+        assert passes == []
+
+    def test_no_scene_spec_rejected(self, passes):
+        with pytest.raises(ValueError, match="^study needs at least one scene spec$"):
+            run_strategy_study([], seeds=(0,))
         assert passes == []
 
     def test_numpy_integers_run(self, passes):

@@ -394,6 +394,12 @@ class TestEncodeDecode:
         )
         np.testing.assert_allclose(out.as_tuple(), (-5, -5, 15, 15), atol=1e-12)
 
+    @pytest.mark.parametrize("source", [BoundingBox(0, 0, 10, 0), BoundingBox(3, 0, 3, 10)])
+    def test_decode_rejects_degenerate_source(self, source):
+        with pytest.raises(ValueError) as info:
+            decode_delta(source, BoxDelta(0, 0, 0, 0))
+        assert str(info.value) == "source box must have strictly positive size"
+
     def test_decode_overflow_guard(self):
         box = BoundingBox(0, 0, 10, 10)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tubekit import geometry, linking
-from tubekit.geometry import BoundingBox
+from tubekit.geometry import BoundingBox, iou_matrix
 from tubekit.linking import (
     ActionTube,
     Detection,
@@ -929,16 +929,60 @@ class TestExtractTubes:
         assert peak < 5_000_000
 
 
+def reference_link_blocks(remaining, beta):
+    """``_link_blocks``' table from one ``iou_matrix`` per frame pair (oracle)."""
+    blocks = {}
+    for f in sorted(remaining):
+        here, after = remaining[f], remaining.get(f + 1, [])
+        blocks[f] = linking._link_score(
+            np.array([d.score for d in here])[:, None],
+            np.array([d.score for d in after], dtype=np.float64)[None, :],
+            iou_matrix([d.box for d in here], [d.box for d in after]),
+            beta,
+        )
+    return blocks
+
+
+@pytest.mark.parametrize("block", [1, 3, None])
+def test_link_blocks_equal_a_per_frame_pair_reference(monkeypatch, block):
+    # every class misses frames inside its span, so some frames have no
+    # successor and the detections of frame f + 1 are gathered from the middle
+    # of the class's stack; small pair blocks split the pairs of one frame
+    if block is not None:
+        monkeypatch.setattr(geometry, "_EDGE_BLOCK", block)
+    video = [
+        frame(fd.frame_index, *(d for d in fd.detections if (fd.frame_index + d.class_id) % 4))
+        for fd in crowded_video(np.random.default_rng(5), num_frames=12, per_frame=9)
+    ]
+    classes = by_class_and_frame(video)
+    assert len(classes) == 3
+    for remaining in classes.values():
+        for beta in (0.0, 0.7, 1.0):
+            blocks = linking._link_blocks(remaining, beta)
+            want = reference_link_blocks(remaining, beta)
+            assert list(blocks) == list(want) == sorted(remaining)
+            for f, got in blocks.items():
+                assert got.shape == want[f].shape == (len(remaining[f]), len(remaining.get(f + 1, ())))
+                assert (got == want[f]).all()
+            # one flat array holds every block
+            assert len({id(got.base) for got in blocks.values()}) == 1
+        assert any(got.shape[1] == 0 for got in blocks.values())
+        assert len(reference_runs(remaining)) >= 2
+
+
 def test_fixtures_fall_on_both_sides_of_the_array_threshold():
     # the drifting scenes' classes solve on row lists, a crowded video with
     # about 13 detections per class and frame on link-score arrays
+    def links_per_frame_pair(remaining):
+        return linking._links_per_frame_pair(linking._link_blocks(remaining, 0.7))
+
     a = det(0, 0, 1, 1, 0.5)
-    assert linking._links_per_frame_pair({0: [a, a], 1: [a, a, a], 3: [a]}) == 6.0
-    assert linking._links_per_frame_pair({0: [a], 2: [a]}) == 0.0
+    assert links_per_frame_pair({0: [a, a], 1: [a, a, a], 3: [a]}) == 6.0
+    assert links_per_frame_pair({0: [a], 2: [a]}) == 0.0
     for spec in drifting_scene_specs(4):
         for remaining in by_class_and_frame(render_detections(generate_scene(spec))).values():
-            assert linking._links_per_frame_pair(remaining) < linking._ARRAY_MIN_LINKS
+            assert links_per_frame_pair(remaining) < linking._ARRAY_MIN_LINKS
     crowded = by_class_and_frame(crowded_video(np.random.default_rng(0), per_frame=39))
     assert len(crowded) == 3
     for remaining in crowded.values():
-        assert linking._links_per_frame_pair(remaining) >= linking._ARRAY_MIN_LINKS
+        assert links_per_frame_pair(remaining) >= linking._ARRAY_MIN_LINKS

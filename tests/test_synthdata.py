@@ -228,6 +228,16 @@ class TestSceneGeneration:
         with pytest.raises(ValueError, match=message):
             ActorSpec(0, 0, 5, BoundingBox(0, 0, 10, 10), **kwargs)
 
+    @pytest.mark.parametrize("box", [BoundingBox(0, 0, 10, 0), BoundingBox(4, 4, 4, 4)])
+    def test_zero_area_actor_box_rejected(self, box):
+        with pytest.raises(ValueError, match="^actor box must have positive area$"):
+            ActorSpec(0, 0, 5, box)
+
+    def test_scene_tubes_and_motions_must_align(self):
+        scene = generate_scene(drifting_scene_specs(1, num_frames=12)[0])
+        with pytest.raises(ValueError, match="^tubes and motion tracks must align$"):
+            replace(scene, motions=scene.motions[:-1])
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             simple_spec(num_frames=0)
@@ -1120,6 +1130,10 @@ class TestCascadeDemo:
             refined.as_tuple(), (96, 100, 156, 160), atol=1e-9
         )
         assert stage.scorer(gt) == pytest.approx(1.0)
+
+    def test_halving_stage_needs_a_ground_truth(self):
+        with pytest.raises(ValueError, match="^oracle stage needs at least one ground-truth box$"):
+            halving_stage([])
 
     def test_demo_curves(self):
         curves = cascade_recall_demo(num_boxes=150, seed=0)
