@@ -191,7 +191,7 @@ def build_training_set(
     """
     pairs = list(frame_pairs)
     rows = [(box, motion, future) for detections, future in pairs for box, motion in detections]
-    labels, matched_gt, _ = _assign_frames(
+    positive_mask, matched_gt = _assign_frames(
         boxes_to_array([box for box, _, _ in rows]),
         [len(detections) for detections, _ in pairs],
         boxes_to_array([box for _, future in pairs for box in future]),
@@ -200,12 +200,12 @@ def build_training_set(
     feats: list[np.ndarray] = []
     targets: list[tuple[float, float, float, float]] = []
     positive: list[bool] = []
-    for (box, motion, future), label, j in zip(rows, labels.tolist(), matched_gt.tolist()):
+    for (box, motion, future), pos, j in zip(rows, positive_mask.tolist(), matched_gt.tolist()):
         if box.width <= 0.0 or box.height <= 0.0:
             continue
         feats.append(feature_vector(box, motion, image_width, image_height))
-        positive.append(label == 1)
-        targets.append(encode_delta(box, future[j]).as_tuple() if label == 1 else (0.0,) * 4)
+        positive.append(pos)
+        targets.append(encode_delta(box, future[j]).as_tuple() if pos else (0.0,) * 4)
     return TrainingSet(
         features=np.array(feats, dtype=np.float64).reshape(-1, FEATURE_DIM),
         targets=np.array(targets, dtype=np.float64).reshape(-1, 4),

@@ -115,14 +115,13 @@ def cmd_link(args: argparse.Namespace) -> int:
 def cmd_trim(args: argparse.Namespace) -> int:
     if args.avg_len is not None and args.train_gt is not None:
         raise formats.SchemaError("--avg-len and --train-gt cannot both be given")
+    if args.avg_len is None and args.train_gt is None:
+        raise formats.SchemaError("one of --avg-len or --train-gt is required")
+    lengths = None if args.avg_len is None else _parse_avg_len(args.avg_len)
     tubes_by_video = formats.load_tubes(args.tubes)
-    if args.avg_len is not None:
-        lengths = _parse_avg_len(args.avg_len)
-    elif args.train_gt is not None:
+    if lengths is None:
         train = [t for tubes in formats.load_tubes(args.train_gt).values() for t in tubes]
         lengths = avg_class_length(train)
-    else:
-        raise formats.SchemaError("one of --avg-len or --train-gt is required")
     present = {t.class_id for tubes in tubes_by_video.values() for t in tubes}
     missing = sorted(c for c in present if c not in lengths)
     if missing:
@@ -149,9 +148,9 @@ def cmd_trim(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    deltas = _parse_list(args.deltas, "--deltas", float)
     gts = formats.load_tubes(args.gt)
     preds = formats.load_tubes(args.pred)
-    deltas = _parse_list(args.deltas, "--deltas", float)
     report = evaluation.evaluate(preds, gts, deltas)
     # every delta scores the same classes
     classes = sorted(report.ap_by_delta[float(deltas[0])]) if args.per_class else []
@@ -219,18 +218,17 @@ def cmd_proposal_recall(args: argparse.Namespace) -> int:
 
 
 def cmd_study(args: argparse.Namespace) -> int:
+    gaps = _parse_list(args.gaps, "--gaps", int)
+    strategies = _parse_list(args.strategies, "--strategies", str)
+    deltas = _parse_list(args.deltas, "--deltas", float)
+    seeds = _parse_list(args.seeds, "--seeds", int)
     spec_dir = Path(args.spec_dir)
     spec_paths = sorted(spec_dir.glob("*.json"))
     if not spec_paths:
         raise formats.SchemaError(f"no .json scene specs found in {spec_dir}")
     specs = [formats.load_scene_spec(p) for p in spec_paths]
-    gaps = _parse_list(args.gaps, "--gaps", int)
     report = evaluation.run_strategy_study(
-        specs,
-        strategies=_parse_list(args.strategies, "--strategies", str),
-        gaps=gaps,
-        deltas=_parse_list(args.deltas, "--deltas", float),
-        seeds=_parse_list(args.seeds, "--seeds", int),
+        specs, strategies=strategies, gaps=gaps, deltas=deltas, seeds=seeds
     )
     _write_text(report.to_csv(), args.out)
     summary_delta = 0.2

@@ -6,9 +6,9 @@ candidate boxes. The cascade runs one stage over the candidates,
 suppresses duplicates, keeps the best few hundred, and refines those again
 with a second stage; the second-stage scores are the ones reported.
 
-Also provided: the IoU-based positive/negative labelling of candidates
-against ground-truth boxes that anticipation training uses, and each ground
-truth's recall by its best proposal IoU.
+Also provided: the IoU-based positive labelling of candidates against
+ground-truth boxes that anticipation training uses, and each ground truth's
+recall by its best proposal IoU.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ Regressor = Callable[[BoundingBox], BoxDelta]
 
 # IoU above which a refined box suppresses a lower-scored one
 NMS_THRESHOLD = 0.7
-# training labels: positive above POSITIVE_IOU, negative below NEGATIVE_IOU
+# training labels: positive above POSITIVE_IOU
 POSITIVE_IOU = 0.7
-NEGATIVE_IOU = 0.3
 
 
 @dataclass(frozen=True)
@@ -127,19 +126,20 @@ def _assign_frames(
     counts: Sequence[int],
     ground_truths: np.ndarray,
     gt_counts: Sequence[int],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Label candidates by IoU against ground truth, for several frames at once.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positive labelling of candidates by IoU against ground truth, for
+    several frames at once.
 
-    Returns each candidate's label, its matched ground truth and its best IoU.
-    IoU above ``POSITIVE_IOU`` (0.7) is positive (1), below ``NEGATIVE_IOU``
-    (0.3) negative (0), anything between is ignored (-1); each candidate is
-    matched to the first ground truth of its highest IoU. Additionally, for
-    every ground-truth box the candidate with the highest IoU is forced
-    positive and matched to it (ties keep all tied candidates; a candidate
-    forced by several is matched to the last) so that no ground truth goes
-    unmatched even when all overlaps are low; a ground truth no candidate
-    overlaps forces nothing. On a frame without ground truth, every
-    candidate is negative, matched to -1 with best IoU 0.
+    Returns a bool mask of the positive candidates and each candidate's
+    matched ground truth. A candidate whose best IoU is above
+    ``POSITIVE_IOU`` (0.7) is positive, and each candidate is matched to the
+    first ground truth of its highest IoU. Additionally, for every
+    ground-truth box the candidate with the highest IoU is forced positive
+    and matched to it (ties keep all tied candidates; a candidate forced by
+    several is matched to the last) so that no ground truth goes unmatched
+    even when all overlaps are low; a ground truth no candidate overlaps
+    forces nothing. On a frame without ground truth, no candidate is
+    positive and each is matched to -1.
 
     ``candidates`` (N, 4) holds the frames' rows one frame after another,
     ``counts[f]`` of them for frame ``f``, and each is labelled against its
@@ -151,25 +151,23 @@ def _assign_frames(
     widths, first_edge, src, local, dst, overlap = _group_pairs(
         candidates, counts, ground_truths, gt_counts
     )
-    labels = np.zeros(len(widths), dtype=np.int8)
+    positive = np.zeros(len(widths), dtype=bool)
     matched_gt = np.full(len(widths), -1, dtype=np.int64)
-    max_iou = np.zeros(len(widths), dtype=np.float64)
     met = np.flatnonzero(widths)  # candidates of frames with ground truth
     if len(met):
         starts = first_edge[met]
         best = np.maximum.reduceat(overlap, starts)
         at_best = overlap == np.repeat(best, widths[met])
-        max_iou[met] = best
         matched_gt[met] = np.minimum.reduceat(np.where(at_best, local, len(src)), starts)
-        labels[met] = np.where(best > POSITIVE_IOU, 1, np.where(best < NEGATIVE_IOU, 0, -1))
+        positive[met] = best > POSITIVE_IOU
         gt_best = np.zeros(len(ground_truths))
         np.maximum.at(gt_best, dst, overlap)
         forcing = (overlap == gt_best[dst]) & (gt_best[dst] > 0.0)
         forced_by = np.maximum.reduceat(np.where(forcing, local, -1), starts)
         forced = met[forced_by >= 0]
-        labels[forced] = 1
+        positive[forced] = True
         matched_gt[forced] = forced_by[forced_by >= 0]
-    return labels, matched_gt, max_iou
+    return positive, matched_gt
 
 
 def recall_curve(best_iou: np.ndarray, thresholds: Sequence[float]) -> dict[float, float]:

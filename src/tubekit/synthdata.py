@@ -123,18 +123,6 @@ class NoiseModel:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
 
-    @classmethod
-    def noiseless(cls) -> "NoiseModel":
-        return cls(
-            sigma_loc=0.0,
-            miss_rate=0.0,
-            fp_rate=0.0,
-            tp_score_mean=1.0,
-            tp_score_sigma=0.0,
-            fp_score_mean=0.0,
-            fp_score_sigma=0.0,
-        )
-
 
 @dataclass(frozen=True)
 class SceneSpec:

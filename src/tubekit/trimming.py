@@ -127,25 +127,16 @@ def trim_interval(
     return best_interval, float(best_obj)
 
 
-@dataclass(frozen=True)
-class TrimResult:
-    """Outcome of trimming one tube."""
-
-    start_offset: int
-    end_offset: int
-    objective: float
-    tube: ActionTube
-
-
 def trim_tube(
     tube: ActionTube,
     params: TrimmingParams,
     link_params: LinkingParams = LinkingParams(),
-) -> TrimResult:
+) -> ActionTube:
     """Trim one tube to its best-scoring sub-interval.
 
     Link scores are recomputed from the tube's own boxes and scores using
-    ``link_params``.
+    ``link_params``, and the tube keeps the frames of the interval that
+    :func:`trim_interval` picks for them; its other fields are unchanged.
 
     Raises:
         ValueError: for single-frame tubes (no links to score) or when
@@ -156,16 +147,13 @@ def trim_tube(
     if tube.class_id not in params.avg_length:
         raise ValueError(f"no average length configured for class {tube.class_id}")
     scores = tube_link_scores(tube, link_params)
-    (s, e), objective = trim_interval(
-        scores, params.avg_length[tube.class_id], params.penalty_mode
-    )
-    trimmed = replace(
+    (s, e), _ = trim_interval(scores, params.avg_length[tube.class_id], params.penalty_mode)
+    return replace(
         tube,
         start_frame=tube.start_frame + s,
         boxes=tube.boxes[s : e + 1],
         scores=tube.scores[s : e + 1],
     )
-    return TrimResult(start_offset=s, end_offset=e, objective=objective, tube=trimmed)
 
 
 def trim_tubes(
@@ -174,10 +162,4 @@ def trim_tubes(
     link_params: LinkingParams = LinkingParams(),
 ) -> list[ActionTube]:
     """Trim a batch of tubes; single-frame tubes pass through untouched."""
-    out = []
-    for tube in tubes:
-        if tube.length < 2:
-            out.append(tube)
-        else:
-            out.append(trim_tube(tube, params, link_params).tube)
-    return out
+    return [tube if tube.length < 2 else trim_tube(tube, params, link_params) for tube in tubes]

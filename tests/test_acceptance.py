@@ -46,6 +46,7 @@ from tubekit.trimming import (
     PENALTY_ABSOLUTE,
     PENALTY_SIGNED,
     TrimmingParams,
+    trim_interval,
     trim_tube,
 )
 
@@ -139,22 +140,28 @@ def test_trimming_matches_brute_force(capsys):
         links = tube_link_scores(tube, link_params)
         for mode in (PENALTY_ABSOLUTE, PENALTY_SIGNED):
             params = TrimmingParams(avg_length={0: avg}, penalty_mode=mode)
-            result = trim_tube(tube, params, link_params)
+            (s, e), objective = trim_interval(links, avg, mode)
+            trimmed = trim_tube(tube, params, link_params)
 
             best_iv = None
             best_obj = -float("inf")
             n = len(links)
-            for s in range(n):
-                for e in range(s + 1, n + 1):
-                    span = e - s
+            for start in range(n):
+                for end in range(start + 1, n + 1):
+                    span = end - start
                     dev = (span - avg) / avg
                     pen = abs(dev) if mode == PENALTY_ABSOLUTE else dev
-                    obj = sum(links[s:e]) / span - pen
+                    obj = sum(links[start:end]) / span - pen
                     if obj > best_obj:
                         best_obj = obj
-                        best_iv = (s, e)
-            assert (result.start_offset, result.end_offset) == best_iv
-            assert result.objective == best_obj  # identical floats, ties included
+                        best_iv = (start, end)
+            assert (s, e) == best_iv
+            assert objective == best_obj  # identical floats, ties included
+            # the trimmed tube keeps frames s..e of the tube and nothing else changes
+            assert trimmed.start_frame == tube.start_frame + s
+            assert trimmed.boxes == tube.boxes[s : e + 1]
+            assert trimmed.scores == tube.scores[s : e + 1]
+            assert trimmed.class_id == tube.class_id
             checked += 1
     assert checked == 200
     report(
@@ -271,7 +278,10 @@ def test_noiseless_end_to_end_perfect_map(tmp_path, capsys):
                 velocity=(-2.0, -0.5),
             ),
         ),
-        noise=NoiseModel.noiseless(),
+        noise=NoiseModel(
+            sigma_loc=0.0, miss_rate=0.0, fp_rate=0.0, tp_score_mean=1.0,
+            tp_score_sigma=0.0, fp_score_mean=0.0, fp_score_sigma=0.0,
+        ),
         seed=5,
     )
     spec_path = tmp_path / "scene.json"

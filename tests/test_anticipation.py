@@ -184,7 +184,7 @@ def test_build_training_set_counts_and_targets():
 
 
 def assign_one_frame(candidates, ground_truths):
-    """``_assign_frames`` on one frame: (labels, matched_gt, max_iou)."""
+    """``_assign_frames`` on one frame: (positive, matched_gt)."""
     return _assign_frames(
         boxes_to_array(candidates),
         [len(candidates)],
@@ -197,12 +197,12 @@ def reference_build_training_set(frame_pairs, *, image_width, image_height):
     """The per-row builder: one frame pair labelled at a time."""
     feats, targets, positive = [], [], []
     for detections, future_boxes in frame_pairs:
-        labels, matched_gt, _ = assign_one_frame([b for b, _ in detections], list(future_boxes))
+        is_positive, matched_gt = assign_one_frame([b for b, _ in detections], list(future_boxes))
         for i, (box, motion) in enumerate(detections):
             if box.width <= 0.0 or box.height <= 0.0:
                 continue
             feats.append(feature_vector(box, motion, image_width, image_height))
-            if labels[i] == 1:
+            if is_positive[i]:
                 matched = future_boxes[int(matched_gt[i])]
                 targets.append(np.array(encode_delta(box, matched).as_tuple(), dtype=np.float64))
                 positive.append(True)

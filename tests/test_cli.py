@@ -16,6 +16,12 @@ from tubekit.linking import ActionTube
 from tubekit.proposals import recall_at_iou
 from tubekit.synthdata import ActorSpec, NoiseModel, SceneSpec
 
+# a detector that reproduces the ground truth: no jitter, misses or false positives
+NOISELESS = NoiseModel(
+    sigma_loc=0.0, miss_rate=0.0, fp_rate=0.0, tp_score_mean=1.0, tp_score_sigma=0.0,
+    fp_score_mean=0.0, fp_score_sigma=0.0,
+)
+
 
 def clean_spec(num_frames=40, noise=None, seed=11, video_id="clip"):
     return SceneSpec(
@@ -39,7 +45,7 @@ def clean_spec(num_frames=40, noise=None, seed=11, video_id="clip"):
                 velocity=(-2.0, 0.5),
             ),
         ),
-        noise=noise if noise is not None else NoiseModel.noiseless(),
+        noise=noise if noise is not None else NOISELESS,
         seed=seed,
     )
 
@@ -854,6 +860,44 @@ def test_eval_unparsable_delta_exits_2(tmp_path, spec_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: --deltas: expected comma-separated float values, got 'a'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["trim", "IN", "OUT", "--avg-len", "0:5,1"],
+            "--avg-len: expected comma-separated class:length values, got '0:5,1'",
+        ),
+        (["trim", "IN", "OUT"], "one of --avg-len or --train-gt is required"),
+        (
+            ["eval", "IN", "IN", "--deltas", "a"],
+            "--deltas: expected comma-separated float values, got 'a'",
+        ),
+        (
+            ["study", "IN", "OUT", "--gaps", "8,x"],
+            "--gaps: expected comma-separated int values, got '8,x'",
+        ),
+        (["study", "IN", "OUT", "--strategies", ","], "--strategies: empty list"),
+        (
+            ["study", "IN", "OUT", "--deltas", "0.2,a"],
+            "--deltas: expected comma-separated float values, got '0.2,a'",
+        ),
+        (
+            ["study", "IN", "OUT", "--seeds", "1.5"],
+            "--seeds: expected comma-separated int values, got '1.5'",
+        ),
+    ],
+    ids=["trim-avg-len", "trim-no-length-source", "eval-deltas", "study-gaps",
+         "study-strategies", "study-deltas", "study-seeds"],
+)
+def test_a_malformed_flag_is_refused_before_any_input_is_read(tmp_path, capsys, argv, message):
+    # IN names no file or directory: a read before the flag check would report it
+    paths = {"IN": str(tmp_path / "missing.json"), "OUT": str(tmp_path / "out.json")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not (tmp_path / "out.json").exists()
 
 
 def _assert_unwritable_reported(path, capsys):

@@ -1,5 +1,5 @@
 """Metamorphic tests: transformations of the input that must carry through
-linking and evaluation exactly.
+linking, trimming and evaluation exactly.
 
 Each scene of the drifting fixture is rendered at every miss rate and
 false-positive rate below. Tubes are compared bit for bit (class, start
@@ -7,7 +7,10 @@ frame, and every box corner and score as ``float.hex``), not only by mAP.
 Scaling every coordinate by a power of two is exact: it multiplies each
 intersection and union area by the scale's square, so every IoU keeps its
 bits. The scales are 2 and 1/32, which shrinks the fixture's 52-pixel
-actors below two units.
+actors below two units. Reversing time is exact too, as a link score is
+symmetric in its two detections. Mirroring x -> W - x is not: W - x rounds,
+so the mirrored tubes must keep their frames and scores exactly and their
+box corners to a stated tolerance.
 """
 
 import dataclasses
@@ -20,11 +23,19 @@ from tubekit.evaluation import evaluate
 from tubekit.geometry import BoundingBox
 from tubekit.linking import FrameDetections, extract_tubes
 from tubekit.synthdata import drifting_scene_specs, generate_scene, render_detections
+from tubekit.trimming import PENALTY_MODES, TrimmingParams, trim_tubes
 
 MISS_RATES = (0.0, 0.03)
 FP_RATES = (0.0, 2.0)
 DELTAS = (0.1, 0.3, 0.5, 0.75)
 SCALES = (2.0, 2.0**-5)
+# the fixture's image width; every box corner lies in [0, WIDTH]
+WIDTH = 320.0
+# W - x rounds once, by at most half an ulp of a value below 512, and
+# W - (W - x) is exact (Sterbenz), so a corner mirrored twice is within this
+MIRROR_TOLERANCE = 2.0**-45
+# distinct per-class lengths (links), so that a class mix-up changes the trim
+AVG_LENGTH = {0: 30.0, 1: 55.0}
 
 
 @functools.cache
@@ -127,6 +138,83 @@ def test_extract_tubes_commutes_with_a_power_of_two_scale(link_storage, scale):
         got = extract_tubes(map_detections(frames, scaled))
         want = [scaled_tube(tube, scale) for tube in tubes]
         assert list(map(tube_bits, got)) == list(map(tube_bits, want))
+
+
+def test_extract_tubes_commutes_with_reversing_time(link_storage):
+    for (_, _, frames), tubes in zip(fixture(), linked()):
+        last = max(fd.frame_index for fd in frames)
+        backwards = [
+            FrameDetections(frame_index=last - fd.frame_index, detections=fd.detections)
+            for fd in reversed(frames)
+        ]
+        want = [
+            dataclasses.replace(
+                tube,
+                start_frame=last - tube.end_frame,
+                boxes=tube.boxes[::-1],
+                scores=tube.scores[::-1],
+            )
+            for tube in tubes
+        ]
+        # reversal moves start frames, and so the output order
+        assert sorted(map(tube_bits, extract_tubes(backwards))) == sorted(map(tube_bits, want))
+
+
+def test_extract_tubes_commutes_with_mirroring_x(link_storage):
+    def mirrored_box(box):
+        return BoundingBox(WIDTH - box.x2, box.y1, WIDTH - box.x1, box.y2)
+
+    def mirrored(dets):
+        return [
+            dataclasses.replace(
+                d, box=mirrored_box(d.box), motion=d.motion and (-d.motion[0], d.motion[1])
+            )
+            for d in dets
+        ]
+
+    for (_, _, frames), tubes in zip(fixture(), linked()):
+        got = extract_tubes(map_detections(frames, mirrored))
+        assert [(t.class_id, t.start_frame, t.scores) for t in got] == [
+            (t.class_id, t.start_frame, t.scores) for t in tubes
+        ]
+        for tube, want in zip(got, tubes):
+            corners = np.array([mirrored_box(box).as_tuple() for box in tube.boxes])
+            expected = np.array([box.as_tuple() for box in want.boxes])
+            assert np.abs(corners - expected).max() <= MIRROR_TOLERANCE
+
+
+@functools.cache
+def trimmed(mode):
+    return tuple(trim_tubes(tubes, TrimmingParams(AVG_LENGTH, mode)) for tubes in linked())
+
+
+def test_the_trimmed_fixture_is_cut():
+    for mode in PENALTY_MODES:
+        pairs = [pair for ts in zip(linked(), trimmed(mode)) for pair in zip(*ts)]
+        assert all(cut.length <= tube.length for tube, cut in pairs)
+        assert any(cut.length < tube.length for tube, cut in pairs)
+
+
+@pytest.mark.parametrize("mode", PENALTY_MODES)
+def test_trim_tubes_commutes_with_permuting_class_ids(mode):
+    permutation = {0: 1, 1: 0}
+    params = TrimmingParams({permutation[c]: v for c, v in AVG_LENGTH.items()}, mode)
+    for tubes, want in zip(linked(), trimmed(mode)):
+        relabelled = [dataclasses.replace(t, class_id=permutation[t.class_id]) for t in tubes]
+        got = [
+            dataclasses.replace(t, class_id=permutation[t.class_id])
+            for t in trim_tubes(relabelled, params)
+        ]
+        assert list(map(tube_bits, got)) == list(map(tube_bits, want))
+
+
+@pytest.mark.parametrize("mode", PENALTY_MODES)
+@pytest.mark.parametrize("scale", SCALES)
+def test_trim_tubes_commutes_with_a_power_of_two_scale(scale, mode):
+    params = TrimmingParams(AVG_LENGTH, mode)
+    for tubes, want in zip(linked(), trimmed(mode)):
+        got = trim_tubes([scaled_tube(t, scale) for t in tubes], params)
+        assert list(map(tube_bits, got)) == [tube_bits(scaled_tube(t, scale)) for t in want]
 
 
 def evaluated(renamed=lambda video_id: video_id, change=lambda tube: tube):

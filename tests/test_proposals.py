@@ -185,7 +185,7 @@ def test_each_stage_halves_the_corner_error():
 
 
 def assign_one_frame(candidates, ground_truths):
-    """``_assign_frames`` on one frame: (labels, matched_gt, max_iou)."""
+    """``_assign_frames`` on one frame: (positive, matched_gt)."""
     return _assign_frames(
         boxes_to_array(candidates),
         [len(candidates)],
@@ -199,38 +199,37 @@ class TestAssignOneFrame:
         gt = [BoundingBox(0, 0, 10, 10)]
         candidates = [
             BoundingBox(0, 0, 10, 10),  # IoU 1.0 -> positive
-            BoundingBox(0, 0, 10, 5),  # IoU 0.5 -> ignored
-            BoundingBox(50, 50, 60, 60),  # IoU 0.0 -> negative
+            BoundingBox(0, 0, 10, 5),  # IoU 0.5 -> not positive
+            BoundingBox(50, 50, 60, 60),  # IoU 0.0 -> not positive
         ]
-        labels, matched_gt, max_iou = assign_one_frame(candidates, gt)
-        assert labels.tolist() == [1, -1, 0]
-        assert matched_gt[0] == 0
-        assert max_iou[2] == 0.0
+        positive, matched_gt = assign_one_frame(candidates, gt)
+        assert positive.tolist() == [True, False, False]
+        assert matched_gt.tolist() == [0, 0, 0]
 
     def test_best_candidate_override(self):
         # nobody clears 0.7, but the best available candidate per gt is
         # promoted anyway
         gt = [BoundingBox(0, 0, 10, 10)]
         candidates = [BoundingBox(0, 0, 10, 5), BoundingBox(0, 0, 10, 4)]
-        labels, matched_gt, _ = assign_one_frame(candidates, gt)
-        assert labels.tolist() == [1, -1]
+        positive, matched_gt = assign_one_frame(candidates, gt)
+        assert positive.tolist() == [True, False]
         assert matched_gt[0] == 0
 
     def test_override_keeps_ties(self):
         gt = [BoundingBox(0, 0, 10, 10)]
         half = BoundingBox(0, 0, 10, 5)
-        labels = assign_one_frame([half, half], gt)[0]
-        assert labels.tolist() == [1, 1]
+        positive = assign_one_frame([half, half], gt)[0]
+        assert positive.tolist() == [True, True]
 
     def test_override_skips_untouched_gt(self):
         gt = [BoundingBox(100, 100, 110, 110)]
-        labels = assign_one_frame([BoundingBox(0, 0, 10, 10)], gt)[0]
+        positive = assign_one_frame([BoundingBox(0, 0, 10, 10)], gt)[0]
         # zero overlap everywhere: nothing to promote
-        assert labels.tolist() == [0]
+        assert positive.tolist() == [False]
 
     def test_empty_ground_truth(self):
-        labels, matched_gt, _ = assign_one_frame([BoundingBox(0, 0, 10, 10)], [])
-        assert labels.tolist() == [0]
+        positive, matched_gt = assign_one_frame([BoundingBox(0, 0, 10, 10)], [])
+        assert positive.tolist() == [False]
         assert matched_gt.tolist() == [-1]
 
     def test_every_visible_gt_gets_a_positive(self):
@@ -248,13 +247,13 @@ class TestAssignOneFrame:
                 y1 = min(g.y1 + jit[1], g.y2 + jit[3])
                 y2 = max(g.y1 + jit[1], g.y2 + jit[3])
                 candidates.append(BoundingBox(x1, y1, x2, y2))
-            labels = assign_one_frame(candidates, gts)[0]
+            positive = assign_one_frame(candidates, gts)[0]
             for j, g in enumerate(gts):
                 overlaps = [iou(c, g) for c in candidates]
                 best = max(overlaps)
                 if best > 0.0:
                     best_rows = [i for i, v in enumerate(overlaps) if v == best]
-                    assert all(labels[i] == 1 for i in best_rows)
+                    assert all(positive[i] for i in best_rows)
 
 
 def reference_assign_samples(candidates, ground_truths):
@@ -262,26 +261,19 @@ def reference_assign_samples(candidates, ground_truths):
     each ground truth's best candidates positive."""
     n = len(candidates)
     if not ground_truths:
-        return (
-            np.zeros(n, dtype=np.int8),
-            np.full(n, -1, dtype=np.int64),
-            np.zeros(n, dtype=np.float64),
-        )
+        return np.zeros(n, dtype=bool), np.full(n, -1, dtype=np.int64)
     ious = iou_matrix(candidates, ground_truths)
-    max_iou = ious.max(axis=1)
     matched_gt = ious.argmax(axis=1).astype(np.int64)
-    labels = np.full(n, -1, dtype=np.int8)
-    labels[max_iou < 0.3] = 0
-    labels[max_iou > 0.7] = 1
+    positive = ious.max(axis=1) > 0.7
     if n:
         gt_best = ious.max(axis=0)
         for j in range(len(ground_truths)):
             if gt_best[j] <= 0.0:
                 continue
             best_rows = np.nonzero(ious[:, j] == gt_best[j])[0]
-            labels[best_rows] = 1
+            positive[best_rows] = True
             matched_gt[best_rows] = j
-    return labels, matched_gt, max_iou
+    return positive, matched_gt
 
 
 def grid_box(rng):
@@ -307,7 +299,7 @@ class TestAssignFramesMatchesPerFrameReference:
         )
         per_frame = [reference_assign_samples(cands, gts) for cands, gts in frames]
         per_frame.append(reference_assign_samples([], []))  # the dtypes of no frame
-        want = [np.concatenate([p[k] for p in per_frame]) for k in range(3)]
+        want = [np.concatenate([p[k] for p in per_frame]) for k in range(2)]
         assert hexed(got) == hexed(want)
         for cands, gts in frames:
             assert hexed(assign_one_frame(cands, gts)) == hexed(
@@ -334,7 +326,7 @@ class TestAssignFramesMatchesPerFrameReference:
         gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
         half = BoundingBox(0.0, 0.0, 10.0, 5.0)
         self.assert_matches([([half, BoundingBox(0.0, 0.0, 10.0, 4.0), half], [gt])])
-        assert assign_one_frame([half, half], [gt])[0].tolist() == [1, 1]
+        assert assign_one_frame([half, half], [gt])[0].tolist() == [True, True]
 
     def test_a_candidate_tied_best_for_two_ground_truths_takes_the_last(self):
         # the square overlaps both rectangles 0.5, more than any other candidate
@@ -343,8 +335,8 @@ class TestAssignFramesMatchesPerFrameReference:
         far = BoundingBox(50.0, 50.0, 60.0, 60.0)
         frames = [([far, square], [tall, wide]), ([square], [wide, tall])]
         self.assert_matches(frames)
-        labels, matched_gt, _ = assign_one_frame([far, square], [tall, wide])
-        assert labels.tolist() == [0, 1]
+        positive, matched_gt = assign_one_frame([far, square], [tall, wide])
+        assert positive.tolist() == [False, True]
         assert matched_gt.tolist() == [0, 1]
 
     def test_frames_without_ground_truth_or_with_one_candidate(self):
@@ -356,18 +348,18 @@ class TestAssignFramesMatchesPerFrameReference:
         self.assert_matches([([box], [])])
         self.assert_matches([])
 
-    def test_overlaps_on_the_thresholds_are_ignored(self):
+    def test_an_overlap_on_the_threshold_is_not_positive(self):
         gt = BoundingBox(0.0, 0.0, 10.0, 10.0)
         cands = [BoundingBox(0.0, 0.0, 10.0, 3.0), BoundingBox(0.0, 0.0, 10.0, 7.0), gt]
         self.assert_matches([(cands, [gt])])
-        assert assign_one_frame(cands, [gt])[0].tolist() == [-1, -1, 1]
+        assert assign_one_frame(cands, [gt])[0].tolist() == [False, False, True]
 
     def test_zero_overlap_everywhere(self):
         cands = [BoundingBox(0.0, 0.0, 10.0, 10.0), BoundingBox(20.0, 0.0, 30.0, 10.0)]
         gts = [BoundingBox(100.0, 100.0, 110.0, 110.0), BoundingBox(0.0, 50.0, 5.0, 60.0)]
         self.assert_matches([(cands, gts), (cands[:1], gts[:1])])
-        labels, matched_gt, _ = assign_one_frame(cands, gts)
-        assert labels.tolist() == [0, 0]
+        positive, matched_gt = assign_one_frame(cands, gts)
+        assert positive.tolist() == [False, False]
         assert matched_gt.tolist() == [0, 0]
 
 

@@ -34,6 +34,12 @@ from tubekit.synthdata import (
 )
 from tubekit.trimming import TrimmingParams, avg_class_length, trim_tubes
 
+# a detector that reproduces the ground truth: no jitter, misses or false positives
+NOISELESS = NoiseModel(
+    sigma_loc=0.0, miss_rate=0.0, fp_rate=0.0, tp_score_mean=1.0, tp_score_sigma=0.0,
+    fp_score_mean=0.0, fp_score_sigma=0.0,
+)
+
 
 _CALIBRATION = {
     "jitter_sigma": "_ORACLE_JITTER_SIGMA",
@@ -70,7 +76,7 @@ def simple_spec(**overrides):
                 velocity=(2.0, 0.0),
             ),
         ),
-        noise=NoiseModel.noiseless(),
+        noise=NOISELESS,
         seed=3,
     )
     defaults.update(overrides)
@@ -486,7 +492,7 @@ class TestProposalOracle:
 class TestConditionedDetector:
     def make_scene(self, noise=None):
         return generate_scene(
-            simple_spec(noise=noise if noise is not None else NoiseModel.noiseless())
+            simple_spec(noise=noise if noise is not None else NOISELESS)
         )
 
     def test_perfect_proposal_perfect_detection(self):
@@ -1445,6 +1451,108 @@ class TestBatchedDrawsMatchPerRowDraws:
                 for t in range(scene.spec.num_frames):
                     got = [hexed_box(b) for b in oracle.propose(t)]
                     assert got == [hexed_box(b) for b in reference_oracle_draw(oracle, t)]
+
+
+class TestDroppedBoxesKeepTheStream:
+    """A box that ends up with no area on the image is dropped; the random
+    draws of every row and false positive after it are the ones the
+    documented draw order gives."""
+
+    NOISE = NoiseModel(sigma_loc=5.0, miss_rate=0.0, fp_rate=0.0)
+
+    def two_actor_spec(self):
+        # the edge actor's 1-pixel-wide box leaves the image whenever its
+        # jitter moves both x corners below 0
+        return simple_spec(
+            num_frames=12,
+            actors=(
+                ActorSpec(class_id=0, entry_frame=0, exit_frame=11, box=BoundingBox(0, 40, 1, 80)),
+                ActorSpec(
+                    class_id=1, entry_frame=0, exit_frame=11, box=BoundingBox(80, 80, 120, 120)
+                ),
+            ),
+            noise=self.NOISE,
+        )
+
+    def test_a_rendered_box_jittered_off_the_image(self):
+        spec = self.two_actor_spec()
+        scene = generate_scene(spec)
+        dropped = 0
+        for fd in render_detections(scene):
+            # each truth row draws its four corner offsets, and only a row
+            # whose box stays on the image then draws its score
+            rng = np.random.default_rng([spec.seed, fd.frame_index, synthdata._STREAM_RENDER])
+            want = []
+            for class_id, box, motion in scene.frame_truth(fd.frame_index):
+                corners = rng.normal(0.0, self.NOISE.sigma_loc, size=4).tolist()
+                jittered = clip_visible(
+                    reference_corner_noise(box, corners), spec.width, spec.height
+                )
+                if jittered is None:
+                    continue
+                score = _clip01(rng.normal(self.NOISE.tp_score_mean, self.NOISE.tp_score_sigma))
+                want.append(Detection(box=jittered, class_id=class_id, score=score, motion=motion))
+            assert fd.detections == tuple(want)
+            dropped += [d.class_id for d in fd.detections] == [1]
+        assert 0 < dropped < spec.num_frames
+
+    def test_a_conditioned_detection_regressed_and_jittered_off_the_image(self):
+        scene = generate_scene(self.two_actor_spec())
+        detector = ConditionedDetector(scene, seed=1)
+        dropped = 0
+        for t in range(scene.spec.num_frames):
+            (_, edge, _), (_, middle, _) = scene.frame_truth(t)
+            # the edge row regresses from its own box, so only its jitter
+            # can take it off the image
+            both = detector.detect(t, [edge, middle])
+            # no proposal covers the edge row here, so it is missed; either
+            # way the middle row keeps its draws
+            alone = detector.detect(t, [middle])
+            assert [d.class_id for d in alone] == [1]
+            if [d.class_id for d in both] == [1]:
+                dropped += 1
+                assert both == alone
+            else:
+                assert [d.class_id for d in both] == [0, 1] and both[1:] == alone
+        assert 0 < dropped < scene.spec.num_frames
+
+    def test_a_clutter_box_that_float_rounding_collapses(self):
+        # beyond x = 2**56 one ulp is 16, so a clutter box narrower than 16
+        # placed there rounds to zero width
+        width, height, fp_rate = 2**57, 64, 4.0
+        noise = NoiseModel(sigma_loc=0.0, miss_rate=0.0, fp_rate=fp_rate)
+        spec = simple_spec(
+            width=width,
+            height=height,
+            num_frames=6,
+            actors=(
+                ActorSpec(class_id=0, entry_frame=0, exit_frame=5, box=BoundingBox(0, 0, 16, 16)),
+            ),
+            noise=noise,
+        )
+        scene = generate_scene(spec)
+        dropped = kept = 0
+        for fd in render_detections(scene):
+            rng = np.random.default_rng([spec.seed, fd.frame_index, synthdata._STREAM_RENDER])
+            # the actor's score; a zero sigma_loc draws no corners
+            rng.normal(noise.tp_score_mean, noise.tp_score_sigma)
+            # each false positive draws its class, its center and its log
+            # sizes in [log 8, log 32], and only a kept one then its score
+            want = []
+            for _ in range(int(rng.poisson(fp_rate))):
+                class_id = int(rng.integers(0, 1))
+                cx, cy = rng.uniform(0, width), rng.uniform(0, height)
+                w = math.exp(rng.uniform(math.log(8.0), math.log(32.0)))
+                h = math.exp(rng.uniform(math.log(8.0), math.log(32.0)))
+                box = clip_visible(box_from_center(cx, cy, w, h), width, height)
+                if box is None:
+                    dropped += 1
+                    continue
+                kept += 1
+                score = _clip01(rng.normal(noise.fp_score_mean, noise.fp_score_sigma))
+                want.append(Detection(box=box, class_id=class_id, score=score, motion=(0.0, 0.0)))
+            assert fd.detections[1:] == tuple(want)
+        assert dropped and kept
 
 
 class TestNoiseStreamGolden:

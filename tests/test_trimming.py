@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tubekit.geometry import BoundingBox
-from tubekit.linking import ActionTube, LinkingParams
+from tubekit.linking import ActionTube, LinkingParams, tube_link_scores
 from tubekit.trimming import (
     PENALTY_ABSOLUTE,
     PENALTY_SIGNED,
@@ -183,22 +183,24 @@ class TestTrimTube:
         params = TrimmingParams(avg_length={0: 3.0})
         # beta 0 makes link scores depend on confidence only:
         # links = s_i + s_{i+1} = [1.0, 1.8, 1.8, 1.0]... avg 3 links
-        result = trim_tube(tube, params, LinkingParams(beta=0.0))
-        assert result.tube.start_frame == tube.start_frame + result.start_offset
-        assert result.tube.length == result.end_offset - result.start_offset + 1
-        assert result.tube.scores == tube.scores[result.start_offset : result.end_offset + 1]
+        trimmed = trim_tube(tube, params, LinkingParams(beta=0.0))
+        (s, e), _ = trim_interval(tube_link_scores(tube, LinkingParams(beta=0.0)), 3.0)
+        assert (s, e) == (0, 3)  # ties (1, 4) at mean 4.6 / 3; the earlier start wins
+        assert trimmed.start_frame == tube.start_frame + s
+        assert trimmed.length == e - s + 1
+        assert trimmed.scores == tube.scores[s : e + 1]
+        assert (trimmed.class_id, trimmed.boxes) == (tube.class_id, tube.boxes[s : e + 1])
 
     def test_perfect_overlap_drops_weak_head(self):
         tube = tube_of([0.1, 0.9, 0.9, 0.9, 0.9], start=10)
         params = TrimmingParams(avg_length={0: 3.0})
         # beta 0: links are [1.0, 1.8, 1.8, 1.8]; the three trailing links
         # hit the typical length penalty-free with the best mean
-        result = trim_tube(tube, params, LinkingParams(beta=0.0))
-        assert result.start_offset == 1
-        assert result.end_offset == 4
-        assert result.objective == pytest.approx(1.8)
-        assert result.tube.start_frame == 11
-        assert result.tube.scores == (0.9, 0.9, 0.9, 0.9)
+        trimmed = trim_tube(tube, params, LinkingParams(beta=0.0))
+        assert (trimmed.start_frame, trimmed.end_frame) == (11, 14)
+        assert trimmed.scores == (0.9, 0.9, 0.9, 0.9)
+        _, objective = trim_interval(tube_link_scores(tube, LinkingParams(beta=0.0)), 3.0)
+        assert objective == pytest.approx(1.8)
 
     def test_single_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -216,10 +218,12 @@ class TestTrimTube:
             scores = [float(rng.integers(1, 10)) / 10.0 for _ in range(length)]
             tube = tube_of(scores)
             params = TrimmingParams(avg_length={0: float(rng.integers(1, 8))})
-            result = trim_tube(tube, params)
-            assert result.tube.length >= 2 or result.tube.length == 1
-            assert tube.start_frame <= result.tube.start_frame
-            assert result.tube.end_frame <= tube.end_frame
+            trimmed = trim_tube(tube, params)
+            links = tube_link_scores(tube, LinkingParams())
+            (s, e), _ = brute_force_trim(links, params.avg_length[0], PENALTY_ABSOLUTE)
+            assert trimmed.start_frame == tube.start_frame + s
+            assert trimmed.end_frame == tube.start_frame + e
+            assert trimmed.scores == tube.scores[s : e + 1]
 
 
 class TestTrimTubes:
